@@ -463,6 +463,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     x is [batch, ch_in, T, F]; kernel is [ch_out, ch_in, kh, kw] with odd
     kh, kw. Output time length is floor((T - 1) / stride_t) + 1, which for
     the 3x3 kernel equals ceil(T / stride_t); frequency length is F.
+
+    The op runs one example at a time as an im2col GEMM. Example i's
+    windows are copied into one reused [ch_in * kh * kw, t_out * f_out]
+    column buffer (rows ordered channel, then kernel row, then kernel
+    column, matching kernel.reshape(ch_out, -1)), and the product
+    kernel @ cols is written straight into out[i] viewed as
+    [ch_out, t_out * f_out]. Backward rebuilds each example's columns
+    rather than keeping them, accumulates g_i @ cols_i^T into the kernel
+    gradient and scatters kernel^T @ g_i back onto the padded input with
+    kh * kw strided adds. No batch-wide patch tensor is built: past the
+    padded input, the output and their gradients, the op holds one
+    example's columns, and no example's result depends on the rest of
+    the batch.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D, got {x.data.shape}")
@@ -482,19 +495,23 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     t_out = (t_in + 2 * pad_t - kh) // stride_t + 1
     f_out = f_in + 2 * pad_f - kw + 1
     t_hi = stride_t * (t_out - 1) + 1
-
-    def patch_view():
-        # [B, C, t_out, kh, f_out, kw] window view; no copy until tensordot.
-        sb, sc, st, sf = padded.strides
-        return np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(batch, ch_in, t_out, kh, f_out, kw),
-            strides=(sb, sc, st * stride_t, st, sf, sf),
-            writeable=False,
-        )
-
-    data = np.tensordot(patch_view(), kernel.data, axes=([1, 3, 5], [1, 2, 3]))
-    data = np.ascontiguousarray(np.moveaxis(data, 3, 1))
+    # [B, C, kh, kw, t_out, f_out] window view; windows[i] is example i's
+    # columns before the copy that makes them one GEMM operand.
+    sb, sc, st, sf = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(batch, ch_in, kh, kw, t_out, f_out),
+        strides=(sb, sc, st, sf, st * stride_t, sf),
+        writeable=False,
+    )
+    weights = kernel.data.reshape(ch_out, -1)
+    cols = np.empty(windows.shape[1:], dtype=padded.dtype)
+    cols_2d = cols.reshape(weights.shape[1], -1)
+    data = np.empty((batch, ch_out, t_out, f_out),
+                    dtype=np.result_type(x.data, kernel.data))
+    for i in range(batch):
+        np.copyto(cols, windows[i])
+        np.matmul(weights, cols_2d, out=data[i].reshape(ch_out, -1))
     if bias is not None:
         data += bias.data[None, :, None, None]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
@@ -505,19 +522,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             grad = out.grad
             if bias is not None and bias.requires_grad:
                 _add_grad(bias, grad.sum(axis=(0, 2, 3)))
+            # One fresh buffer holds cols_i, then kernel^T @ g_i: the
+            # closure keeps no forward columns alive.
+            cols = np.empty(windows.shape[1:], dtype=padded.dtype)
+            cols_2d = cols.reshape(weights.shape[1], -1)
             if kernel.requires_grad:
-                _add_grad(
-                    kernel,
-                    np.tensordot(grad, patch_view(), axes=([0, 2, 3], [0, 2, 4])),
-                )
+                grad_w = np.zeros_like(weights)
             if x.requires_grad:
-                spread = np.tensordot(grad, kernel.data, axes=([1], [0]))
                 grad_padded = np.zeros_like(padded)
-                for dt in range(kh):
-                    for df in range(kw):
-                        grad_padded[
-                            :, :, dt : dt + t_hi : stride_t, df : df + f_out
-                        ] += np.moveaxis(spread[..., dt, df], 3, 1)
+            for i in range(batch):
+                g_i = grad[i].reshape(ch_out, -1)
+                if kernel.requires_grad:
+                    np.copyto(cols, windows[i])
+                    grad_w += g_i @ cols_2d.T
+                if x.requires_grad:
+                    np.matmul(weights.T, g_i, out=cols_2d)
+                    gp = grad_padded[i]
+                    for dt in range(kh):
+                        for df in range(kw):
+                            gp[:, dt : dt + t_hi : stride_t, df : df + f_out] += (
+                                cols[:, dt, df]
+                            )
+            if kernel.requires_grad:
+                _add_grad(kernel, grad_w.reshape(kernel.data.shape))
+            if x.requires_grad:
                 _add_grad(
                     x,
                     grad_padded[

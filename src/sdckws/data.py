@@ -120,6 +120,8 @@ def load_manifest(path) -> list[Example]:
             if not isinstance(text, str) or not text:
                 raise ManifestError(f"line {lineno}: text must be a non-empty string")
             audio = record["audio"]
+            if not isinstance(audio, str) or not audio:
+                raise ManifestError(f"line {lineno}: audio must be a non-empty string")
             resolved = audio if os.path.isabs(audio) else os.path.join(base, audio)
             if not os.path.isfile(resolved):
                 raise ManifestError(f"line {lineno}: audio file {audio!r} not found")

@@ -216,37 +216,32 @@ class CrossAttention:
 
     def __call__(self, query: Tensor, key: Tensor, value: Tensor,
                  key_mask: np.ndarray | None = None) -> Tensor:
+        if key.shape != value.shape:
+            raise ShapeError(f"key {key.shape} and value {value.shape} differ")
+        weights = self._softmax_weights(query, key, key_mask)
+        return self.out_proj(weights @ self.v_proj(value))
+
+    def attention_weights(self, query: Tensor, key: Tensor,
+                          key_mask: np.ndarray | None = None) -> np.ndarray:
+        """Softmax weights only, for inspection and tests."""
+        return self._softmax_weights(query, key, key_mask).data
+
+    def _softmax_weights(self, query: Tensor, key: Tensor,
+                         key_mask: np.ndarray | None) -> Tensor:
         if query.shape[-1] != self.dim or key.shape[-1] != self.dim:
             raise ShapeError(
                 f"attention built for dim {self.dim}, got query {query.shape}"
                 f" and key {key.shape}"
             )
-        if key.shape != value.shape:
-            raise ShapeError(f"key {key.shape} and value {value.shape} differ")
         q = self.q_proj(query)
         k = self.k_proj(key)
-        v = self.v_proj(value)
         k_t = k.transpose(0, 2, 1) if k.ndim == 3 else k.transpose()
         scores = (q @ k_t) * (1.0 / np.sqrt(self.dim))
         if key_mask is not None:
             bias = np.where(np.asarray(key_mask) > 0, 0.0, self.MASK_BIAS)
-            bias = bias.astype(scores.dtype)
             # Broadcast over the query axis: [.., m] -> [.., 1, m].
-            scores = scores + Tensor(bias[..., None, :])
-        weights = ad.softmax(scores, axis=-1)
-        return self.out_proj(weights @ v)
-
-    def attention_weights(self, query: Tensor, key: Tensor,
-                          key_mask: np.ndarray | None = None) -> np.ndarray:
-        """Softmax weights only, for inspection and tests."""
-        q = self.q_proj(query)
-        k = self.k_proj(key)
-        k_t = k.transpose(0, 2, 1) if k.ndim == 3 else k.transpose()
-        scores = (q @ k_t) * (1.0 / np.sqrt(self.dim))
-        if key_mask is not None:
-            bias = np.where(np.asarray(key_mask) > 0, 0.0, self.MASK_BIAS)
             scores = scores + Tensor(bias.astype(scores.dtype)[..., None, :])
-        return ad.softmax(scores, axis=-1).data
+        return ad.softmax(scores, axis=-1)
 
     def named_params(self, prefix: str):
         params = {}

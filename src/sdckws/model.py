@@ -110,8 +110,14 @@ class ModelConfig:
                 front_kwargs[f.name] = caster(raw[f.name])
         ints = ("conv_filters", "kernel", "stride_t", "gru_hidden", "embed_dim",
                 "char_embed_dim", "disc_hidden", "batch_size", "seed")
+        feature = raw.get("feature", "sdc")
+        if feature not in FEATURE_NAMES:
+            raise FormatError(
+                f"config names unknown feature {feature!r};"
+                f" expected one of {', '.join(FEATURE_NAMES)}"
+            )
         kwargs = {
-            "feature": FEATURE_NAMES[raw.get("feature", "sdc")],
+            "feature": FEATURE_NAMES[feature],
             "front_end": FrontEndConfig(**front_kwargs),
             "sdc": SdcConfig.parse(raw.get("sdc", "40-1-3-8")),
         }

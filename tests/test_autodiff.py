@@ -312,6 +312,46 @@ class TestConv2d:
                 [x, k, b],
             )
 
+    def test_batch_rows_match_single_examples_exactly(self):
+        # Each example is its own GEMM, so batch composition cannot move
+        # a bit of the output or of the input gradient.
+        rng = np.random.default_rng(36)
+        x = rng.normal(size=(5, 3, 9, 7)).astype(np.float32)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        b = Tensor(rng.normal(size=(4,)).astype(np.float32))
+        for stride in (1, 2):
+            whole = Tensor(x, requires_grad=True)
+            out = ad.conv2d(whole, k, b, stride_t=stride)
+            probe = rng.normal(size=out.shape).astype(np.float32)
+            out.backward(probe)
+            for i in range(5):
+                alone = Tensor(x[i : i + 1], requires_grad=True)
+                row = ad.conv2d(alone, k, b, stride_t=stride)
+                row.backward(probe[i : i + 1])
+                assert np.array_equal(row.data[0], out.data[i])
+                assert np.array_equal(alone.grad[0], whole.grad[i])
+
+    def test_gradients_without_bias(self):
+        rng = np.random.default_rng(37)
+        for stride in (1, 2):
+            x = leaf(rng, (3, 2, 6, 4))
+            k = leaf(rng, (3, 2, 3, 3))
+            probe = 38
+            check_grads(lambda: probed(ad.conv2d(x, k, stride_t=stride), probe),
+                        [x, k])
+
+    def test_gradient_to_one_operand_only(self):
+        rng = np.random.default_rng(39)
+        probe = 40
+        x_const = Tensor(rng.normal(size=(2, 2, 5, 4)))
+        k = leaf(rng, (3, 2, 3, 3))
+        check_grads(lambda: probed(ad.conv2d(x_const, k, stride_t=2), probe), [k])
+        assert x_const.grad is None
+        x = leaf(rng, (2, 2, 5, 4))
+        k_const = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        check_grads(lambda: probed(ad.conv2d(x, k_const, stride_t=2), probe), [x])
+        assert k_const.grad is None
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
             ad.conv2d(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((1, 3, 3, 3))))

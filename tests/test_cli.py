@@ -11,7 +11,7 @@ from sdckws.data import SAMPLE_RATE, load_manifest, write_wav
 from sdckws.dsp import Waveform
 from sdckws.features import read_features
 from sdckws.metrics import read_scores
-from sdckws.model import load_checkpoint
+from sdckws.model import load_checkpoint, save_checkpoint
 
 SMALL_INI = """\
 [frontend]
@@ -258,6 +258,18 @@ class TestEval:
                          "--ckpt", broken)
         assert result.returncode == 1
         assert "truncated" in result.stderr
+
+    def test_unknown_feature_in_checkpoint_is_runtime_error(self, workspace,
+                                                            tmp_path):
+        ckpt = load_checkpoint(workspace["ckpt"])
+        ckpt.config["feature"] = "zzz"
+        broken = tmp_path / "bad_feature.kwsm"
+        save_checkpoint(broken, ckpt)
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", broken)
+        assert result.returncode == 1
+        assert "zzz" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_checkpoint_is_runtime_error(self, workspace, tmp_path):
         result = run_cli("eval", "--manifest", workspace["manifest"],

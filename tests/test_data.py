@@ -217,6 +217,15 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(path)
 
+    def test_non_string_audio_reports_line(self, wav_dir):
+        path = wav_dir / "m.jsonl"
+        write_manifest(path, [
+            {"audio": "x.wav", "text": "a", "label": 1},
+            {"audio": 5, "text": "b", "label": 0},
+        ])
+        with pytest.raises(ManifestError, match="line 2: audio"):
+            load_manifest(path)
+
     def test_empty_text_rejected(self, wav_dir):
         path = wav_dir / "m.jsonl"
         write_manifest(path, [{"audio": "x.wav", "text": "", "label": 1}])
