@@ -17,7 +17,8 @@ import glob
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
+from pathlib import Path
 
 from . import data as data_module
 from . import metrics as metrics_module
@@ -47,112 +48,70 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-_FRONTEND_CASTS = {
-    f.name: (float if f.type == "float" else int) for f in fields(FrontEndConfig)
-}
-_SDC_KEYS = ("n", "d", "p", "k")
-_MODEL_INT_KEYS = ("conv_filters", "kernel", "stride_t", "gru_hidden",
-                   "embed_dim", "char_embed_dim", "disc_hidden", "batch_size",
-                   "seed")
-_MODEL_FLOAT_KEYS = ("dropout", "lr")
-_MODEL_KEYS = set(_MODEL_INT_KEYS) | set(_MODEL_FLOAT_KEYS) | {
-    "feature", "dropout_after_conv"}
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-
 def load_ini(path) -> dict:
-    """Read the config file, rejecting unknown sections and keys."""
+    """Read and decode the config file, rejecting unknown sections and keys."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle)
-    known = {
-        "frontend": set(_FRONTEND_CASTS),
-        "sdc": set(_SDC_KEYS),
-        "model": _MODEL_KEYS,
-    }
+    types = {}
+    for section, f in model_module.config_fields():
+        if section == "sdc":
+            types.update(((section, sub.name), sub.type)
+                         for sub in fields(SdcConfig))
+        else:
+            types[(section, f.name)] = f.type
+    sections = {section for section, _ in types}
     values = {}
     for section in parser.sections():
-        if section not in known:
+        if section not in sections:
             raise UsageError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in known[section]:
+        for key, text in parser.items(section):
+            if (section, key) not in types:
                 raise UsageError(f"unknown key {key!r} in section [{section}]")
-            values[(section, key)] = value
+            try:
+                values[(section, key)] = model_module.decode_value(
+                    types[(section, key)], text)
+            except ValueError as exc:
+                raise UsageError(
+                    f"bad value for {section}.{key}: {text!r} ({exc})") from None
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in _TRUE_WORDS:
-        return True
-    if lowered in _FALSE_WORDS:
-        return False
-    raise UsageError(f"expected a boolean, got {text!r}")
-
-
 def build_model_config(args) -> model_module.ModelConfig:
-    """Defaults, then config file values, then flag overrides."""
+    """Defaults, then config file values, then flag overrides.
+
+    A flag overrides the config key named by its argparse dest; --sdc
+    replaces the whole [sdc] section.
+    """
     ini = load_ini(args.config) if getattr(args, "config", None) else {}
-    front_kwargs = {}
-    for name, cast in _FRONTEND_CASTS.items():
-        if ("frontend", name) in ini:
-            try:
-                front_kwargs[name] = cast(ini[("frontend", name)])
-            except ValueError:
-                raise UsageError(
-                    f"bad value for frontend.{name}: {ini[('frontend', name)]!r}"
-                ) from None
-    sdc_kwargs = {}
-    for name in _SDC_KEYS:
-        if ("sdc", name) in ini:
-            try:
-                sdc_kwargs[name] = int(ini[("sdc", name)])
-            except ValueError:
-                raise UsageError(
-                    f"bad value for sdc.{name}: {ini[('sdc', name)]!r}"
-                ) from None
-    model_kwargs = {}
-    for name in _MODEL_INT_KEYS:
-        if ("model", name) in ini:
-            model_kwargs[name] = int(ini[("model", name)])
-    for name in _MODEL_FLOAT_KEYS:
-        if ("model", name) in ini:
-            model_kwargs[name] = float(ini[("model", name)])
-    if ("model", "dropout_after_conv") in ini:
-        model_kwargs["dropout_after_conv"] = _parse_bool(
-            ini[("model", "dropout_after_conv")])
-    feature_name = ini.get(("model", "feature"), "sdc")
-    if feature_name not in FEATURE_NAMES:
-        raise UsageError(f"unknown feature {feature_name!r} in config")
-    if getattr(args, "feature", None):
-        feature_name = args.feature
-    sdc_cfg = SdcConfig(**sdc_kwargs)
-    if getattr(args, "sdc", None):
-        sdc_cfg = args.sdc
-    for flag in ("lr", "batch_size", "seed", "dropout"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            model_kwargs[flag] = value
+    kwargs = {"frontend": {}, "sdc": {}, "model": {}}
+    for (section, key), value in ini.items():
+        kwargs[section][key] = value
+    for section, f in model_module.config_fields():
+        flag = getattr(args, f.name, None)
+        if flag is None:
+            continue
+        if section == "sdc":
+            kwargs[section] = asdict(flag)
+        elif isinstance(flag, str):
+            kwargs[section][f.name] = model_module.decode_value(f.type, flag)
+        else:
+            kwargs[section][f.name] = flag
     try:
         cfg = model_module.ModelConfig(
-            feature=FEATURE_NAMES[feature_name],
-            front_end=FrontEndConfig(**front_kwargs),
-            sdc=sdc_cfg,
-            **model_kwargs,
+            front_end=FrontEndConfig(**kwargs["frontend"]),
+            sdc=SdcConfig(**kwargs["sdc"]),
+            **kwargs["model"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    LOG.info("resolved config: %s",
-             " ".join(f"{k}={v}" for k, v in cfg.to_dict().items()))
+    _log_config(cfg)
     return cfg
 
 
-def _atomic_write_text(path, text: str):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+def _log_config(cfg):
+    LOG.info("resolved config: %s",
+             " ".join(f"{k}={v}" for k, v in cfg.to_dict().items()))
 
 
 def _atomic(path, write_fn):
@@ -213,7 +172,8 @@ def cmd_train(args) -> int:
     _atomic(args.output, lambda tmp: model_module.save_checkpoint(tmp, checkpoint))
     history_path = args.history or (os.path.splitext(args.output)[0]
                                     + "_history.csv")
-    _atomic_write_text(history_path, model_module.history_csv(history))
+    _atomic(history_path, lambda tmp: Path(tmp).write_text(
+        model_module.history_csv(history), encoding="utf-8"))
     best_auc = max((row.val_auc for row in history), default=float("nan"))
     LOG.info("checkpoint %s, history %s", args.output, history_path)
     print(f"best_val_auc={best_auc!r}")
@@ -223,8 +183,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     checkpoint = model_module.load_checkpoint(args.ckpt)
     kws = model_module.KwsModel.from_checkpoint(checkpoint)
-    LOG.info("resolved config: %s",
-             " ".join(f"{k}={v}" for k, v in kws.cfg.to_dict().items()))
+    _log_config(kws.cfg)
     manifest = data_module.load_manifest(args.manifest)
     scored = model_module.evaluate(kws, manifest)
     if args.output:
@@ -264,7 +223,8 @@ def cmd_ablate(args) -> int:
     rows = metrics_module.ablation_grid(
         manifest_train, manifest_eval, d_values, k_values, cfg, args.epochs,
         log=log_row)
-    _atomic_write_text(args.output, metrics_module.ablation_csv(rows))
+    _atomic(args.output, lambda tmp: Path(tmp).write_text(
+        metrics_module.ablation_csv(rows), encoding="utf-8"))
     print(args.output)
     return 0
 

@@ -26,7 +26,6 @@ from .errors import (
     TokenizeError,
     UnsupportedFormat,
 )
-from .features import FeatureMatrix
 
 SAMPLE_RATE = 16000
 
@@ -144,11 +143,6 @@ class Batch:
     @property
     def size(self) -> int:
         return self.features.shape[0]
-
-    def feature_mask(self) -> np.ndarray:
-        """[B, T_max] 1.0 where a frame is real, 0.0 where padded."""
-        t = np.arange(self.features.shape[1])
-        return (t[None, :] < self.feature_lengths[:, None]).astype(np.float32)
 
     def token_mask(self) -> np.ndarray:
         n = np.arange(self.tokens.shape[1])
@@ -306,15 +300,3 @@ def synth_dataset(keywords, per_keyword: int, negative_ratio: float, seed,
     except OSError as exc:
         raise IoError(f"cannot write manifest: {exc}") from None
     return manifest_path
-
-
-def extract_features(manifest, front_end,
-                     feature_cache: dict | None = None) -> list[FeatureMatrix]:
-    """Front-end every manifest entry once, in manifest order."""
-    cache = feature_cache if feature_cache is not None else {}
-    out = []
-    for example in manifest:
-        if example.audio_ref not in cache:
-            cache[example.audio_ref] = front_end(read_wav(example.audio_ref))
-        out.append(cache[example.audio_ref])
-    return out

@@ -126,11 +126,3 @@ def power_spectrum(frames: FrameMatrix, nfft: int) -> SpectrumMatrix:
         )
     spectrum = np.fft.rfft(frames.frames, n=nfft, axis=1)
     return SpectrumMatrix(np.abs(spectrum) ** 2, nfft)
-
-
-def default_nfft(frame_len: int) -> int:
-    """Smallest power of two that covers one frame."""
-    nfft = 1
-    while nfft < frame_len:
-        nfft *= 2
-    return nfft

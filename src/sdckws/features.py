@@ -334,10 +334,6 @@ def bark_filterbank(nfft: int, sample_rate: int) -> np.ndarray:
     return fbank
 
 
-def num_bark_bands(sample_rate: int) -> int:
-    return int(np.floor(bark_scale(sample_rate / 2.0))) + 1
-
-
 def equal_loudness(f_hz) -> np.ndarray:
     """Equal-loudness weight E(f) approximating 40 dB hearing sensitivity."""
     fsq = np.asarray(f_hz, dtype=np.float64) ** 2

@@ -50,13 +50,21 @@ from .layers import (
 KIND_NAMES = {kind: name for name, kind in FEATURE_NAMES.items()}
 
 
+# Marks the fields that only steer training; every other field is
+# architecture and must match for a checkpoint to load.
+_TRAINING_ONLY = {"training_only": True}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and training knobs; defaults follow the matcher recipe."""
+    """Architecture and training knobs; defaults follow the matcher recipe.
+
+    Field order is the .kwsm config block order (see `config_fields`).
+    """
 
     feature: FeatureKind = FeatureKind.SDC
-    front_end: FrontEndConfig = field(default_factory=FrontEndConfig)
     sdc: SdcConfig = field(default_factory=SdcConfig)
+    front_end: FrontEndConfig = field(default_factory=FrontEndConfig)
     conv_filters: int = 32
     kernel: int = 3
     stride_t: int = 2
@@ -64,11 +72,11 @@ class ModelConfig:
     embed_dim: int = 128
     char_embed_dim: int = 512
     disc_hidden: int = 128
-    dropout: float = 0.2
-    dropout_after_conv: bool = True
-    lr: float = 1e-4
-    batch_size: int = 128
-    seed: int = 0
+    dropout: float = field(default=0.2, metadata=_TRAINING_ONLY)
+    lr: float = field(default=1e-4, metadata=_TRAINING_ONLY)
+    batch_size: int = field(default=128, metadata=_TRAINING_ONLY)
+    seed: int = field(default=0, metadata=_TRAINING_ONLY)
+    dropout_after_conv: bool = field(default=True, metadata=_TRAINING_ONLY)
 
     def __post_init__(self):
         positive = ("conv_filters", "kernel", "stride_t", "gru_hidden",
@@ -91,53 +99,76 @@ class ModelConfig:
         return feature_dim(self.feature, self.front_end, self.sdc)
 
     def to_dict(self) -> dict:
-        out = {"feature": KIND_NAMES[self.feature], "sdc": str(self.sdc)}
-        for f in fields(self.front_end):
-            out[f.name] = repr(getattr(self.front_end, f.name))
-        for name in ("conv_filters", "kernel", "stride_t", "gru_hidden",
-                     "embed_dim", "char_embed_dim", "disc_hidden", "dropout",
-                     "lr", "batch_size", "seed"):
-            out[name] = repr(getattr(self, name))
-        out["dropout_after_conv"] = "1" if self.dropout_after_conv else "0"
+        """The .kwsm config block: one text value per key of `config_fields`."""
+        out = {}
+        for section, f in config_fields():
+            value = getattr(self.front_end if section == "frontend" else self,
+                            f.name)
+            if isinstance(value, FeatureKind):
+                out[f.name] = KIND_NAMES[value]
+            elif isinstance(value, bool):
+                out[f.name] = "1" if value else "0"
+            elif isinstance(value, SdcConfig):
+                out[f.name] = str(value)
+            else:
+                out[f.name] = repr(value)
         return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        front_kwargs = {}
-        for f in fields(FrontEndConfig):
-            if f.name in raw:
-                caster = float if f.type in ("float",) else int
-                front_kwargs[f.name] = caster(raw[f.name])
-        ints = ("conv_filters", "kernel", "stride_t", "gru_hidden", "embed_dim",
-                "char_embed_dim", "disc_hidden", "batch_size", "seed")
-        feature = raw.get("feature", "sdc")
-        if feature not in FEATURE_NAMES:
-            raise FormatError(
-                f"config names unknown feature {feature!r};"
-                f" expected one of {', '.join(FEATURE_NAMES)}"
-            )
-        kwargs = {
-            "feature": FEATURE_NAMES[feature],
-            "front_end": FrontEndConfig(**front_kwargs),
-            "sdc": SdcConfig.parse(raw.get("sdc", "40-1-3-8")),
-        }
-        for name in ints:
-            if name in raw:
-                kwargs[name] = int(raw[name])
-        for name in ("dropout", "lr"):
-            if name in raw:
-                kwargs[name] = float(raw[name])
-        if "dropout_after_conv" in raw:
-            kwargs["dropout_after_conv"] = raw["dropout_after_conv"] == "1"
-        return cls(**kwargs)
+        """Rebuild a config from a .kwsm block; absent keys take defaults."""
+        kwargs, front_kwargs = {}, {}
+        for section, f in config_fields():
+            if f.name not in raw:
+                continue
+            try:
+                value = decode_value(f.type, raw[f.name])
+            except ValueError as exc:
+                raise FormatError(
+                    f"config {f.name}={raw[f.name]!r}: {exc}") from None
+            (front_kwargs if section == "frontend" else kwargs)[f.name] = value
+        try:
+            return cls(front_end=FrontEndConfig(**front_kwargs), **kwargs)
+        except ValueError as exc:
+            raise FormatError(f"config block: {exc}") from None
+
+
+def config_fields():
+    """Yield (INI section, dataclass field) for every config key.
+
+    The order is the .kwsm config block order. `[sdc]` is one key here,
+    written N-d-p-k; the INI spells it out as `SdcConfig`'s fields.
+    """
+    for f in fields(ModelConfig):
+        if f.type == "FrontEndConfig":
+            for sub in fields(FrontEndConfig):
+                yield "frontend", sub
+        else:
+            yield ("sdc" if f.type == "SdcConfig" else "model"), f
+
+
+def decode_value(type_name: str, text: str):
+    """Parse one config value given its field's annotation string."""
+    if type_name == "bool":
+        word = text.strip().lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"expected a boolean, got {text!r}")
+    if type_name == "FeatureKind":
+        if text not in FEATURE_NAMES:
+            raise ValueError(f"unknown feature {text!r}; expected one of"
+                             f" {', '.join(FEATURE_NAMES)}")
+        return FEATURE_NAMES[text]
+    if type_name == "SdcConfig":
+        return SdcConfig.parse(text)
+    return {"int": int, "float": float}[type_name](text)
 
 
 # Keys that must agree for a checkpoint to load into a model.
-ARCH_KEYS = (
-    "feature", "sdc", "frame_ms", "hop_ms", "pre_emphasis", "nfft", "num_mel",
-    "num_cepstra", "log_floor", "delta_window", "conv_filters", "kernel",
-    "stride_t", "gru_hidden", "embed_dim", "char_embed_dim", "disc_hidden",
-)
+ARCH_KEYS = tuple(f.name for _, f in config_fields()
+                  if not f.metadata.get("training_only"))
 
 
 def strided_length(length: int, stride_t: int) -> int:

@@ -225,6 +225,13 @@ class TestTrain:
                          workspace["root"] / "small.ini",
                          "--dropout", "1.5", "-o", tmp_path / "m.kwsm")
         assert result.returncode == 2
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[model]\nconv_filters = abc\n")
+        result = run_cli("train", "--manifest", workspace["manifest"],
+                         "--epochs", "1", "--config", bad,
+                         "-o", tmp_path / "m.kwsm")
+        assert result.returncode == 2
+        assert "bad value for model.conv_filters" in result.stderr
 
     def test_missing_manifest_is_runtime_error(self, workspace, tmp_path):
         result = run_cli("train", "--manifest", tmp_path / "none.jsonl",
@@ -269,6 +276,22 @@ class TestEval:
                          "--ckpt", broken)
         assert result.returncode == 1
         assert "zzz" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("key,value", [
+        ("conv_filters", "abc"), ("nfft", "512.0"), ("sdc", "40-1-3"),
+        ("dropout_after_conv", "maybe"),
+    ])
+    def test_bad_config_value_in_checkpoint_is_runtime_error(
+            self, workspace, tmp_path, key, value):
+        ckpt = load_checkpoint(workspace["ckpt"])
+        ckpt.config[key] = value
+        broken = tmp_path / "bad_value.kwsm"
+        save_checkpoint(broken, ckpt)
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", broken)
+        assert result.returncode == 1
+        assert key in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_missing_checkpoint_is_runtime_error(self, workspace, tmp_path):

@@ -11,7 +11,6 @@ from sdckws.data import (
     ALPHABET,
     SAMPLE_RATE,
     char_tones,
-    extract_features,
     load_manifest,
     make_batches,
     read_wav,
@@ -324,9 +323,6 @@ class TestMakeBatches:
         batch = next(iter(make_batches(small_manifest, fake_front_end(), 7,
                                        seed=3)))
         np.testing.assert_array_equal(
-            batch.feature_mask().sum(axis=1), batch.feature_lengths
-        )
-        np.testing.assert_array_equal(
             batch.token_mask().sum(axis=1), batch.token_lengths
         )
 
@@ -352,18 +348,6 @@ class TestMakeBatches:
         with pytest.raises(ValueError):
             list(make_batches(small_manifest, fake_front_end(), 2, seed=0,
                               mode="test"))
-
-
-class TestExtractFeatures:
-    def test_order_and_caching(self, small_manifest):
-        calls = []
-        feats = extract_features(small_manifest, fake_front_end(calls))
-        assert len(feats) == len(small_manifest)
-        assert len(calls) == len(small_manifest)
-        # First feature row encodes the source file's marker sample.
-        for example, feat in zip(small_manifest, feats):
-            marker = read_wav(example.audio_ref).samples[0]
-            assert feat.data[0, 0] == pytest.approx(marker, abs=1e-4)
 
 
 def dominant_freqs(samples, num_chars, sample_rate=SAMPLE_RATE):

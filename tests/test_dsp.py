@@ -9,7 +9,6 @@ from sdckws.dsp import (
     FrameMatrix,
     Waveform,
     apply_hamming,
-    default_nfft,
     frame_signal,
     hamming_window,
     power_spectrum,
@@ -226,10 +225,3 @@ class TestPowerSpectrum:
     def test_power_is_nonnegative(self):
         frames = frame_signal(rand_wave(np.random.default_rng(15), 300), 25, 10)
         assert (power_spectrum(frames, 32).power >= 0).all()
-
-
-class TestDefaultNfft:
-    @pytest.mark.parametrize("frame_len,expect", [(1, 1), (2, 2), (3, 4),
-                                                  (400, 512), (512, 512), (513, 1024)])
-    def test_smallest_cover(self, frame_len, expect):
-        assert default_nfft(frame_len) == expect

@@ -1,9 +1,13 @@
 """Matcher architecture, checkpoints, and the training loop."""
 
+import argparse
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import sdckws.autodiff as ad
+from sdckws import cli
 from sdckws.data import Batch, load_manifest, synth_dataset
 from sdckws.errors import (
     ConfigMismatch,
@@ -15,6 +19,7 @@ from sdckws.errors import (
 from sdckws.features import FeatureKind, FrontEndConfig, SdcConfig
 from sdckws.layers import Adam
 from sdckws.model import (
+    ARCH_KEYS,
     Checkpoint,
     HISTORY_HEADER,
     KwsModel,
@@ -74,6 +79,50 @@ class TestModelConfig:
     def test_dict_round_trip_sdc(self):
         cfg = ModelConfig(sdc=SdcConfig(40, 2, 4, 5), seed=9)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_field_order_is_kwsm_block_order(self):
+        assert list(ModelConfig().to_dict()) == [
+            "feature", "sdc", "frame_ms", "hop_ms", "pre_emphasis", "nfft",
+            "num_mel", "num_cepstra", "log_floor", "delta_window",
+            "conv_filters", "kernel", "stride_t", "gru_hidden", "embed_dim",
+            "char_embed_dim", "disc_hidden", "dropout", "lr", "batch_size",
+            "seed", "dropout_after_conv",
+        ]
+
+    def test_arch_keys_leave_out_training_fields(self):
+        assert ARCH_KEYS == (
+            "feature", "sdc", "frame_ms", "hop_ms", "pre_emphasis", "nfft",
+            "num_mel", "num_cepstra", "log_floor", "delta_window",
+            "conv_filters", "kernel", "stride_t", "gru_hidden", "embed_dim",
+            "char_embed_dim", "disc_hidden",
+        )
+
+    @pytest.mark.parametrize("word,want", [
+        ("1", True), ("true", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("off", False),
+    ])
+    def test_from_dict_bool_words(self, word, want):
+        cfg = ModelConfig.from_dict({"dropout_after_conv": word})
+        assert cfg.dropout_after_conv is want
+
+    @pytest.mark.parametrize("key,value", [
+        ("conv_filters", "0"), ("dropout", "1.5"), ("num_mel", "12"),
+    ])
+    def test_from_dict_out_of_range_is_format_error(self, key, value):
+        with pytest.raises(FormatError, match=key):
+            ModelConfig.from_dict({key: value})
+
+    def test_readme_config_example_sets_every_key(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config file", 1)[1]
+        ini = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(ini)
+        values = cli.load_ini(path)
+        assert {key for _, key in values} == (
+            set(ModelConfig().to_dict()) - {"sdc"} | {"n", "d", "p", "k"})
+        args = argparse.Namespace(config=path)
+        assert cli.build_model_config(args) == ModelConfig()
 
 
 class TestStridedLength:
