@@ -1,6 +1,6 @@
 """Keyword spotting with shifted-delta features and a cross-attention matcher."""
 
-from .dsp import FrameMatrix, SpectrumMatrix, Waveform
+from .dsp import Waveform
 from .features import (
     FeatureKind,
     FeatureMatrix,
@@ -22,13 +22,11 @@ __all__ = [
     "Checkpoint",
     "FeatureKind",
     "FeatureMatrix",
-    "FrameMatrix",
     "FrontEndConfig",
     "KwsModel",
     "ModelConfig",
     "ScoredSet",
     "SdcConfig",
-    "SpectrumMatrix",
     "Waveform",
     "auc",
     "eer",

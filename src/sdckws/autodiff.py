@@ -127,12 +127,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_wrap_const(other, self.dtype), self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -160,12 +154,6 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             return transpose(self, tuple(axes[0]))
         return transpose(self, axes)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
     def tanh(self):
         return tanh(self)
@@ -255,22 +243,6 @@ def mul(a: Tensor, b) -> Tensor:
                 _add_grad(a, _unbroadcast(out.grad * b.data, a.data.shape))
             if b.requires_grad:
                 _add_grad(b, _unbroadcast(out.grad * a.data, b.data.shape))
-
-        out._backward_fn = _backward
-    return out
-
-
-def div(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    out, tracked = _from_op(a.data / b.data, (a, b))
-    if tracked:
-
-        def _backward():
-            if a.requires_grad:
-                _add_grad(a, _unbroadcast(out.grad / b.data, a.data.shape))
-            if b.requires_grad:
-                grad_b = -out.grad * a.data / (b.data * b.data)
-                _add_grad(b, _unbroadcast(grad_b, b.data.shape))
 
         out._backward_fn = _backward
     return out
@@ -392,28 +364,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             for tensor, piece in zip(tensors, pieces):
                 if tensor.requires_grad:
                     _add_grad(tensor, piece)
-
-        out._backward_fn = _backward
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    out, tracked = _from_op(np.exp(a.data), (a,))
-    if tracked:
-
-        def _backward():
-            _add_grad(a, out.grad * out.data)
-
-        out._backward_fn = _backward
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out, tracked = _from_op(np.log(a.data), (a,))
-    if tracked:
-
-        def _backward():
-            _add_grad(a, out.grad / a.data)
 
         out._backward_fn = _backward
     return out

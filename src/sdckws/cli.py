@@ -220,11 +220,11 @@ def cmd_ablate(args) -> int:
     k_values = values if variable == "k" else []
     def log_row(row):
         LOG.info("d=%d k=%d auc=%.4f eer=%.4f", row.d, row.k, row.auc, row.eer)
-    rows = metrics_module.ablation_grid(
+    rows = model_module.ablation_grid(
         manifest_train, manifest_eval, d_values, k_values, cfg, args.epochs,
         log=log_row)
     _atomic(args.output, lambda tmp: Path(tmp).write_text(
-        metrics_module.ablation_csv(rows), encoding="utf-8"))
+        model_module.ablation_csv(rows), encoding="utf-8"))
     print(args.output)
     return 0
 

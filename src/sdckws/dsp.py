@@ -38,43 +38,6 @@ class Waveform:
         return self.num_samples / self.sample_rate
 
 
-@dataclass(frozen=True)
-class FrameMatrix:
-    """T x L matrix of analysis frames with the framing geometry attached."""
-
-    frames: np.ndarray
-    frame_len: int
-    hop: int
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != self.frame_len:
-            raise ValueError(
-                f"frames must be T x {self.frame_len}, got shape {frames.shape}"
-            )
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectrumMatrix:
-    """T x (nfft/2 + 1) one-sided power spectrum."""
-
-    power: np.ndarray
-    nfft: int
-
-    def __post_init__(self):
-        power = np.asarray(self.power, dtype=np.float64)
-        if power.ndim != 2 or power.shape[1] != self.nfft // 2 + 1:
-            raise ValueError(
-                f"power must be T x {self.nfft // 2 + 1}, got shape {power.shape}"
-            )
-        object.__setattr__(self, "power", power)
-
-
 def pre_emphasize(wave: Waveform, alpha: float) -> Waveform:
     """High-frequency boost y[t] = x[t] - alpha * x[t-1], y[0] = x[0]."""
     if wave.num_samples == 0:
@@ -86,8 +49,8 @@ def pre_emphasize(wave: Waveform, alpha: float) -> Waveform:
     return Waveform(out, wave.sample_rate)
 
 
-def frame_signal(wave: Waveform, frame_len: int, hop: int) -> FrameMatrix:
-    """Slice a waveform into overlapping frames; trailing remainder is dropped."""
+def frame_signal(wave: Waveform, frame_len: int, hop: int) -> np.ndarray:
+    """T x frame_len overlapping frames; the trailing remainder is dropped."""
     if frame_len < 1:
         raise ValueError(f"frame_len must be >= 1, got {frame_len}")
     if not 1 <= hop <= frame_len:
@@ -99,7 +62,7 @@ def frame_signal(wave: Waveform, frame_len: int, hop: int) -> FrameMatrix:
         )
     num_frames = (n - frame_len) // hop + 1
     idx = np.arange(frame_len)[None, :] + hop * np.arange(num_frames)[:, None]
-    return FrameMatrix(wave.samples[idx], frame_len, hop)
+    return wave.samples[idx]
 
 
 def hamming_window(length: int) -> np.ndarray:
@@ -110,19 +73,17 @@ def hamming_window(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
 
 
-def apply_hamming(frames: FrameMatrix) -> FrameMatrix:
-    """Multiply every frame element-wise by the Hamming window."""
-    window = hamming_window(frames.frame_len)
-    return FrameMatrix(frames.frames * window[None, :], frames.frame_len, frames.hop)
+def apply_hamming(frames: np.ndarray) -> np.ndarray:
+    """Multiply every row of a T x L frame matrix by the Hamming window."""
+    return frames * hamming_window(frames.shape[1])[None, :]
 
 
-def power_spectrum(frames: FrameMatrix, nfft: int) -> SpectrumMatrix:
-    """One-sided power spectrum |DFT_nfft(frame)|^2, frames zero-padded to nfft."""
+def power_spectrum(frames: np.ndarray, nfft: int) -> np.ndarray:
+    """T x (nfft/2 + 1) one-sided power |DFT_nfft(frame)|^2, frames zero-padded."""
     if nfft < 1 or nfft & (nfft - 1) != 0:
         raise BadFftSize(f"nfft must be a power of two, got {nfft}")
-    if nfft < frames.frame_len:
+    if nfft < frames.shape[1]:
         raise BadFftSize(
-            f"nfft ({nfft}) must be >= frame length ({frames.frame_len})"
+            f"nfft ({nfft}) must be >= frame length ({frames.shape[1]})"
         )
-    spectrum = np.fft.rfft(frames.frames, n=nfft, axis=1)
-    return SpectrumMatrix(np.abs(spectrum) ** 2, nfft)
+    return np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2

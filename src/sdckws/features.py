@@ -9,7 +9,6 @@ pure and deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -60,7 +59,6 @@ class FeatureMatrix:
 
     data: np.ndarray
     kind: FeatureKind
-    config_fingerprint: str = ""
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -128,8 +126,13 @@ class FrontEndConfig:
 
     def __post_init__(self):
         for field_def in fields(self):
-            if getattr(self, field_def.name) <= 0:
-                raise ValueError(f"{field_def.name} must be positive")
+            value = getattr(self, field_def.name)
+            if not 0 < value < np.inf:
+                raise ValueError(
+                    f"{field_def.name} must be positive and finite, got {value}")
+        if self.pre_emphasis >= 1:
+            raise ValueError(
+                f"pre_emphasis must be below 1, got {self.pre_emphasis}")
         if self.frame_ms <= self.hop_ms:
             raise ValueError("frame_ms must exceed hop_ms")
 
@@ -138,15 +141,6 @@ class FrontEndConfig:
 
     def hop(self, sample_rate: int) -> int:
         return int(round(self.hop_ms * sample_rate / 1000.0))
-
-    def fingerprint(self, kind: FeatureKind, sdc: SdcConfig | None = None) -> str:
-        """Short stable hash of every parameter that shapes the output."""
-        parts = [f"kind={int(kind)}"]
-        parts += [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
-        if sdc is not None:
-            parts.append(f"sdc={sdc}")
-        digest = hashlib.sha1("|".join(parts).encode()).hexdigest()
-        return digest[:16]
 
 
 def mel_scale(f_hz):
@@ -193,7 +187,7 @@ def mel_filterbank(num_mel: int, nfft: int, sample_rate: int) -> np.ndarray:
     return fbank
 
 
-def _windowed_power(wave: Waveform, cfg: FrontEndConfig):
+def _windowed_power(wave: Waveform, cfg: FrontEndConfig) -> np.ndarray:
     """Shared head of every front-end: pre-emphasis, framing, window, power."""
     emphasized = pre_emphasize(wave, cfg.pre_emphasis)
     frames = frame_signal(
@@ -203,19 +197,14 @@ def _windowed_power(wave: Waveform, cfg: FrontEndConfig):
 
 
 def _log_mel_matrix(wave: Waveform, cfg: FrontEndConfig) -> np.ndarray:
-    spectrum = _windowed_power(wave, cfg)
     fbank = mel_filterbank(cfg.num_mel, cfg.nfft, wave.sample_rate)
-    energies = spectrum.power @ fbank.T
+    energies = _windowed_power(wave, cfg) @ fbank.T
     return np.log(np.maximum(energies, cfg.log_floor))
 
 
 def mel_spectrogram(wave: Waveform, cfg: FrontEndConfig) -> FeatureMatrix:
     """Log-energy mel spectrogram, T x num_mel."""
-    return FeatureMatrix(
-        _log_mel_matrix(wave, cfg),
-        FeatureKind.MEL_SPEC,
-        cfg.fingerprint(FeatureKind.MEL_SPEC),
-    )
+    return FeatureMatrix(_log_mel_matrix(wave, cfg), FeatureKind.MEL_SPEC)
 
 
 def dct_matrix(num_out: int, num_in: int) -> np.ndarray:
@@ -236,15 +225,11 @@ def mfcc(
     dct = dct_matrix(cfg.num_cepstra, cfg.num_mel)
     static = log_mel @ dct.T
     if not with_deltas:
-        return FeatureMatrix(
-            static, FeatureKind.MFCC, cfg.fingerprint(FeatureKind.MFCC)
-        )
+        return FeatureMatrix(static, FeatureKind.MFCC)
     d1 = delta(static, cfg.delta_window, order=1)
     d2 = delta(static, cfg.delta_window, order=2)
     return FeatureMatrix(
-        np.concatenate([static, d1, d2], axis=1),
-        FeatureKind.MFCC_DELTAS,
-        cfg.fingerprint(FeatureKind.MFCC_DELTAS),
+        np.concatenate([static, d1, d2], axis=1), FeatureKind.MFCC_DELTAS
     )
 
 
@@ -294,14 +279,7 @@ def sdc(base, cfg: SdcConfig) -> FeatureMatrix:
         ahead = np.clip(t + i * cfg.p + cfg.d, 0, num_frames - 1)
         behind = np.clip(t + i * cfg.p - cfg.d, 0, num_frames - 1)
         blocks.append(data[ahead] - data[behind])
-    fingerprint = ""
-    if isinstance(base, FeatureMatrix):
-        fingerprint = hashlib.sha1(
-            f"{base.config_fingerprint}|sdc={cfg}".encode()
-        ).hexdigest()[:16]
-    return FeatureMatrix(
-        np.concatenate(blocks, axis=1), FeatureKind.SDC, fingerprint
-    )
+    return FeatureMatrix(np.concatenate(blocks, axis=1), FeatureKind.SDC)
 
 
 def bark_scale(f_hz):
@@ -410,10 +388,9 @@ def _bands_to_cepstra(bands: np.ndarray, centers_hz: np.ndarray, order: int,
 
 
 def _critical_bands(wave: Waveform, cfg: FrontEndConfig):
-    spectrum = _windowed_power(wave, cfg)
     fbank = bark_filterbank(cfg.nfft, wave.sample_rate)
     centers_hz = bark_to_hz(np.arange(fbank.shape[0]))
-    bands = np.maximum(spectrum.power @ fbank.T, cfg.log_floor)
+    bands = np.maximum(_windowed_power(wave, cfg) @ fbank.T, cfg.log_floor)
     return bands, centers_hz
 
 
@@ -423,7 +400,7 @@ def plp(wave: Waveform, cfg: FrontEndConfig) -> FeatureMatrix:
     cep = _bands_to_cepstra(
         bands, centers_hz, cfg.num_cepstra - 1, cfg.num_cepstra, cfg.log_floor
     )
-    return FeatureMatrix(cep, FeatureKind.PLP, cfg.fingerprint(FeatureKind.PLP))
+    return FeatureMatrix(cep, FeatureKind.PLP)
 
 
 RASTA_POLE = 0.94
@@ -474,9 +451,7 @@ def rasta_plp(wave: Waveform, cfg: FrontEndConfig) -> FeatureMatrix:
     cep = _bands_to_cepstra(
         filtered, centers_hz, cfg.num_cepstra - 1, cfg.num_cepstra, cfg.log_floor
     )
-    return FeatureMatrix(
-        cep, FeatureKind.RASTA_PLP, cfg.fingerprint(FeatureKind.RASTA_PLP)
-    )
+    return FeatureMatrix(cep, FeatureKind.RASTA_PLP)
 
 
 def feature_dim(kind: FeatureKind, cfg: FrontEndConfig,
@@ -554,6 +529,4 @@ def read_features(path) -> FeatureMatrix:
             f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(blob)}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_KWSF_HEADER.size)
-    data = data.reshape(rows, cols).astype(np.float64)
-    digest = hashlib.sha1(blob[: _KWSF_HEADER.size]).hexdigest()[:16]
-    return FeatureMatrix(data, kind, digest)
+    return FeatureMatrix(data.reshape(rows, cols).astype(np.float64), kind)

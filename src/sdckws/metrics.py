@@ -1,4 +1,4 @@
-"""Threshold-free and thresholded evaluation, plus the ablation runner.
+"""Threshold-free and thresholded evaluation, and the score file format.
 
 AUC is the rank statistic (probability a random positive outscores a
 random negative, ties half-weighted). EER sweeps every decision
@@ -9,9 +9,10 @@ and false-reject rates cross.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .errors import DegenerateLabels
 
@@ -56,25 +57,10 @@ class RocCurve:
     thresholds: np.ndarray
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the mean rank of the tie group."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.shape[0], dtype=np.float64)
-    sorted_values = values[order]
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def auc(scored: ScoredSet) -> float:
     """Rank-based area under the ROC curve; ties count one half."""
     scored.require_both_classes()
-    ranks = _midranks(scored.scores)
+    ranks = rankdata(scored.scores, method="average")
     num_pos = int(np.sum(scored.labels == 1))
     num_neg = scored.size - num_pos
     pos_rank_sum = float(ranks[scored.labels == 1].sum())
@@ -153,50 +139,3 @@ def read_scores(path) -> ScoredSet:
             scores.append(float(score_text))
             labels.append(int(label_text))
     return ScoredSet(np.array(scores), np.array(labels))
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    """One grid cell: the swept configuration and its evaluation metrics."""
-
-    d: int
-    k: int
-    auc: float
-    eer: float
-
-
-ABLATION_HEADER = "d,k,auc,eer"
-
-
-def ablation_grid(manifest_train, manifest_eval, d_values, k_values, base_cfg,
-                  epochs: int, log=None) -> list:
-    """Train and evaluate one model per swept shift or block count.
-
-    Sweeps are one-at-a-time: every d in d_values with the base k, then
-    every k in k_values with the base d. Each cell derives its own seed
-    from the base seed and its coordinates, so the grid is
-    deterministic and cells are independent.
-    """
-    from . import model as model_module
-
-    cells = [(d, base_cfg.sdc.k) for d in d_values]
-    cells += [(base_cfg.sdc.d, k) for k in k_values]
-    rows = []
-    for d, k in cells:
-        sdc_cfg = replace(base_cfg.sdc, d=d, k=k)
-        cfg = replace(base_cfg, sdc=sdc_cfg,
-                      seed=int(base_cfg.seed) * 10000 + d * 100 + k)
-        trained, _, _ = model_module.train(manifest_train, cfg, epochs)
-        scored = model_module.evaluate(trained, manifest_eval)
-        row = AblationRow(d=d, k=k, auc=auc(scored), eer=eer(scored))
-        rows.append(row)
-        if log is not None:
-            log(row)
-    return rows
-
-
-def ablation_csv(rows) -> str:
-    lines = [ABLATION_HEADER]
-    for row in rows:
-        lines.append(f"{row.d},{row.k},{row.auc!r},{row.eer!r}")
-    return "\n".join(lines) + "\n"

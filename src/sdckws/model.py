@@ -7,13 +7,14 @@ embedding. The text encoder maps characters through a 512-dim learned
 embedding (or an external per-character matrix of the same width), one
 bidirectional GRU, and a dense projection. Cross-attention with the
 text as query produces a context that a bidirectional GRU discriminator
-reads out into a single sigmoid match score.
+reads out into a single sigmoid match score. Training, evaluation and
+the shift/block-count ablation grid are defined here too.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -86,8 +87,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.feature == FeatureKind.SDC and self.sdc.n != self.front_end.num_mel:
             raise ValueError(
                 f"sdc base width {self.sdc.n} must equal num_mel"
@@ -163,7 +164,12 @@ def decode_value(type_name: str, text: str):
         return FEATURE_NAMES[text]
     if type_name == "SdcConfig":
         return SdcConfig.parse(text)
-    return {"int": int, "float": float}[type_name](text)
+    if type_name == "float":
+        value = float(text)
+        if not np.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
+    return int(text)
 
 
 # Keys that must agree for a checkpoint to load into a model.
@@ -606,3 +612,49 @@ def train(manifest, cfg: ModelConfig, epochs: int, val_fraction: float = 0.1,
             best = model.to_checkpoint()
     model.load_state(best)
     return model, best, history
+
+
+@dataclass(frozen=True)
+class AblationRow:
+    """One grid cell: the swept configuration and its evaluation metrics."""
+
+    d: int
+    k: int
+    auc: float
+    eer: float
+
+
+ABLATION_HEADER = "d,k,auc,eer"
+
+
+def ablation_grid(manifest_train, manifest_eval, d_values, k_values, base_cfg,
+                  epochs: int, log=None) -> list:
+    """Train and evaluate one model per swept shift or block count.
+
+    Sweeps are one-at-a-time: every d in d_values with the base k, then
+    every k in k_values with the base d. Each cell derives its own seed
+    from the base seed and its coordinates, so the grid is
+    deterministic and cells are independent.
+    """
+    cells = [(d, base_cfg.sdc.k) for d in d_values]
+    cells += [(base_cfg.sdc.d, k) for k in k_values]
+    rows = []
+    for d, k in cells:
+        sdc_cfg = replace(base_cfg.sdc, d=d, k=k)
+        cfg = replace(base_cfg, sdc=sdc_cfg,
+                      seed=int(base_cfg.seed) * 10000 + d * 100 + k)
+        trained, _, _ = train(manifest_train, cfg, epochs)
+        scored = evaluate(trained, manifest_eval)
+        row = AblationRow(d=d, k=k, auc=metrics.auc(scored),
+                          eer=metrics.eer(scored))
+        rows.append(row)
+        if log is not None:
+            log(row)
+    return rows
+
+
+def ablation_csv(rows) -> str:
+    lines = [ABLATION_HEADER]
+    for row in rows:
+        lines.append(f"{row.d},{row.k},{row.auc!r},{row.eer!r}")
+    return "\n".join(lines) + "\n"

@@ -27,10 +27,11 @@ from sdckws.features import (
     sdc,
 )
 from sdckws.layers import BatchNorm, BiGru, Conv2d, CrossAttention, Dense
-from sdckws.metrics import ScoredSet, ablation_grid, auc, eer
+from sdckws.metrics import ScoredSet, auc, eer
 from sdckws.model import (
     KwsModel,
     ModelConfig,
+    ablation_grid,
     evaluate,
     history_csv,
     load_checkpoint,

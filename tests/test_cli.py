@@ -232,6 +232,12 @@ class TestTrain:
                          "-o", tmp_path / "m.kwsm")
         assert result.returncode == 2
         assert "bad value for model.conv_filters" in result.stderr
+        bad.write_text("[model]\nlr = nan\n")
+        result = run_cli("train", "--manifest", workspace["manifest"],
+                         "--epochs", "1", "--config", bad,
+                         "-o", tmp_path / "m.kwsm")
+        assert result.returncode == 2
+        assert "bad value for model.lr" in result.stderr
 
     def test_missing_manifest_is_runtime_error(self, workspace, tmp_path):
         result = run_cli("train", "--manifest", tmp_path / "none.jsonl",
@@ -280,7 +286,8 @@ class TestEval:
 
     @pytest.mark.parametrize("key,value", [
         ("conv_filters", "abc"), ("nfft", "512.0"), ("sdc", "40-1-3"),
-        ("dropout_after_conv", "maybe"),
+        ("dropout_after_conv", "maybe"), ("lr", "nan"), ("frame_ms", "nan"),
+        ("log_floor", "inf"), ("pre_emphasis", "1.5"),
     ])
     def test_bad_config_value_in_checkpoint_is_runtime_error(
             self, workspace, tmp_path, key, value):

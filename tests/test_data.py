@@ -253,7 +253,7 @@ def fake_front_end(counter=None):
             counter.append(1)
         frames = 3 + wave.num_samples % 5
         data = np.outer(np.arange(frames) + 1.0, np.ones(4)) * wave.samples[0]
-        return FeatureMatrix(data, FeatureKind.MEL_SPEC, "fake")
+        return FeatureMatrix(data, FeatureKind.MEL_SPEC)
 
     return front
 

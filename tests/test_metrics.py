@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from sdckws.errors import DegenerateLabels
 from sdckws.metrics import (
-    ABLATION_HEADER,
-    AblationRow,
     RocCurve,
     ScoredSet,
-    ablation_csv,
     auc,
     eer,
     f1_at,
@@ -19,6 +16,7 @@ from sdckws.metrics import (
     roc_curve,
     write_scores,
 )
+from sdckws.model import ABLATION_HEADER, AblationRow, ablation_csv
 
 
 def brute_auc(scores, labels):
@@ -245,8 +243,7 @@ class TestAblationGrid:
     def test_cells_and_determinism(self, tmp_path):
         from sdckws.data import load_manifest, synth_dataset
         from sdckws.features import FeatureKind, FrontEndConfig, SdcConfig
-        from sdckws.metrics import ablation_grid
-        from sdckws.model import ModelConfig
+        from sdckws.model import ModelConfig, ablation_grid
 
         manifest = load_manifest(
             synth_dataset(["ab", "cd"], 3, 1.0, 30, tmp_path / "ds")

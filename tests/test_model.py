@@ -64,6 +64,10 @@ class TestModelConfig:
             small_cfg(dropout=1.0)
         with pytest.raises(ValueError):
             small_cfg(lr=0.0)
+        with pytest.raises(ValueError, match="lr"):
+            small_cfg(lr=float("nan"))
+        with pytest.raises(ValueError, match="lr"):
+            small_cfg(lr=float("inf"))
         with pytest.raises(ValueError):
             small_cfg(conv_filters=0)
 
@@ -107,6 +111,8 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("conv_filters", "0"), ("dropout", "1.5"), ("num_mel", "12"),
+        ("lr", "nan"), ("frame_ms", "nan"), ("log_floor", "inf"),
+        ("pre_emphasis", "1.5"),
     ])
     def test_from_dict_out_of_range_is_format_error(self, key, value):
         with pytest.raises(FormatError, match=key):
