@@ -5,8 +5,9 @@ as a closure; backward() walks the graph in reverse topological order
 and accumulates gradients into every tensor that requires them. The
 op set is exactly what the matcher needs: broadcasting arithmetic,
 matmul, reductions, shape moves, indexing, the pointwise
-nonlinearities, softmax, 2-D convolution, dropout, and the fused
-sigmoid + binary cross-entropy loss.
+nonlinearities, softmax, 2-D convolution, the masked GRU scan (one
+node per direction, with hand-written backpropagation through time),
+dropout, and the fused sigmoid + binary cross-entropy loss.
 """
 
 from __future__ import annotations
@@ -172,14 +173,21 @@ def _as_tensor(value, like: Tensor) -> Tensor:
     return _wrap_const(value, like.dtype)
 
 
-def _add_grad(tensor: Tensor, grad):
-    if tensor.grad is None:
-        # Copy: grad may alias or broadcast another node's buffer.
-        tensor.grad = np.array(grad, dtype=tensor.data.dtype)
-        if tensor.grad.shape != tensor.data.shape:
-            tensor.grad = np.broadcast_to(tensor.grad, tensor.data.shape).copy()
-    else:
+def _add_grad(tensor: Tensor, grad, fresh: bool = False):
+    """Accumulate grad into tensor.grad.
+
+    fresh=True means the op allocated grad for this tensor alone, so a
+    first gradient of the right shape becomes .grad as it is. Any other
+    first gradient may alias or broadcast another node's buffer (out.grad
+    itself, a view of it, or the backward seed) and is copied.
+    """
+    if tensor.grad is not None:
         tensor.grad += grad
+    elif fresh and np.shape(grad) == tensor.data.shape:
+        tensor.grad = np.asarray(grad, dtype=tensor.data.dtype)
+    else:
+        tensor.grad = np.broadcast_to(grad, tensor.data.shape).astype(
+            tensor.data.dtype)
 
 
 def _from_op(data, parents):
@@ -227,7 +235,7 @@ def sub(a: Tensor, b) -> Tensor:
             if a.requires_grad:
                 _add_grad(a, _unbroadcast(out.grad, a.data.shape))
             if b.requires_grad:
-                _add_grad(b, _unbroadcast(-out.grad, b.data.shape))
+                _add_grad(b, _unbroadcast(-out.grad, b.data.shape), fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -240,9 +248,11 @@ def mul(a: Tensor, b) -> Tensor:
 
         def _backward():
             if a.requires_grad:
-                _add_grad(a, _unbroadcast(out.grad * b.data, a.data.shape))
+                _add_grad(a, _unbroadcast(out.grad * b.data, a.data.shape),
+                          fresh=True)
             if b.requires_grad:
-                _add_grad(b, _unbroadcast(out.grad * a.data, b.data.shape))
+                _add_grad(b, _unbroadcast(out.grad * a.data, b.data.shape),
+                          fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -254,7 +264,8 @@ def power(a: Tensor, exponent: float) -> Tensor:
     if tracked:
 
         def _backward():
-            _add_grad(a, out.grad * exponent * a.data ** (exponent - 1.0))
+            _add_grad(a, out.grad * exponent * a.data ** (exponent - 1.0),
+                      fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -275,10 +286,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def _backward():
             if a.requires_grad:
                 grad_a = out.grad @ np.swapaxes(b.data, -1, -2)
-                _add_grad(a, _unbroadcast(grad_a, a.data.shape))
+                _add_grad(a, _unbroadcast(grad_a, a.data.shape), fresh=True)
             if b.requires_grad:
                 grad_b = np.swapaxes(a.data, -1, -2) @ out.grad
-                _add_grad(b, _unbroadcast(grad_b, b.data.shape))
+                _add_grad(b, _unbroadcast(grad_b, b.data.shape), fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -346,7 +357,7 @@ def take(a: Tensor, key) -> Tensor:
         def _backward():
             grad = np.zeros_like(a.data)
             np.add.at(grad, key, out.grad)
-            _add_grad(a, grad)
+            _add_grad(a, grad, fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -374,7 +385,7 @@ def tanh(a: Tensor) -> Tensor:
     if tracked:
 
         def _backward():
-            _add_grad(a, out.grad * (1.0 - out.data * out.data))
+            _add_grad(a, out.grad * (1.0 - out.data * out.data), fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -385,7 +396,7 @@ def sigmoid(a: Tensor) -> Tensor:
     if tracked:
 
         def _backward():
-            _add_grad(a, out.grad * out.data * (1.0 - out.data))
+            _add_grad(a, out.grad * out.data * (1.0 - out.data), fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -400,7 +411,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
         def _backward():
             dot = (out.grad * out.data).sum(axis=axis, keepdims=True)
-            _add_grad(a, out.data * (out.grad - dot))
+            _add_grad(a, out.data * (out.grad - dot), fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -471,7 +482,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         def _backward():
             grad = out.grad
             if bias is not None and bias.requires_grad:
-                _add_grad(bias, grad.sum(axis=(0, 2, 3)))
+                _add_grad(bias, grad.sum(axis=(0, 2, 3)), fresh=True)
             # One fresh buffer holds cols_i, then kernel^T @ g_i: the
             # closure keeps no forward columns alive.
             cols = np.empty(windows.shape[1:], dtype=padded.dtype)
@@ -494,17 +505,133 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                                 cols[:, dt, df]
                             )
             if kernel.requires_grad:
-                _add_grad(kernel, grad_w.reshape(kernel.data.shape))
+                _add_grad(kernel, grad_w.reshape(kernel.data.shape),
+                          fresh=True)
             if x.requires_grad:
+                # The interior view of a buffer this op allocated: no copy.
                 _add_grad(
                     x,
                     grad_padded[
                         :, :, pad_t : pad_t + t_in, pad_f : pad_f + f_in
                     ],
+                    fresh=True,
                 )
 
         out._backward_fn = _backward
     return out
+
+
+def _rowwise(h, u):
+    """h @ u as one vector-matrix product per row.
+
+    numpy sends a one-row 2-D product to gemv and a taller one to gemm,
+    and the two round differently; per-row products keep an example's
+    state bit-identical whatever batch it runs in.
+    """
+    return np.matmul(h[:, None, :], u)[:, 0]
+
+
+def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
+    """Masked GRU over x [B, T, in]; returns the state sequence [B, T, H].
+
+    w = (wz, wr, wh) are [in, H], u = (uz, ur, uh) are [H, H] and
+    b = (bz, br, bh) are [H]; the state starts at zero and
+    z_t = sigmoid(x_t Wz + h_{t-1} Uz + bz), r_t likewise with Wr, Ur, br,
+    c_t = tanh(x_t Wh + (r_t * h_{t-1}) Uh + bh),
+    h_t = z_t * h_{t-1} + (1 - z_t) * c_t.
+    Frames where mask [B, T] is 0 carry h_{t-1} unchanged. reverse=True
+    scans from the last frame to the first.
+
+    The whole scan is one graph node. The three gates' input projections
+    are one [B*T, in] @ [in, 3H] GEMM. When the op is tracked it keeps
+    z, r and c per step (h_{t-1} is the previous output), and backward
+    runs backpropagation through time over them into one [B, T, 3H]
+    pre-activation gradient dP; the input, input-weight and bias
+    gradients are then one GEMM or sum each over dP, and the recurrent
+    weight gradients are summed per step.
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"gru expects [B, T, in], got {x.data.shape}")
+    batch, steps, width = x.data.shape
+    if steps == 0:
+        raise ShapeError("gru needs at least one frame")
+    if mask is not None:
+        valid = np.asarray(mask) > 0
+        if valid.shape != (batch, steps):
+            raise ShapeError(
+                f"gru mask {valid.shape} does not match input {x.data.shape}")
+    params = (*w, *u, *b)
+    hidden = u[0].data.shape[0]
+    dtype = np.result_type(x.data, *(p.data for p in params))
+    w_all = np.concatenate([p.data for p in w], axis=1)
+    u_zr = np.concatenate([u[0].data, u[1].data], axis=1)
+    u_h = u[2].data
+    x_2d = x.data.reshape(batch * steps, width)
+    pre = (x_2d @ w_all + np.concatenate([p.data for p in b])).reshape(
+        batch, steps, 3 * hidden)
+    seq = np.empty((batch, steps, hidden), dtype=dtype)
+    out, tracked = _from_op(seq, (x, *params))
+    # gates[t] is [z | r | c] at frame t; untracked, one step's buffer.
+    gates = np.empty((steps if tracked else 1, batch, 3 * hidden), dtype=dtype)
+    sz, sr, sc = (slice(k * hidden, (k + 1) * hidden) for k in range(3))
+    szr = slice(0, 2 * hidden)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h0 = np.zeros((batch, hidden), dtype=dtype)
+    h = h0
+    for t in order:
+        g = gates[t if tracked else 0]
+        np.add(pre[:, t, szr], _rowwise(h, u_zr), out=g[:, szr])
+        expit(g[:, szr], out=g[:, szr])
+        z, r, c = g[:, sz], g[:, sr], g[:, sc]
+        np.add(pre[:, t, sc], _rowwise(r * h, u_h), out=c)
+        np.tanh(c, out=c)
+        h_new = z * h + (1.0 - z) * c
+        h = h_new if mask is None else np.where(valid[:, t, None], h_new, h)
+        seq[:, t] = h
+    if tracked:
+
+        def _backward():
+            d_pre = np.empty((batch, steps, 3 * hidden), dtype=dtype)
+            d_uzr = np.zeros_like(u_zr)
+            d_uh = np.zeros_like(u_h)
+            dh = h0
+            for i in range(steps - 1, -1, -1):
+                t = order[i]
+                h_prev = seq[:, order[i - 1]] if i else h0
+                z, r, c = gates[t, :, sz], gates[t, :, sr], gates[t, :, sc]
+                dh = dh + out.grad[:, t]
+                if mask is None:
+                    dh_new, dh = dh, 0.0
+                else:
+                    keep = valid[:, t, None]
+                    dh_new, dh = np.where(keep, dh, 0.0), np.where(keep, 0.0, dh)
+                dp = d_pre[:, t]
+                np.multiply(dh_new * (1.0 - z), 1.0 - c * c, out=dp[:, sc])
+                d_rh = dp[:, sc] @ u_h.T
+                d_uh += (r * h_prev).T @ dp[:, sc]
+                np.multiply(dh_new * (h_prev - c), z * (1.0 - z), out=dp[:, sz])
+                np.multiply(d_rh * h_prev, r * (1.0 - r), out=dp[:, sr])
+                d_uzr += h_prev.T @ dp[:, szr]
+                dh = dh + dh_new * z + d_rh * r + dp[:, szr] @ u_zr.T
+            d_2d = d_pre.reshape(batch * steps, 3 * hidden)
+            if any(p.requires_grad for p in w):
+                _split_grads(w, x_2d.T @ d_2d)
+            if x.requires_grad:
+                _add_grad(x, (d_2d @ w_all.T).reshape(x.data.shape), fresh=True)
+            if any(p.requires_grad for p in b):
+                _split_grads(b, d_2d.sum(axis=0))
+            _split_grads(u[:2], d_uzr)
+            _split_grads(u[2:], d_uh)
+
+        out._backward_fn = _backward
+    return out
+
+
+def _split_grads(tensors, grad):
+    """Hand each tensor its equal slice of grad's last axis."""
+    for tensor, piece in zip(tensors, np.split(grad, len(tensors), axis=-1)):
+        if tensor.requires_grad:
+            _add_grad(tensor, piece, fresh=True)
 
 
 def dropout(x: Tensor, rate: float, train: bool,
@@ -522,7 +649,7 @@ def dropout(x: Tensor, rate: float, train: bool,
     if tracked:
 
         def _backward():
-            _add_grad(x, out.grad * mask)
+            _add_grad(x, out.grad * mask, fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -557,9 +684,9 @@ def sigmoid_bce(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
         def _backward():
             base = expit(x) - t
             if reduction == "mean":
-                _add_grad(logits, out.grad * base / x.size)
+                _add_grad(logits, out.grad * base / x.size, fresh=True)
             else:
-                _add_grad(logits, out.grad * base)
+                _add_grad(logits, out.grad * base, fresh=True)
 
         out._backward_fn = _backward
     return out

@@ -61,5 +61,9 @@ class DegenerateLabels(KwsError):
     """A metric that needs both classes received only one."""
 
 
+class NonFiniteValue(KwsError):
+    """A training loss, a gradient or a score is NaN or infinite."""
+
+
 class IoError(KwsError):
     """A filesystem operation (create, write) failed."""

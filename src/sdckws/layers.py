@@ -124,15 +124,14 @@ class Gru:
     r_t = sigmoid(x_t Wr + h_{t-1} Ur + br)
     c_t = tanh(x_t Wh + (r_t * h_{t-1}) Uh + bh)
     h_t = z_t * h_{t-1} + (1 - z_t) * c_t
-    Frames with mask 0 hold the previous state.
+    Frames with mask 0 hold the previous state. The scan is one
+    autodiff.gru_scan node.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
                  dtype=np.float32):
         if hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {hidden}")
-        self.hidden = hidden
-        self.dtype = dtype
         make_w = lambda: parameter(glorot_uniform(rng, (in_dim, hidden),
                                                   in_dim, hidden, dtype))
         make_u = lambda: parameter(glorot_uniform(rng, (hidden, hidden),
@@ -146,29 +145,10 @@ class Gru:
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  reverse: bool = False):
         """Scan x [B, T, in]; returns (outputs [B, T, hidden], final [B, hidden])."""
-        if x.ndim != 3:
-            raise ShapeError(f"gru expects [B, T, in], got {x.shape}")
-        batch, steps, _ = x.shape
-        # One big input projection per gate keeps the scan matmul-light.
-        px_z = x @ self.wz + self.bz
-        px_r = x @ self.wr + self.br
-        px_h = x @ self.wh + self.bh
-        h = Tensor(np.zeros((batch, self.hidden), dtype=x.dtype))
-        order = range(steps - 1, -1, -1) if reverse else range(steps)
-        outputs = [None] * steps
-        for t in order:
-            z = ad.sigmoid(px_z[:, t] + h @ self.uz)
-            r = ad.sigmoid(px_r[:, t] + h @ self.ur)
-            c = ad.tanh(px_h[:, t] + (r * h) @ self.uh)
-            h_new = z * h + (1.0 - z) * c
-            if mask is None:
-                h = h_new
-            else:
-                keep = Tensor(mask[:, t : t + 1].astype(x.dtype))
-                drop = Tensor(1.0 - keep.data)
-                h = keep * h_new + drop * h
-            outputs[t] = h.reshape(batch, 1, self.hidden)
-        return ad.concat(outputs, axis=1), h
+        seq = ad.gru_scan(x, (self.wz, self.wr, self.wh),
+                          (self.uz, self.ur, self.uh),
+                          (self.bz, self.br, self.bh), mask=mask, reverse=reverse)
+        return seq, seq[:, 0 if reverse else -1]
 
     def named_params(self, prefix: str):
         names = ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")

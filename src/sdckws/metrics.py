@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import DegenerateLabels
+from .errors import DegenerateLabels, NonFiniteValue
 
 SCORES_HEADER = "score,label"
 
 
 @dataclass(frozen=True)
 class ScoredSet:
-    """Parallel score and binary label arrays."""
+    """Parallel score and binary label arrays; every score is finite."""
 
     scores: np.ndarray
     labels: np.ndarray
@@ -36,6 +36,9 @@ class ScoredSet:
             )
         if labels.size and not np.all((labels == 0) | (labels == 1)):
             raise ValueError("labels must be 0 or 1")
+        bad = int(np.sum(~np.isfinite(scores)))
+        if bad:
+            raise NonFiniteValue(f"{bad} of {scores.size} scores are not finite")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels.astype(np.int64))
 

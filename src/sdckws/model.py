@@ -27,6 +27,7 @@ from .errors import (
     DegenerateDataset,
     EmptyDataset,
     FormatError,
+    NonFiniteValue,
     ShapeError,
 )
 from .features import (
@@ -563,7 +564,9 @@ def train(manifest, cfg: ModelConfig, epochs: int, val_fraction: float = 0.1,
 
     Returns (model, checkpoint, history). The returned model carries
     the best-validation weights; with epochs=0 both equal the
-    initialization and the history is empty.
+    initialization and the history is empty. A non-finite loss or
+    parameter gradient raises NonFiniteValue, naming the epoch and the
+    step within it, before the optimizer applies that step.
     """
     manifest = list(manifest)
     if not manifest:
@@ -586,13 +589,21 @@ def train(manifest, cfg: ModelConfig, epochs: int, val_fraction: float = 0.1,
     for epoch in range(epochs):
         dropout_rng = np.random.default_rng([cfg.seed, 7001, epoch])
         loss_sum = 0.0
-        for batch in make_batches(train_set, front, cfg.batch_size,
-                                  seed=[cfg.seed, epoch], mode="train",
-                                  feature_cache=cache):
+        batches = make_batches(train_set, front, cfg.batch_size,
+                               seed=[cfg.seed, epoch], mode="train",
+                               feature_cache=cache)
+        for step, batch in enumerate(batches):
             _, logits = model.forward(batch, train=True, rng=dropout_rng)
             loss = ad.sigmoid_bce(logits, batch.labels)
+            where = f"epoch {epoch} step {step}"
+            if not np.isfinite(loss.item()):
+                raise NonFiniteValue(f"{where}: loss is {loss.item()}")
             optimizer.zero_grad()
             loss.backward()
+            for name, param in model.named_params().items():
+                if param.grad is not None and not np.isfinite(param.grad).all():
+                    raise NonFiniteValue(
+                        f"{where}: gradient of {name} is not finite")
             optimizer.step()
             model.training_step += 1
             loss_sum += loss.item() * batch.size

@@ -120,6 +120,27 @@ class TestTensorBasics:
         assert out._parents == ()
 
 
+class TestGradBuffers:
+    """A first gradient an op hands over must never alias another .grad."""
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b: a + a,
+        lambda a, b: a * a,
+        lambda a, b: ad.tanh(a) * ad.sigmoid(a),  # one input, two ops
+        lambda a, b: a + b,
+        lambda a, b: (a * b) - b,
+    ], ids=["a+a", "a*a", "one-input-two-ops", "a+b", "a*b-b"])
+    def test_no_two_grads_share_memory(self, build):
+        rng = np.random.default_rng(5)
+        a, b = leaf(rng, (3, 4)), leaf(rng, (3, 4))
+        seed = rng.normal(size=(3, 4))
+        build(a, b).backward(seed)
+        buffers = [seed] + [t.grad for t in (a, b) if t.grad is not None]
+        for i, first in enumerate(buffers):
+            for second in buffers[i + 1:]:
+                assert not np.shares_memory(first, second)
+
+
 class TestArithmeticGradients:
     def test_add_sub_mul(self):
         rng = np.random.default_rng(0)
@@ -600,6 +621,77 @@ class TestGru:
         gru = Gru(2, 3, np.random.default_rng(22))
         with pytest.raises(ShapeError):
             gru(Tensor(np.ones((4, 2))))
+
+
+def scan_inputs(rng, shape, hidden, x_grad=True, param_grad=True):
+    """x [B, T, in] and the (w, u, b) triples of a float64 gru_scan."""
+    x = Tensor(rng.normal(size=shape), requires_grad=x_grad)
+    triple = lambda *s: tuple(
+        Tensor(0.5 * rng.normal(size=s), requires_grad=param_grad)
+        for _ in range(3))
+    return x, triple(shape[2], hidden), triple(hidden, hidden), triple(hidden)
+
+
+class TestGruScan:
+    MASK = np.array([[1.0, 0.0, 1.0, 1.0, 0.0],
+                     [1.0, 1.0, 1.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_with_partial_mask(self, reverse):
+        x, w, u, b = scan_inputs(np.random.default_rng(60), (2, 5, 3), 4)
+        check_grads(lambda: probed(ad.gru_scan(x, w, u, b, self.MASK, reverse),
+                                   61), [x, *w, *u, *b])
+
+    def test_gradient_to_input_only(self):
+        x, w, u, b = scan_inputs(np.random.default_rng(62), (2, 5, 3), 4,
+                                 param_grad=False)
+        check_grads(lambda: probed(ad.gru_scan(x, w, u, b, self.MASK), 63), [x])
+        assert all(p.grad is None for p in (*w, *u, *b))
+
+    def test_gradient_to_params_only(self):
+        x, w, u, b = scan_inputs(np.random.default_rng(64), (2, 5, 3), 4,
+                                 x_grad=False)
+        check_grads(lambda: probed(ad.gru_scan(x, w, u, b, self.MASK, True), 65),
+                    [*w, *u, *b])
+        assert x.grad is None
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_rows_match_single_examples_exactly(self, reverse):
+        # A width of 64 is where numpy's one-row (gemv) and batched (gemm)
+        # products round differently.
+        rng = np.random.default_rng(66)
+        x, w, u, b = scan_inputs(rng, (3, 6, 5), 64)
+        x.data = x.data.astype(np.float32)
+        for p in (*w, *u, *b):
+            p.data = p.data.astype(np.float32)
+        mask = np.ones((3, 6))
+        mask[1, 4:] = 0.0
+        together = ad.gru_scan(x, w, u, b, mask, reverse).data
+        for i in range(3):
+            alone = ad.gru_scan(Tensor(x.data[i : i + 1]), w, u, b,
+                                mask[i : i + 1], reverse).data
+            np.testing.assert_array_equal(together[i], alone[0])
+
+    def test_no_grad_records_no_backward(self):
+        x, w, u, b = scan_inputs(np.random.default_rng(67), (2, 5, 3), 4)
+        with no_grad():
+            out = ad.gru_scan(x, w, u, b, self.MASK)
+        assert not out.requires_grad
+        assert out._backward_fn is None
+        assert out._parents == ()
+
+    def test_grads_share_no_memory(self):
+        x, w, u, b = scan_inputs(np.random.default_rng(68), (2, 5, 3), 4)
+        ad.gru_scan(x, w, u, b).backward(np.ones((2, 5, 4)))
+        grads = [t.grad for t in (x, *w, *u, *b)]
+        for i, first in enumerate(grads):
+            for second in grads[i + 1:]:
+                assert not np.shares_memory(first, second)
+
+    def test_rejects_mask_of_wrong_shape(self):
+        x, w, u, b = scan_inputs(np.random.default_rng(69), (2, 5, 3), 4)
+        with pytest.raises(ShapeError):
+            ad.gru_scan(x, w, u, b, np.ones((2, 4)))
 
 
 class TestBiGru:

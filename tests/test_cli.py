@@ -184,6 +184,31 @@ class TestTrain:
         assert history == "epoch,train_loss,val_loss,val_auc,val_eer"
         assert load_checkpoint(tmp_path / "init.kwsm").step == 0
 
+    def test_non_finite_loss_exits_1_and_writes_nothing(self, workspace,
+                                                        tmp_path):
+        # The CLI in a process whose forward returns NaN logits.
+        script = (
+            "import sys\n"
+            "from sdckws import cli, model\n"
+            "forward = model.KwsModel.forward\n"
+            "model.KwsModel.forward = lambda self, *a, **k: tuple(\n"
+            "    t * float('nan') for t in forward(self, *a, **k))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "nan.kwsm"
+        result = subprocess.run(
+            [sys.executable, "-c", script, "train", "--manifest",
+             workspace["manifest"], "--epochs", "1", "--config",
+             workspace["root"] / "small.ini", "-o", out],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 1
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("ERROR")]
+        assert errors == ["ERROR sdckws: epoch 0 step 0: loss is nan"]
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+        assert not (tmp_path / "nan_history.csv").exists()
+
     def test_same_seed_is_byte_identical(self, workspace, tmp_path):
         outputs = []
         for sub in ("one.kwsm", "two.kwsm"):
@@ -299,6 +324,18 @@ class TestEval:
                          "--ckpt", broken)
         assert result.returncode == 1
         assert key in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_nan_weight_in_checkpoint_is_runtime_error(self, workspace,
+                                                       tmp_path):
+        ckpt = load_checkpoint(workspace["ckpt"])
+        ckpt.tensors["disc.dense.bias"][0] = np.nan
+        broken = tmp_path / "nan_weight.kwsm"
+        save_checkpoint(broken, ckpt)
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", broken)
+        assert result.returncode == 1
+        assert "not finite" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_missing_checkpoint_is_runtime_error(self, workspace, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdckws.errors import DegenerateLabels
+from sdckws.errors import DegenerateLabels, NonFiniteValue
 from sdckws.metrics import (
     RocCurve,
     ScoredSet,
@@ -208,6 +208,12 @@ class TestScoredSet:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             ScoredSet([0.1], [2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # With nan here eer used to report 0.0 and f1_at(0.5) 0.667.
+        with pytest.raises(NonFiniteValue):
+            ScoredSet([0.1, bad, 0.7, 0.3], [0, 1, 1, 0])
 
 
 class TestScoresFile:

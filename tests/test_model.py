@@ -14,6 +14,7 @@ from sdckws.errors import (
     DegenerateDataset,
     EmptyDataset,
     FormatError,
+    NonFiniteValue,
     ShapeError,
 )
 from sdckws.features import FeatureKind, FrontEndConfig, SdcConfig
@@ -275,6 +276,28 @@ class TestSmallModel:
         eval_b, _ = model.forward(batch)
         np.testing.assert_array_equal(eval_a.data, eval_b.data)
 
+    def test_graph_size_does_not_grow_with_frames(self):
+        # Counted as the benchmark's autodiff.nodes_per_step is: distinct
+        # tensors reachable from the loss through recorded parents.
+        def graph_size(root):
+            seen, stack = {id(root)}, [root]
+            while stack:
+                for parent in stack.pop()._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return len(seen)
+
+        model = KwsModel(small_cfg(dropout=0.2))
+        counts = []
+        for frames in (12, 24):
+            batch = random_batch(np.random.default_rng(5), 12,
+                                 sizes=(frames, frames - 3))
+            _, logits = model.forward(batch, train=True,
+                                      rng=np.random.default_rng(6))
+            counts.append(graph_size(ad.sigmoid_bce(logits, batch.labels)))
+        assert counts[0] == counts[1]
+
 
 class TestCheckpointFile:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -421,6 +444,42 @@ class TestTrain:
         manifest = tiny_dataset(tmp_path)
         with pytest.raises(ValueError):
             train(manifest, small_cfg(), epochs=-1)
+
+    def test_non_finite_loss_stops_before_the_update(self, tmp_path,
+                                                      monkeypatch):
+        manifest = tiny_dataset(tmp_path)
+        forward = KwsModel.forward
+        updates = []
+        monkeypatch.setattr(Adam, "step", lambda self: updates.append(1))
+
+        def nan_logits(self, batch, train=False, rng=None):
+            probs, logits = forward(self, batch, train, rng)
+            return probs, logits * float("nan")
+
+        monkeypatch.setattr(KwsModel, "forward", nan_logits)
+        with pytest.raises(NonFiniteValue, match="epoch 0 step 0: loss is nan"):
+            train(manifest, small_cfg(batch_size=4), epochs=1)
+        assert updates == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_names_the_parameter(self, tmp_path,
+                                                     monkeypatch):
+        manifest = tiny_dataset(tmp_path)
+        forward = KwsModel.forward
+        updates = []
+        monkeypatch.setattr(Adam, "step", lambda self: updates.append(1))
+
+        def nan_gradient(self, batch, train=False, rng=None):
+            probs, logits = forward(self, batch, train, rng)
+            # sqrt of the zero-initialized output bias adds 0 to the loss
+            # and 0 * inf = nan to that bias's gradient.
+            return probs, logits + 0.0 * (self.dense_out.bias ** 0.5).sum()
+
+        monkeypatch.setattr(KwsModel, "forward", nan_gradient)
+        with pytest.raises(NonFiniteValue,
+                           match="epoch 0 step 0: gradient of disc.dense.bias"):
+            train(manifest, small_cfg(batch_size=4), epochs=1)
+        assert updates == []
 
     def test_evaluate_scores_in_manifest_order(self, tmp_path):
         manifest = tiny_dataset(tmp_path)
