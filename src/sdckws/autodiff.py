@@ -4,10 +4,11 @@ A Tensor wraps an ndarray and records the operation that produced it
 as a closure; backward() walks the graph in reverse topological order
 and accumulates gradients into every tensor that requires them. The
 op set is exactly what the matcher needs: broadcasting arithmetic,
-matmul, reductions, shape moves, indexing, the pointwise
-nonlinearities, softmax, 2-D convolution, the masked GRU scan (one
-node per direction, with hand-written backpropagation through time),
-dropout, and the fused sigmoid + binary cross-entropy loss.
+matmul, sum, shape moves, indexing, the pointwise nonlinearities,
+softmax, 2-D convolution, masked batch norm (one node, with the
+closed-form backward), the masked GRU scan (one node per direction,
+with hand-written backpropagation through time), dropout, and the
+fused sigmoid + binary cross-entropy loss.
 """
 
 from __future__ import annotations
@@ -131,9 +132,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -142,9 +140,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -258,19 +253,6 @@ def mul(a: Tensor, b) -> Tensor:
     return out
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-    out, tracked = _from_op(a.data**exponent, (a,))
-    if tracked:
-
-        def _backward():
-            _add_grad(a, out.grad * exponent * a.data ** (exponent - 1.0),
-                      fresh=True)
-
-        out._backward_fn = _backward
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
@@ -314,15 +296,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
         out._backward_fn = _backward
     return out
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return sum_(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -519,6 +492,97 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
         out._backward_fn = _backward
     return out
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
+               moments=None, eps: float = 1e-5):
+    """Masked per-channel batch norm of x [B, C, T, F]; returns (out, (mean, var)).
+
+    out = gamma * (x - mean) / sqrt(var + eps) + beta where mask
+    [B, 1, T, 1] is nonzero and 0 elsewhere, so padded positions leave
+    the op zeroed whatever they held. mask=None marks every position
+    valid.
+
+    moments=None is train mode: mean and var are the biased per-channel
+    statistics of the valid positions only, returned so the caller can
+    fold them into running moments. The op keeps the normalized input
+    xhat (zero where masked) and the per-channel 1 / sqrt(var + eps), and
+    its backward is the closed form of Ioffe & Szegedy (2015) over the n
+    valid positions, with g the masked output gradient:
+    dx = gamma / sqrt(var + eps) * (g - sum(g) / n - xhat * sum(g xhat) / n).
+
+    moments=(mean, var) is eval mode: they fold into one per-channel
+    scale = gamma / sqrt(var + eps) and shift = beta - mean * scale that
+    make the output in one pass, and are returned as given.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"batch norm expects [B, C, T, F], got {x.data.shape}")
+    batch, _, steps, width = x.data.shape
+    if batch == 0:
+        raise ShapeError("batch norm needs at least one example")
+    if mask is None:
+        valid = np.ones((batch, 1, steps, 1), dtype=x.data.dtype)
+    else:
+        valid = (np.asarray(mask) > 0).astype(x.data.dtype)
+        if valid.shape != (batch, 1, steps, 1):
+            raise ShapeError(
+                f"batch norm mask {valid.shape} does not match input"
+                f" {x.data.shape}")
+    shape = (1, -1, 1, 1)
+    valid_bt = valid[:, :, :, 0]
+
+    def valid_sum(rows):
+        """Per-channel total of a [B, C, T] array over valid frames."""
+        return (rows * valid_bt).sum(axis=(0, 2))
+
+    if moments is None:
+        count = valid.sum() * width
+        if count == 0:
+            raise ShapeError("batch norm needs at least one valid frame")
+        mean = valid_sum(x.data.sum(axis=3)) / count
+        xhat = x.data - mean.reshape(shape)
+        var = valid_sum(np.einsum("bctf,bctf->bct", xhat, xhat)) / count
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv.reshape(shape) * valid
+        data = xhat * gamma.data.reshape(shape)
+        data += beta.data.reshape(shape) * valid
+    else:
+        mean, var = moments
+        inv = 1.0 / np.sqrt(var + eps)
+        scale = gamma.data * inv
+        data = x.data * (scale.reshape(shape) * valid)
+        data += (beta.data - mean * scale).reshape(shape) * valid
+    out, tracked = _from_op(data, (x, gamma, beta))
+    if tracked:
+
+        def _backward():
+            grad = out.grad
+            d_beta = valid_sum(grad.sum(axis=3))
+            if beta.requires_grad:
+                _add_grad(beta, d_beta, fresh=True)
+            if moments is None:
+                # xhat is zero where masked, so this sum needs no mask.
+                d_gamma = np.einsum("bctf,bctf->bct", grad, xhat).sum(axis=(0, 2))
+                if gamma.requires_grad:
+                    _add_grad(gamma, d_gamma, fresh=True)
+                if x.requires_grad:
+                    # A backward runs once, so dx is built in xhat's buffer.
+                    dx = xhat
+                    dx *= (-d_gamma / count).reshape(shape)
+                    dx += grad
+                    dx -= (d_beta / count).reshape(shape)
+                    dx *= (gamma.data * inv).reshape(shape) * valid
+                    _add_grad(x, dx, fresh=True)
+            else:
+                if gamma.requires_grad:
+                    d_scale = valid_sum(np.einsum("bctf,bctf->bct", grad, x.data))
+                    _add_grad(gamma, (d_scale - mean * d_beta) * inv, fresh=True)
+                if x.requires_grad:
+                    _add_grad(x, grad * (scale.reshape(shape) * valid),
+                              fresh=True)
+
+        out._backward_fn = _backward
+    return out, (mean, var)
 
 
 def _rowwise(h, u):

@@ -66,9 +66,12 @@ class Conv2d:
 class BatchNorm:
     """Per-channel normalization over the batch and spatial axes.
 
-    Train mode normalizes by batch statistics and folds them into
-    running moments with momentum 0.9; eval mode uses the running
-    moments, so inference is a pure function of the parameters.
+    Train mode normalizes by the statistics of the batch's valid
+    positions (mask [B, 1, T, 1] nonzero; all positions without a mask)
+    and folds them into running moments with momentum 0.9; eval mode
+    uses the running moments, so inference is a pure function of the
+    parameters. Masked positions come out zero in both modes. The whole
+    layer is one autodiff.batch_norm node.
     """
 
     def __init__(self, channels: int, momentum: float = 0.9,
@@ -80,32 +83,19 @@ class BatchNorm:
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        if x.ndim != 4:
-            raise ShapeError(f"batch norm expects [B, C, T, F], got {x.shape}")
-        if x.shape[0] == 0:
-            raise ShapeError("batch norm needs at least one example")
-        axes = (0, 2, 3)
+    def __call__(self, x: Tensor, train: bool,
+                 mask: np.ndarray | None = None) -> Tensor:
+        moments = None if train else (self.running_mean, self.running_var)
+        out, (mu, var) = ad.batch_norm(x, self.gamma, self.beta, mask,
+                                       moments, self.eps)
         if train:
-            mu = x.mean(axis=axes, keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=axes, keepdims=True)
             self.running_mean = (
-                self.momentum * self.running_mean
-                + (1.0 - self.momentum) * mu.data.reshape(-1)
+                self.momentum * self.running_mean + (1.0 - self.momentum) * mu
             ).astype(self.running_mean.dtype)
             self.running_var = (
-                self.momentum * self.running_var
-                + (1.0 - self.momentum) * var.data.reshape(-1)
+                self.momentum * self.running_var + (1.0 - self.momentum) * var
             ).astype(self.running_var.dtype)
-            inv = (var + self.eps) ** -0.5
-            normalized = centered * inv
-        else:
-            mu = self.running_mean[None, :, None, None]
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            normalized = (x - mu) * inv[None, :, None, None]
-        shape = (1, -1, 1, 1)
-        return normalized * self.gamma.reshape(shape) + self.beta.reshape(shape)
+        return out
 
     def named_params(self, prefix: str):
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
@@ -245,15 +235,33 @@ class AdamState:
 
 def adam_step(state: AdamState, data: np.ndarray, grad: np.ndarray, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Bias-corrected Adam update applied in place to data."""
+    """Bias-corrected Adam update applied in place to data, m and v.
+
+    Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g
+    and data -= lr m_hat / (sqrt(v_hat) + eps) with two scratch buffers,
+    in the order of the plain expressions, so the result is bit-identical
+    to them when data, grad and the moments share a dtype.
+    """
     if grad.shape != data.shape:
         raise ShapeError(f"grad shape {grad.shape} != param shape {data.shape}")
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1**state.step)
-    v_hat = state.v / (1.0 - beta2**state.step)
-    data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data.dtype)
+    m, v = state.m, state.v
+    step = np.empty_like(m)
+    root = np.empty_like(v)
+    np.multiply(grad, 1.0 - beta1, out=step)
+    m *= beta1
+    m += step
+    np.multiply(grad, 1.0 - beta2, out=root)
+    root *= grad
+    v *= beta2
+    v += root
+    np.divide(v, 1.0 - beta2**state.step, out=root)
+    np.sqrt(root, out=root)
+    root += eps
+    np.divide(m, 1.0 - beta1**state.step, out=step)
+    step *= lr
+    step /= root
+    data -= step
 
 
 class Adam:

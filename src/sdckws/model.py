@@ -242,8 +242,9 @@ class KwsModel:
                      rng=None):
         """Features [B, T, D] (or [T, D]) to embeddings [B, m, embed_dim].
 
-        Returns (embeddings, post-stride lengths). Padded frames are
-        re-zeroed after every convolution block so that trailing
+        Returns (embeddings, post-stride lengths). Each batch norm
+        takes the frame mask: it leaves padded frames out of its
+        training statistics and zeroes them in its output, so trailing
         padding cannot leak into real frames.
         """
         arr = features.data if isinstance(features, Tensor) else np.asarray(features)
@@ -265,13 +266,13 @@ class KwsModel:
         t_out = strided_length(t_in, self.cfg.stride_t)
         frame_mask = (np.arange(t_out)[None, :] < out_lengths[:, None])
         frame_mask = frame_mask.astype(np.float32)
-        conv_mask = Tensor(frame_mask[:, None, :, None])
+        conv_mask = frame_mask[:, None, :, None]
         x = Tensor(arr.astype(np.float32, copy=False).reshape(
             batch, 1, t_in, width))
-        h = self.bn1(self.conv1(x), train) * conv_mask
+        h = self.bn1(self.conv1(x), train, conv_mask)
         if self.cfg.dropout_after_conv:
             h = self._dropout(h, train, rng)
-        h = self.bn2(self.conv2(h), train) * conv_mask
+        h = self.bn2(self.conv2(h), train, conv_mask)
         if self.cfg.dropout_after_conv:
             h = self._dropout(h, train, rng)
         h = h.transpose(0, 2, 1, 3).reshape(
@@ -469,15 +470,20 @@ def load_checkpoint(path) -> Checkpoint:
         key, value = line.split("=", 1)
         config[key] = value
     (num_tensors,) = reader.unpack("<I")
-    shapes = []
+    shapes = {}
     for _ in range(num_tensors):
         (name_len,) = reader.unpack("<H")
-        name = reader.pull(name_len).decode("utf-8")
+        raw_name = reader.pull(name_len)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: tensor name is not UTF-8 ({exc})") from None
+        if name in shapes:
+            raise FormatError(f"{path}: tensor {name!r} appears twice")
         (ndim,) = reader.unpack("<B")
-        shape = reader.unpack(f"<{ndim}I")
-        shapes.append((name, shape))
+        shapes[name] = reader.unpack(f"<{ndim}I")
     tensors = {}
-    for name, shape in shapes:
+    for name, shape in shapes.items():
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = reader.pull(4 * count)
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()

@@ -160,13 +160,6 @@ class TestArithmeticGradients:
         probe = 5
         check_grads(lambda: probed(a + col, probe), [a, col])
 
-    def test_power(self):
-        rng = np.random.default_rng(6)
-        a = leaf(rng, (3, 3))
-        a.data = np.abs(a.data) + 0.5
-        probe = 7
-        check_grads(lambda: probed(a ** 3.0, probe), [a])
-
     def test_rsub_rmul(self):
         a = Tensor(np.array([2.0]), requires_grad=True)
         out = (5.0 - a) * 2.0
@@ -210,13 +203,6 @@ class TestReductionsAndShapes:
         check_grads(lambda: probed(a.sum(axis=1), probe), [a])
         check_grads(lambda: probed(a.sum(axis=(0, 2), keepdims=True), probe), [a])
         check_grads(lambda: a.sum(), [a])
-
-    def test_mean_matches_sum_scaling(self):
-        rng = np.random.default_rng(16)
-        a = leaf(rng, (4, 5))
-        a.zero_grad()
-        a.mean().backward()
-        np.testing.assert_allclose(a.grad, np.full((4, 5), 1.0 / 20.0))
 
     def test_reshape_round_trip(self):
         rng = np.random.default_rng(17)
@@ -550,6 +536,69 @@ class TestBatchNorm:
             BatchNorm(2)(Tensor(np.ones((2, 2, 2))), train=True)
 
 
+class TestBatchNormOp:
+    """autodiff.batch_norm with a frame mask that has trailing zero frames."""
+
+    LENGTHS = (5, 3, 2)
+
+    def setup_method(self):
+        rng = np.random.default_rng(40)
+        self.x = leaf(rng, (3, 2, 5, 4))
+        self.gamma = leaf(rng, (2,))
+        self.beta = leaf(rng, (2,))
+        self.mask = (np.arange(5)[None, :] < np.array(self.LENGTHS)[:, None])
+        self.mask = self.mask.astype(np.float64)[:, None, :, None]
+
+    def test_train_gradients_with_partial_mask(self):
+        check_grads(lambda: probed(ad.batch_norm(
+            self.x, self.gamma, self.beta, self.mask)[0], 41),
+            [self.x, self.gamma, self.beta])
+
+    def test_eval_gradients_with_partial_mask(self):
+        moments = (np.array([0.3, -0.2]), np.array([1.7, 0.4]))
+        check_grads(lambda: probed(ad.batch_norm(
+            self.x, self.gamma, self.beta, self.mask, moments)[0], 42),
+            [self.x, self.gamma, self.beta])
+
+    @pytest.mark.parametrize("moments", [None, (np.zeros(2), np.ones(2))],
+                             ids=["train", "eval"])
+    def test_masked_frames_are_zero_and_ignored(self, moments):
+        out, _ = ad.batch_norm(self.x, self.gamma, self.beta, self.mask,
+                               moments)
+        padded = np.broadcast_to(self.mask == 0, out.shape)
+        assert np.all(out.data[padded] == 0.0)
+        noisy = Tensor(np.where(self.mask > 0, self.x.data, 1e3))
+        again, _ = ad.batch_norm(noisy, self.gamma, self.beta, self.mask,
+                                 moments)
+        np.testing.assert_allclose(again.data, out.data, rtol=1e-12, atol=0)
+
+    def test_masked_frames_get_no_gradient(self):
+        out, _ = ad.batch_norm(self.x, self.gamma, self.beta, self.mask)
+        probed(out, 43).backward()
+        padded = np.broadcast_to(self.mask == 0, out.shape)
+        assert np.all(self.x.grad[padded] == 0.0)
+
+    def test_running_moments_equal_masked_batch_statistics(self):
+        bn = BatchNorm(2, dtype=np.float64)
+        bn(self.x, train=True, mask=self.mask)
+        # [B, T, F, C] rows at valid frames, flattened to [n, C].
+        valid = np.moveaxis(self.x.data, 1, -1)[self.mask[:, 0, :, 0] > 0]
+        valid = valid.reshape(-1, 2)
+        np.testing.assert_allclose(bn.running_mean, 0.1 * valid.mean(axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(bn.running_var,
+                                   0.9 + 0.1 * valid.var(axis=0), rtol=1e-12)
+
+    def test_rejects_mask_of_wrong_shape(self):
+        with pytest.raises(ShapeError):
+            ad.batch_norm(self.x, self.gamma, self.beta, self.mask[:, :, :4])
+
+    def test_rejects_all_masked_batch_in_train_mode(self):
+        with pytest.raises(ShapeError):
+            ad.batch_norm(self.x, self.gamma, self.beta,
+                          np.zeros_like(self.mask))
+
+
 class TestGru:
     def test_zero_params_give_zero_outputs(self):
         gru = Gru(3, 4, np.random.default_rng(12), dtype=np.float64)
@@ -869,3 +918,27 @@ class TestAdam:
             return w.data.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_plain_expressions_bit_for_bit(self, dtype):
+        # The out-of-place update adam_step must reproduce exactly.
+        def plain_step(m, v, data, grad, step, lr, beta1, beta2, eps):
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1**step)
+            v_hat = v / (1.0 - beta2**step)
+            data = data - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data.dtype)
+            return m, v, data
+
+        rng = np.random.default_rng(44)
+        data = rng.normal(size=(6, 7)).astype(dtype)
+        state = AdamState.zeros_like(data)
+        m, v, expect = state.m.copy(), state.v.copy(), data.copy()
+        for step in range(1, 6):
+            grad = (rng.normal(size=data.shape) * 10.0 ** -step).astype(dtype)
+            adam_step(state, data, grad, 3e-3, 0.9, 0.999, 1e-8)
+            m, v, expect = plain_step(m, v, expect, grad, step, 3e-3,
+                                      0.9, 0.999, 1e-8)
+            for got, want in ((state.m, m), (state.v, v), (data, expect)):
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_array_equal(got, want)

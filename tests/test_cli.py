@@ -338,6 +338,23 @@ class TestEval:
         assert "not finite" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("old,new,message", [
+        (b"audio.bn2.gamma", b"audio.bn2.gamm\xff", "not UTF-8"),
+        (b"audio.bn2.gamma", b"audio.bn1.gamma", "appears twice"),
+    ], ids=["non-utf8-name", "repeated-name"])
+    def test_bad_tensor_name_in_checkpoint_is_runtime_error(
+            self, workspace, tmp_path, old, new, message):
+        blob = workspace["ckpt"].read_bytes()
+        assert blob.count(old) == 1
+        broken = tmp_path / "bad_name.kwsm"
+        broken.write_bytes(blob.replace(old, new))
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", broken)
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert "bad_name.kwsm" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_checkpoint_is_runtime_error(self, workspace, tmp_path):
         result = run_cli("eval", "--manifest", workspace["manifest"],
                          "--ckpt", tmp_path / "none.kwsm")

@@ -233,6 +233,21 @@ class TestSmallModel:
         solo, _ = model.forward(alone)
         assert together.data[0] == solo.data[0]
 
+    def test_train_mode_padding_leaves_real_frames_unchanged(self):
+        # Batch norm's training statistics cover valid frames only, so
+        # appending padded frames moves real-frame embeddings by rounding
+        # alone (the GRU input GEMM has more rows), not by a changed mean.
+        model = KwsModel(small_cfg())
+        batch = random_batch(np.random.default_rng(7), 12, sizes=(9, 14))
+        padded = np.pad(batch.features, ((0, 0), (0, 8), (0, 0)))
+        short, lengths = model.audio_encode(batch.features,
+                                            batch.feature_lengths, train=True)
+        long, _ = model.audio_encode(padded, batch.feature_lengths,
+                                     train=True)
+        for i, n in enumerate(lengths):
+            np.testing.assert_allclose(long.data[i, :n], short.data[i, :n],
+                                       rtol=0, atol=1e-6)
+
     def test_gradient_reaches_every_parameter(self):
         model = KwsModel(small_cfg())
         batch = random_batch(np.random.default_rng(2), 12)
@@ -471,9 +486,10 @@ class TestTrain:
 
         def nan_gradient(self, batch, train=False, rng=None):
             probs, logits = forward(self, batch, train, rng)
-            # sqrt of the zero-initialized output bias adds 0 to the loss
-            # and 0 * inf = nan to that bias's gradient.
-            return probs, logits + 0.0 * (self.dense_out.bias ** 0.5).sum()
+            # The zero-initialized output bias scaled by 1e60 adds 0 to
+            # the loss, and its gradient, scaled likewise, overflows
+            # float32 to inf.
+            return probs, logits + (self.dense_out.bias * 1e30 * 1e30).sum()
 
         monkeypatch.setattr(KwsModel, "forward", nan_gradient)
         with pytest.raises(NonFiniteValue,

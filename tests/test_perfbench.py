@@ -1,9 +1,10 @@
 """The traced benchmark's hooks still find the functions they wrap.
 
-perfbench/spans.py wraps program functions by name; a rename would
-only surface as a failed `perfbench/run.py --trace 1`. This runs its
-`instrument` in a fresh process, then one front-end, and checks that
-every analysis step recorded a span.
+perfbench/spans.py wraps program functions by name and replays layers
+with the arguments it captured; a rename or a changed layer call would
+only surface as a failed `perfbench/run.py --trace 1`. These run its
+`instrument` in a fresh process, then one front-end or one tiny
+training run, and check what the traced run reads from it.
 """
 
 import os
@@ -28,12 +29,45 @@ missing = set(spans.DSP_SPANS) - {span.name for span in tracer.spans}
 assert not missing, sorted(missing)
 """
 
+# 2 keywords x 5 clips and as many negatives; validation keeps one of
+# each label, so 18 training examples make two full batches of 9.
+REPLAY_PROBE = """
+import math
+import sys
+import spans
+from sdckws import data, model
+from sdckws.features import FeatureKind, FrontEndConfig
 
-def test_instrument_wraps_every_traced_function():
+tracer = spans.Tracer()
+spans.instrument(tracer)
+manifest = data.load_manifest(
+    data.synth_dataset(["abc", "xyz"], 5, 1.0, 21, sys.argv[1]))
+cfg = model.ModelConfig(
+    feature=FeatureKind.MEL_SPEC,
+    front_end=FrontEndConfig(num_mel=12, num_cepstra=12), conv_filters=4,
+    gru_hidden=6, embed_dim=8, char_embed_dim=16, disc_hidden=5,
+    dropout=0.0, batch_size=9, seed=3)
+kws, _, _ = model.train(manifest, cfg, epochs=1)
+assert tracer.step_ms, "no full training batch was traced"
+bwd_ms, _ = spans.replay_backward(tracer, kws, repeats=1)
+assert set(bwd_ms) == set(spans.LAYER_NAMES), sorted(bwd_ms)
+assert all(math.isfinite(ms) for ms in bwd_ms.values()), bwd_ms
+"""
+
+
+def run_probe(probe, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-    result = subprocess.run([sys.executable, "-c", PROBE],
+    result = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
                             cwd=ROOT / "perfbench", env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_instrument_wraps_every_traced_function():
+    run_probe(PROBE)
+
+
+def test_replay_times_every_layer_backward(tmp_path):
+    run_probe(REPLAY_PROBE, tmp_path)
