@@ -707,13 +707,18 @@ def dropout(x: Tensor, rate: float, train: bool,
         return x
     if rng is None:
         raise ValueError("train-mode dropout needs an explicit random generator")
-    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    mask /= 1.0 - rate
-    out, tracked = _from_op(x.data * mask, (x,))
+    # float32 draws, boolean mask: no float64 temporary, a 1-byte mask kept.
+    keep = rng.random(x.data.shape, dtype=np.float32) >= rate
+    scale = 1.0 / (1.0 - rate)
+    data = x.data * scale
+    data *= keep
+    out, tracked = _from_op(data, (x,))
     if tracked:
 
         def _backward():
-            _add_grad(x, out.grad * mask, fresh=True)
+            grad = out.grad * scale
+            grad *= keep
+            _add_grad(x, grad, fresh=True)
 
         out._backward_fn = _backward
     return out

@@ -9,6 +9,7 @@ pure and deterministic.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -161,8 +162,9 @@ def mel_to_hz(mel):
     return float(out) if np.isscalar(mel) else out
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(num_mel: int, nfft: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filterbank, num_mel x (nfft/2 + 1).
+    """Triangular mel filterbank, num_mel x (nfft/2 + 1); cached, read-only.
 
     Centers are equally spaced in mel between 0 and sample_rate / 2 and
     snapped to FFT bins; each row is nonnegative and unimodal.
@@ -184,6 +186,7 @@ def mel_filterbank(num_mel: int, nfft: int, sample_rate: int) -> np.ndarray:
         raise DegenerateFilter(
             f"{num_mel} mel filters cannot all be resolved at nfft={nfft}"
         )
+    fbank.flags.writeable = False
     return fbank
 
 
@@ -292,8 +295,9 @@ def bark_to_hz(z):
     return 600.0 * np.sinh(np.asarray(z, dtype=np.float64) / 6.0)
 
 
+@functools.lru_cache(maxsize=None)
 def bark_filterbank(nfft: int, sample_rate: int) -> np.ndarray:
-    """Trapezoidal critical-band filters at 1-bark spacing.
+    """Trapezoidal critical-band filters at 1-bark spacing; cached, read-only.
 
     Filter c is centered at c bark; its response to a bin at z bark is
     flat within +-0.5 bark of the center and falls off at 10 dB per bark
@@ -309,6 +313,7 @@ def bark_filterbank(nfft: int, sample_rate: int) -> np.ndarray:
         fbank[c] = np.where(
             (dz >= -1.3) & (dz <= 2.5), np.minimum(1.0, np.minimum(lower, upper)), 0.0
         )
+    fbank.flags.writeable = False
     return fbank
 
 
@@ -323,36 +328,42 @@ def levinson_durbin(autocorr: np.ndarray, order: int):
 
     Returns (a, err) where a = [1, a1, ..., a_order] satisfies
     sum_m a[m] * r[|n - m|] = 0 for n in 1..order and err is the final
-    prediction error power.
+    prediction error power. Leading axes of autocorr are a batch: the
+    recursion runs over model order for every row at once, summing each
+    dot product in lag order, so no row depends on another.
     """
     r = np.asarray(autocorr, dtype=np.float64)
-    if r.shape[0] < order + 1:
-        raise ValueError(f"need {order + 1} autocorrelation lags, got {r.shape[0]}")
-    if r[0] <= 0:
-        raise ValueError(f"leading autocorrelation must be positive, got {r[0]}")
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
+    if r.shape[-1] < order + 1:
+        raise ValueError(f"need {order + 1} autocorrelation lags, got {r.shape[-1]}")
+    if (r[..., 0] <= 0).any():
+        raise ValueError(
+            f"leading autocorrelation must be positive, got {r[..., 0].min()}")
+    a = np.zeros(r.shape[:-1] + (order + 1,))
+    a[..., 0] = 1.0
+    err = r[..., 0].copy()
     for m in range(1, order + 1):
-        acc = r[m] + a[1:m] @ r[m - 1 : 0 : -1]
-        reflection = -acc / err
-        a[1:m] += reflection * a[m - 1 : 0 : -1]
-        a[m] = reflection
+        acc = np.zeros_like(err)
+        for k in range(1, m):
+            acc += a[..., k] * r[..., m - k]
+        reflection = -(r[..., m] + acc) / err
+        a[..., 1:m] += reflection[..., None] * a[..., m - 1 : 0 : -1]
+        a[..., m] = reflection
         err *= 1.0 - reflection * reflection
-    return a, err
+    return a, err[()]
 
 
-def lpc_to_cepstra(a: np.ndarray, err: float, num_cepstra: int) -> np.ndarray:
-    """Cepstra of the all-pole model err / |A(z)|^2; c[0] = ln(err)."""
-    order = a.shape[0] - 1
-    cep = np.zeros(num_cepstra)
-    cep[0] = np.log(err)
+def lpc_to_cepstra(a: np.ndarray, err, num_cepstra: int) -> np.ndarray:
+    """Cepstra of err / |A(z)|^2 (c[0] = ln err) over any leading batch axes."""
+    err = np.asarray(err, dtype=np.float64)
+    order = a.shape[-1] - 1
+    cep = np.zeros(err.shape + (num_cepstra,))
+    cep[..., 0] = np.log(err)
     for n in range(1, num_cepstra):
-        acc = 0.0
+        acc = np.zeros_like(err)
         for m in range(1, min(n, order + 1)):
-            acc += (n - m) * a[m] * cep[n - m]
-        direct = a[n] if n <= order else 0.0
-        cep[n] = -(direct + acc / n)
+            acc += (n - m) * a[..., m] * cep[..., n - m]
+        direct = a[..., n] if n <= order else 0.0
+        cep[..., n] = -(direct + acc / n)
     return cep
 
 
@@ -369,22 +380,17 @@ def _bands_to_autocorr(bands: np.ndarray, centers_hz: np.ndarray,
     return np.real(np.fft.ifft(full, axis=1))[:, : order + 1]
 
 
-def _bands_to_cepstra(bands: np.ndarray, centers_hz: np.ndarray, order: int,
+def _bands_to_cepstra(bands: np.ndarray, centers_hz: np.ndarray,
                       num_cepstra: int, log_floor: float) -> np.ndarray:
-    """AR fit per frame with a silence substitute for degenerate frames."""
+    """AR fit of every frame at once, silence substituted for degenerate frames."""
+    order = num_cepstra - 1
     autocorr = _bands_to_autocorr(bands, centers_hz, order)
-    fallback = None
-    out = np.zeros((bands.shape[0], num_cepstra))
-    for t in range(bands.shape[0]):
-        r = autocorr[t]
-        if not np.isfinite(r).all() or r[0] <= 0:
-            if fallback is None:
-                floor_bands = np.full((1, bands.shape[1]), log_floor)
-                fallback = _bands_to_autocorr(floor_bands, centers_hz, order)[0]
-            r = fallback
-        a, err = levinson_durbin(r, order)
-        out[t] = lpc_to_cepstra(a, err, num_cepstra)
-    return out
+    degenerate = ~np.isfinite(autocorr).all(axis=1) | (autocorr[:, 0] <= 0)
+    if degenerate.any():
+        floor_bands = np.full((1, bands.shape[1]), log_floor)
+        autocorr[degenerate] = _bands_to_autocorr(floor_bands, centers_hz, order)[0]
+    a, err = levinson_durbin(autocorr, order)
+    return lpc_to_cepstra(a, err, num_cepstra)
 
 
 def _critical_bands(wave: Waveform, cfg: FrontEndConfig):
@@ -397,9 +403,7 @@ def _critical_bands(wave: Waveform, cfg: FrontEndConfig):
 def plp(wave: Waveform, cfg: FrontEndConfig) -> FeatureMatrix:
     """Perceptual linear prediction cepstra, T x num_cepstra."""
     bands, centers_hz = _critical_bands(wave, cfg)
-    cep = _bands_to_cepstra(
-        bands, centers_hz, cfg.num_cepstra - 1, cfg.num_cepstra, cfg.log_floor
-    )
+    cep = _bands_to_cepstra(bands, centers_hz, cfg.num_cepstra, cfg.log_floor)
     return FeatureMatrix(cep, FeatureKind.PLP)
 
 
@@ -428,29 +432,24 @@ def rasta_filter(trajectories: np.ndarray) -> np.ndarray:
     steady-state response to a constant input at exactly zero.
     """
     x = np.asarray(trajectories, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
     out = np.zeros_like(x)
     warm = min(4, x.shape[0])
     _, state = scipy.signal.lfilter(
         _RASTA_NUM, [1.0], x[:warm], axis=0,
-        zi=np.zeros((len(_RASTA_NUM) - 1, x.shape[1])),
+        zi=np.zeros((len(_RASTA_NUM) - 1,) + x.shape[1:]),
     )
     if x.shape[0] > warm:
         out[warm:], _ = scipy.signal.lfilter(
             _RASTA_NUM, _RASTA_DEN, x[warm:], axis=0, zi=state
         )
-    return out[:, 0] if squeeze else out
+    return out
 
 
 def rasta_plp(wave: Waveform, cfg: FrontEndConfig) -> FeatureMatrix:
     """PLP with band-pass filtering of each band's log-energy trajectory."""
     bands, centers_hz = _critical_bands(wave, cfg)
     filtered = np.exp(rasta_filter(np.log(bands)))
-    cep = _bands_to_cepstra(
-        filtered, centers_hz, cfg.num_cepstra - 1, cfg.num_cepstra, cfg.log_floor
-    )
+    cep = _bands_to_cepstra(filtered, centers_hz, cfg.num_cepstra, cfg.log_floor)
     return FeatureMatrix(cep, FeatureKind.RASTA_PLP)
 
 
@@ -459,15 +458,12 @@ def feature_dim(kind: FeatureKind, cfg: FrontEndConfig,
     """Output width of a front-end under a given configuration."""
     if kind == FeatureKind.MEL_SPEC:
         return cfg.num_mel
-    if kind == FeatureKind.MFCC:
+    if kind in (FeatureKind.MFCC, FeatureKind.PLP, FeatureKind.RASTA_PLP):
         return cfg.num_cepstra
     if kind == FeatureKind.MFCC_DELTAS:
         return 3 * cfg.num_cepstra
-    if kind in (FeatureKind.PLP, FeatureKind.RASTA_PLP):
-        return cfg.num_cepstra
     if kind == FeatureKind.SDC:
-        sdc_cfg = sdc_cfg or SdcConfig()
-        return sdc_cfg.out_dim
+        return (sdc_cfg or SdcConfig()).out_dim
     raise ValueError(f"unknown feature kind {kind}")
 
 
@@ -481,17 +477,12 @@ def make_front_end(kind: FeatureKind, cfg: FrontEndConfig,
                 f"sdc base width {sdc_cfg.n} must equal num_mel {cfg.num_mel}"
             )
         return lambda wave: sdc(mel_spectrogram(wave, cfg), sdc_cfg)
-    if kind == FeatureKind.MEL_SPEC:
-        return lambda wave: mel_spectrogram(wave, cfg)
-    if kind == FeatureKind.MFCC:
-        return lambda wave: mfcc(wave, cfg, with_deltas=False)
-    if kind == FeatureKind.MFCC_DELTAS:
-        return lambda wave: mfcc(wave, cfg, with_deltas=True)
-    if kind == FeatureKind.PLP:
-        return lambda wave: plp(wave, cfg)
-    if kind == FeatureKind.RASTA_PLP:
-        return lambda wave: rasta_plp(wave, cfg)
-    raise ValueError(f"unknown feature kind {kind}")
+    fronts = {FeatureKind.MEL_SPEC: mel_spectrogram, FeatureKind.MFCC: mfcc,
+              FeatureKind.MFCC_DELTAS: functools.partial(mfcc, with_deltas=True),
+              FeatureKind.PLP: plp, FeatureKind.RASTA_PLP: rasta_plp}
+    if kind not in fronts:
+        raise ValueError(f"unknown feature kind {kind}")
+    return functools.partial(fronts[kind], cfg=cfg)
 
 
 KWSF_MAGIC = b"KWSF"
@@ -529,4 +520,7 @@ def read_features(path) -> FeatureMatrix:
             f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(blob)}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_KWSF_HEADER.size)
-    return FeatureMatrix(data.reshape(rows, cols).astype(np.float64), kind)
+    try:
+        return FeatureMatrix(data.reshape(rows, cols).astype(np.float64), kind)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -4,6 +4,8 @@ Every gradient check runs in float64 with step 1e-5 and a fixed random
 probe on the output so no direction is accidentally stationary.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,35 @@ class TestDropout:
         out.sum().backward()
         np.testing.assert_allclose(x.grad[kept], 1.0 / 0.7, atol=1e-12)
         np.testing.assert_array_equal(x.grad[~kept], 0.0)
+
+    def test_float32_stays_float32_without_float64_draws(self):
+        x = Tensor(np.ones((64, 1024), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = ad.dropout(x, 0.2, train=True, rng=np.random.default_rng(38))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.dtype == np.float32
+        # The output plus a boolean mask is 1.25x the input; a float64 draw
+        # alone would be 2x.
+        assert peak < 1.5 * x.data.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.5, 0.3])
+    def test_backward_is_the_scaled_forward_mask(self, dtype, rate):
+        rng = np.random.default_rng(39)
+        x = Tensor(rng.normal(size=(40, 50)).astype(dtype), requires_grad=True)
+        out = ad.dropout(x, rate, train=True, rng=rng)
+        seed = rng.normal(size=out.shape).astype(dtype)
+        out.backward(seed)
+        want = seed * (out.data != 0) / (1 - rate)
+        assert x.grad.dtype == dtype
+        # At rate 0.5 the scale is a power of two and the match is exact;
+        # otherwise multiplying by 1 / (1 - rate) may round differently from
+        # dividing by 1 - rate.
+        rtol = 0 if rate == 0.5 else 2 * np.finfo(dtype).eps
+        np.testing.assert_allclose(x.grad, want, rtol=rtol, atol=0)
 
     def test_requires_rng_in_train(self):
         with pytest.raises(ValueError):

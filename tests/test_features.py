@@ -19,6 +19,8 @@ from sdckws.features import (
     FeatureMatrix,
     FrontEndConfig,
     SdcConfig,
+    _bands_to_autocorr,
+    _bands_to_cepstra,
     bark_filterbank,
     bark_scale,
     bark_to_hz,
@@ -106,6 +108,18 @@ class TestMelFilterbank:
     def test_too_many_filters_degenerate(self):
         with pytest.raises(DegenerateFilter):
             mel_filterbank(200, 64, SR)
+
+
+class TestFilterbankCache:
+    @pytest.mark.parametrize("build,args", [(mel_filterbank, (40, 512, SR)),
+                                            (bark_filterbank, (512, SR))])
+    def test_built_once_and_read_only(self, build, args):
+        fbank = build(*args)
+        assert build(*args) is fbank
+        with pytest.raises(ValueError):
+            fbank[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            fbank *= 2.0
 
 
 class TestMelSpectrogram:
@@ -346,6 +360,116 @@ class TestEqualLoudness:
     def test_rises_through_speech_band(self):
         e = equal_loudness(np.array([100.0, 400.0, 1000.0, 2000.0]))
         assert (np.diff(e) > 0).all()
+
+
+def levinson_durbin_loop(r, order):
+    """Scalar Levinson-Durbin recursion on one autocorrelation row."""
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    for m in range(1, order + 1):
+        acc = r[m] + a[1:m] @ r[m - 1 : 0 : -1]
+        reflection = -acc / err
+        a[1:m] += reflection * a[m - 1 : 0 : -1]
+        a[m] = reflection
+        err *= 1.0 - reflection * reflection
+    return a, err
+
+
+def lpc_to_cepstra_loop(a, err, num_cepstra):
+    """Scalar LPC-to-cepstrum recursion on one model."""
+    order = a.shape[0] - 1
+    cep = np.zeros(num_cepstra)
+    cep[0] = np.log(err)
+    for n in range(1, num_cepstra):
+        acc = 0.0
+        for m in range(1, min(n, order + 1)):
+            acc += (n - m) * a[m] * cep[n - m]
+        direct = a[n] if n <= order else 0.0
+        cep[n] = -(direct + acc / n)
+    return cep
+
+
+def bands_to_cepstra_loop(bands, centers_hz, num_cepstra, log_floor):
+    """One frame at a time, the silence fallback for degenerate frames."""
+    order = num_cepstra - 1
+    autocorr = _bands_to_autocorr(bands, centers_hz, order)
+    floor_bands = np.full((1, bands.shape[1]), log_floor)
+    fallback = _bands_to_autocorr(floor_bands, centers_hz, order)[0]
+    out = np.zeros((bands.shape[0], num_cepstra))
+    for t, r in enumerate(autocorr):
+        if not np.isfinite(r).all() or r[0] <= 0:
+            r = fallback
+        out[t] = lpc_to_cepstra_loop(*levinson_durbin_loop(r, order), num_cepstra)
+    return out
+
+
+def random_bands(seed, num_frames, num_bands, degenerate):
+    """Log-uniform band powers; rows flagged degenerate get inf, nan or zeros."""
+    rng = np.random.default_rng(seed)
+    bands = 10.0 ** rng.uniform(-10.0, 6.0, size=(num_frames, num_bands))
+    for t in np.flatnonzero(degenerate):
+        kind = rng.integers(3)
+        if kind == 2:
+            bands[t] = 0.0
+        else:
+            bands[t, rng.integers(num_bands)] = np.inf if kind == 0 else np.nan
+    return bands
+
+
+class TestBatchedRecursions:
+    @given(seed=st.integers(0, 2**32 - 1),
+           degenerate=st.lists(st.booleans(), min_size=1, max_size=12),
+           num_bands=st.integers(8, 24), num_cepstra=st.integers(1, 13))
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_row_matches_scalar_oracle(self, seed, degenerate, num_bands,
+                                             num_cepstra):
+        bands = random_bands(seed, len(degenerate), num_bands, np.array(degenerate))
+        centers = bark_to_hz(np.arange(num_bands))
+        got = _bands_to_cepstra(bands, centers, num_cepstra, 1e-10)
+        want = bands_to_cepstra_loop(bands, centers, num_cepstra, 1e-10)
+        # The arithmetic is the oracle's, each dot product summed in lag
+        # order, so every row agrees bit for bit.
+        np.testing.assert_array_equal(got, want)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           batch=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+           order=st.integers(0, 12), num_cepstra=st.integers(1, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_any_batch_shape_matches_scalar_oracle(self, seed, batch, order,
+                                                   num_cepstra):
+        # Positive spectra give positive-definite autocorrelations.
+        spectrum = np.random.default_rng(seed).uniform(0.05, 2.0, (*batch, 32))
+        full = np.concatenate([spectrum, spectrum[..., -2:0:-1]], axis=-1)
+        r = np.real(np.fft.ifft(full, axis=-1))[..., : order + 1]
+        a, err = levinson_durbin(r, order)
+        cep = lpc_to_cepstra(a, err, num_cepstra)
+        assert a.shape == r.shape and np.shape(err) == tuple(batch)
+        assert cep.shape == (*batch, num_cepstra)
+        for idx in np.ndindex(*batch):
+            a_row, err_row = levinson_durbin_loop(r[idx], order)
+            np.testing.assert_array_equal(a[idx], a_row)
+            assert err[idx] == err_row
+            np.testing.assert_array_equal(
+                cep[idx], lpc_to_cepstra_loop(a_row, err_row, num_cepstra))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_frame_does_not_depend_on_its_batch(self):
+        bands = random_bands(3, 9, 20, np.arange(9) % 4 == 1)
+        centers = bark_to_hz(np.arange(20))
+        whole = _bands_to_cepstra(bands, centers, 13, 1e-10)
+        perm = np.random.default_rng(4).permutation(9)
+        shuffled = _bands_to_cepstra(bands[perm], centers, 13, 1e-10)
+        np.testing.assert_array_equal(shuffled, whole[perm])
+        for t in range(9):
+            alone = _bands_to_cepstra(bands[t : t + 1], centers, 13, 1e-10)
+            np.testing.assert_array_equal(alone[0], whole[t])
+
+    def test_rejects_any_nonpositive_leading_lag(self):
+        r = np.array([[1.0, 0.5], [0.0, 0.0], [2.0, 0.1]])
+        with pytest.raises(ValueError):
+            levinson_durbin(r, 1)
 
 
 class TestLevinsonDurbin:
@@ -599,4 +723,13 @@ class TestFeatureFile:
         path = tmp_path / "f.kwsf"
         path.write_bytes(struct.pack("<4sHHII", b"KWSF", 2, 1, 0, 0))
         with pytest.raises(FormatError):
+            read_features(path)
+
+    def test_non_finite_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "f.kwsf"
+        write_features(path, FeatureMatrix(np.ones((3, 4)), FeatureKind.MFCC))
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="f.kwsf"):
             read_features(path)

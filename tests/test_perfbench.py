@@ -3,8 +3,8 @@
 perfbench/spans.py wraps program functions by name and replays layers
 with the arguments it captured; a rename or a changed layer call would
 only surface as a failed `perfbench/run.py --trace 1`. These run its
-`instrument` in a fresh process, then one front-end or one tiny
-training run, and check what the traced run reads from it.
+`instrument` in a fresh process, then each of the six front-ends or one
+tiny training run, and check what the traced run reads from it.
 """
 
 import os
@@ -22,11 +22,16 @@ from sdckws.dsp import Waveform
 
 tracer = spans.Tracer()
 spans.instrument(tracer)
-front = features.make_front_end(features.FeatureKind.SDC,
-                                 features.FrontEndConfig())
-front(Waveform(np.random.default_rng(0).normal(size=1600), 16000))
-missing = set(spans.DSP_SPANS) - {span.name for span in tracer.spans}
-assert not missing, sorted(missing)
+wave = Waveform(np.random.default_rng(0).normal(size=1600), 16000)
+for name, kind in features.FEATURE_NAMES.items():
+    front = tracer.wrap(features.make_front_end(kind, features.FrontEndConfig()),
+                        f"features.{name}")
+    front(wave)
+    # extract-1s charges dsp spans to the front-end span that encloses them.
+    outer = tracer.spans[-1]
+    found = {span.name for span in tracer.spans if span.parent is outer}
+    missing = set(spans.DSP_SPANS) - found
+    assert not missing, (name, sorted(missing))
 """
 
 # 2 keywords x 5 clips and as many negatives; validation keeps one of
