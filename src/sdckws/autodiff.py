@@ -3,12 +3,13 @@
 A Tensor wraps an ndarray and records the operation that produced it
 as a closure; backward() walks the graph in reverse topological order
 and accumulates gradients into every tensor that requires them. The
-op set is exactly what the matcher needs: broadcasting arithmetic,
-matmul, sum, shape moves, indexing, the pointwise nonlinearities,
-softmax, 2-D convolution, masked batch norm (one node, with the
-closed-form backward), the masked GRU scan (one node per direction,
-with hand-written backpropagation through time), dropout, and the
-fused sigmoid + binary cross-entropy loss.
+op set is exactly what the matcher's graph reaches, and a test walks a
+training graph to keep it so: broadcasting add and mul, matmul, the
+shape moves reshape, transpose, take and concat, sigmoid, softmax, 2-D
+convolution, masked batch norm (one node, with the closed-form
+backward), the masked GRU scan (one node per direction, with
+hand-written backpropagation through time), dropout, and the fused
+sigmoid + mean binary cross-entropy loss.
 """
 
 from __future__ import annotations
@@ -118,28 +119,16 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap_const(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -151,21 +140,11 @@ class Tensor:
             return transpose(self, tuple(axes[0]))
         return transpose(self, axes)
 
-    def tanh(self):
-        return tanh(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-
-def _wrap_const(value, dtype):
-    return Tensor(np.asarray(value, dtype=dtype))
-
 
 def _as_tensor(value, like: Tensor) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return _wrap_const(value, like.dtype)
+    return Tensor(np.asarray(value, dtype=like.dtype))
 
 
 def _add_grad(tensor: Tensor, grad, fresh: bool = False):
@@ -221,21 +200,6 @@ def add(a: Tensor, b) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    out, tracked = _from_op(a.data - b.data, (a, b))
-    if tracked:
-
-        def _backward():
-            if a.requires_grad:
-                _add_grad(a, _unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                _add_grad(b, _unbroadcast(-out.grad, b.data.shape), fresh=True)
-
-        out._backward_fn = _backward
-    return out
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out, tracked = _from_op(a.data * b.data, (a, b))
@@ -272,27 +236,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 grad_b = np.swapaxes(a.data, -1, -2) @ out.grad
                 _add_grad(b, _unbroadcast(grad_b, b.data.shape), fresh=True)
-
-        out._backward_fn = _backward
-    return out
-
-
-def _expand_reduced(grad, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(grad, shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    if not keepdims:
-        for ax in sorted(a % len(shape) for a in axes):
-            grad = np.expand_dims(grad, ax)
-    return np.broadcast_to(grad, shape)
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out, tracked = _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-    if tracked:
-
-        def _backward():
-            _add_grad(a, _expand_reduced(out.grad, a.data.shape, axis, keepdims))
 
         out._backward_fn = _backward
     return out
@@ -348,17 +291,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             for tensor, piece in zip(tensors, pieces):
                 if tensor.requires_grad:
                     _add_grad(tensor, piece)
-
-        out._backward_fn = _backward
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    out, tracked = _from_op(np.tanh(a.data), (a,))
-    if tracked:
-
-        def _backward():
-            _add_grad(a, out.grad * (1.0 - out.data * out.data), fresh=True)
 
         out._backward_fn = _backward
     return out
@@ -724,14 +656,12 @@ def dropout(x: Tensor, rate: float, train: bool,
     return out
 
 
-def sigmoid_bce(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
-    """Binary cross-entropy on raw logits via the stable log-sum-exp form.
+def sigmoid_bce(logits: Tensor, targets) -> Tensor:
+    """Mean binary cross-entropy on raw logits via the stable log-sum-exp form.
 
-    loss = max(x, 0) - x * t + log(1 + exp(-|x|)); gradient wrt x is
-    sigmoid(x) - t (scaled by 1/n under mean reduction).
+    loss = mean(max(x, 0) - x * t + log(1 + exp(-|x|))) over the n
+    logits; the gradient wrt x is (sigmoid(x) - t) / n.
     """
-    if reduction not in ("mean", "sum", "none"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     t = np.asarray(targets, dtype=logits.data.dtype)
     if t.shape != logits.data.shape:
         raise ShapeError(
@@ -741,21 +671,12 @@ def sigmoid_bce(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
         raise ValueError("targets must be 0 or 1")
     x = logits.data
     elems = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-    if reduction == "mean":
-        data = np.asarray(elems.mean(), dtype=x.dtype)
-    elif reduction == "sum":
-        data = np.asarray(elems.sum(), dtype=x.dtype)
-    else:
-        data = elems
+    data = np.asarray(elems.mean(), dtype=x.dtype)
     out, tracked = _from_op(data, (logits,))
     if tracked:
 
         def _backward():
-            base = expit(x) - t
-            if reduction == "mean":
-                _add_grad(logits, out.grad * base / x.size, fresh=True)
-            else:
-                _add_grad(logits, out.grad * base, fresh=True)
+            _add_grad(logits, out.grad * (expit(x) - t) / x.size, fresh=True)
 
         out._backward_fn = _backward
     return out

@@ -20,6 +20,9 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 from . import data as data_module
 from . import metrics as metrics_module
 from . import model as model_module
@@ -51,8 +54,11 @@ def _setup_logging():
 def load_ini(path) -> dict:
     """Read and decode the config file, rejecting unknown sections and keys."""
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as handle:
-        parser.read_file(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc})") from None
     types = {}
     for section, f in model_module.config_fields():
         if section == "sdc":
@@ -107,6 +113,15 @@ def build_model_config(args) -> model_module.ModelConfig:
         raise UsageError(str(exc)) from None
     _log_config(cfg)
     return cfg
+
+
+def _log_environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    LOG.info("environment: numpy %s, scipy %s, blas %s %s, %s, cpus %s",
+             np.__version__, scipy.__version__, blas.get("name"),
+             blas.get("version"), threads, os.cpu_count())
 
 
 def _log_config(cfg):
@@ -299,6 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "synth" and len(args.keywords) < 2:
         parser.error("synth needs at least 2 keywords")
+    _log_environment()
     try:
         return args.handler(args)
     except (UsageError, ValueError) as exc:

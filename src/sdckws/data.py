@@ -68,8 +68,11 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE) -> Waveform:
                     f" need {expected_rate}"
                 )
             raw = handle.readframes(handle.getnframes())
-    except wave_module.Error as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    except (wave_module.Error, EOFError) as exc:
+        raise FormatError(
+            f"{path}: {str(exc) or 'file ends inside the RIFF header'}") from None
+    if len(raw) % 2:
+        raise FormatError(f"{path}: file ends inside a sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, expected_rate)
 
@@ -95,36 +98,45 @@ class Example:
 
 
 def load_manifest(path) -> list[Example]:
-    """Read a JSONL manifest, validating fields and file existence."""
+    """Read a JSONL manifest, validating fields, text and file existence."""
     base = os.path.dirname(os.path.abspath(str(path)))
     examples = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"line {lineno}: invalid JSON ({exc})") from None
-            if not isinstance(record, dict):
-                raise ManifestError(f"line {lineno}: expected an object")
-            for key in ("audio", "text", "label"):
-                if key not in record:
-                    raise ManifestError(f"line {lineno}: missing field {key!r}")
-            label = record["label"]
-            if isinstance(label, bool) or label not in (0, 1):
-                raise ManifestError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-            text = record["text"]
-            if not isinstance(text, str) or not text:
-                raise ManifestError(f"line {lineno}: text must be a non-empty string")
-            audio = record["audio"]
-            if not isinstance(audio, str) or not audio:
-                raise ManifestError(f"line {lineno}: audio must be a non-empty string")
-            resolved = audio if os.path.isabs(audio) else os.path.join(base, audio)
-            if not os.path.isfile(resolved):
-                raise ManifestError(f"line {lineno}: audio file {audio!r} not found")
-            examples.append(Example(resolved, text, int(label)))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path} line {lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{where}: invalid JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise ManifestError(f"{where}: expected an object")
+        for key in ("audio", "text", "label"):
+            if key not in record:
+                raise ManifestError(f"{where}: missing field {key!r}")
+        label = record["label"]
+        if isinstance(label, bool) or label not in (0, 1):
+            raise ManifestError(f"{where}: label must be 0 or 1, got {label!r}")
+        text = record["text"]
+        if not isinstance(text, str) or not text:
+            raise ManifestError(f"{where}: text must be a non-empty string")
+        try:
+            tokenize(text)
+        except TokenizeError as exc:
+            raise ManifestError(f"{where}: text {text!r}: {exc}") from None
+        audio = record["audio"]
+        if not isinstance(audio, str) or not audio:
+            raise ManifestError(f"{where}: audio must be a non-empty string")
+        resolved = audio if os.path.isabs(audio) else os.path.join(base, audio)
+        if not os.path.isfile(resolved):
+            raise ManifestError(f"{where}: audio file {audio!r} not found")
+        examples.append(Example(resolved, text, int(label)))
     if not examples:
         raise EmptyDataset(f"{path} holds no examples")
     return examples

@@ -51,15 +51,6 @@ class ScoredSet:
             raise DegenerateLabels("need at least one positive and one negative")
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    """Operating points (false positive rate, true positive rate, threshold)."""
-
-    fpr: np.ndarray
-    tpr: np.ndarray
-    thresholds: np.ndarray
-
-
 def auc(scored: ScoredSet) -> float:
     """Rank-based area under the ROC curve; ties count one half."""
     scored.require_both_classes()
@@ -70,24 +61,19 @@ def auc(scored: ScoredSet) -> float:
     return (pos_rank_sum - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg)
 
 
-def _operating_points(scored: ScoredSet):
-    """FAR and FRR at every distinct threshold, plus one above the maximum.
+def eer(scored: ScoredSet) -> float:
+    """Rate at the crossing of false-accept and false-reject rates.
 
-    Accept means score >= threshold. Thresholds ascend, so FAR falls
+    FAR and FRR are taken at every distinct score and at +inf, with
+    accept meaning score >= threshold. Thresholds ascend, so FAR falls
     from 1 to 0 while FRR climbs from 0 to 1.
     """
+    scored.require_both_classes()
     thresholds = np.concatenate([np.unique(scored.scores), [np.inf]])
     pos = np.sort(scored.scores[scored.labels == 1])
     neg = np.sort(scored.scores[scored.labels == 0])
     far = 1.0 - np.searchsorted(neg, thresholds, side="left") / neg.shape[0]
     frr = np.searchsorted(pos, thresholds, side="left") / pos.shape[0]
-    return thresholds, far, frr
-
-
-def eer(scored: ScoredSet) -> float:
-    """Rate at the crossing of false-accept and false-reject rates."""
-    scored.require_both_classes()
-    _, far, frr = _operating_points(scored)
     gap = frr - far
     crossing = int(np.searchsorted(gap >= 0.0, True))
     if gap[crossing] == 0.0:
@@ -96,15 +82,6 @@ def eer(scored: ScoredSet) -> float:
     span = gap[j + 1] - gap[j]
     fraction = -gap[j] / span
     return float(far[j] + fraction * (far[j + 1] - far[j]))
-
-
-def roc_curve(scored: ScoredSet) -> RocCurve:
-    """ROC operating points from threshold +inf down to the minimum score."""
-    scored.require_both_classes()
-    thresholds, far, frr = _operating_points(scored)
-    order = np.arange(thresholds.shape[0])[::-1]
-    return RocCurve(fpr=far[order], tpr=1.0 - frr[order],
-                    thresholds=thresholds[order])
 
 
 def f1_at(scored: ScoredSet, threshold: float) -> float:

@@ -102,45 +102,42 @@ H = 1e-5
 REL_TOL = 1e-4
 
 
-def probe_value(out, seed):
-    weights = np.random.default_rng(seed).normal(size=out.shape)
-    return weights
+def objective(forward, probe):
+    data = forward().data
+    return float(data if probe is None else (data * probe).sum())
 
 
-def objective(forward, seed):
-    out = forward()
-    data = out.data if isinstance(out, Tensor) else out
-    if data.shape == ():
-        return out if isinstance(out, Tensor) else float(data)
-    return (out * probe_value(data, seed)).sum()
-
-
-def numeric_grad(forward, leaf, seed):
+def numeric_grad(forward, leaf, probe):
     grad = np.zeros_like(leaf.data)
     flat = leaf.data.reshape(-1)
     with no_grad():
         for i in range(flat.shape[0]):
             keep = flat[i]
             flat[i] = keep + H
-            hi = objective(forward, seed)
-            hi = hi.data if isinstance(hi, Tensor) else hi
+            hi = objective(forward, probe)
             flat[i] = keep - H
-            lo = objective(forward, seed)
-            lo = lo.data if isinstance(lo, Tensor) else lo
+            lo = objective(forward, probe)
             flat[i] = keep
-            grad.reshape(-1)[i] = (float(hi) - float(lo)) / (2.0 * H)
+            grad.reshape(-1)[i] = (hi - lo) / (2.0 * H)
     return grad
 
 
 def check_gradients(forward, leaves, seed):
+    """Seeded backward against central differences of the same contraction.
+
+    A scalar output is differentiated as it is; any other is contracted
+    with a normal probe fixed by seed.
+    """
     for leaf in leaves:
         leaf.grad = None
-    loss = objective(forward, seed)
-    loss.backward()
+    out = forward()
+    probe = (None if out.shape == ()
+             else np.random.default_rng(seed).normal(size=out.shape))
+    out.backward(probe)
     worst = 0.0
     for leaf in leaves:
         assert leaf.grad is not None
-        numeric = numeric_grad(forward, leaf, seed)
+        numeric = numeric_grad(forward, leaf, probe)
         scale = max(np.abs(leaf.grad).max(), np.abs(numeric).max(), 1e-6)
         worst = max(worst, np.abs(leaf.grad - numeric).max() / scale)
     assert worst < REL_TOL, worst

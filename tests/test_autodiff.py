@@ -49,30 +49,38 @@ def numeric_grad(fn, tensor):
         keep = flat[i]
         flat[i] = keep + H
         with no_grad():
-            up = fn().item()
+            up = fn()
         flat[i] = keep - H
         with no_grad():
-            down = fn().item()
+            down = fn()
         flat[i] = keep
         grad_flat[i] = (up - down) / (2.0 * H)
     return out
 
 
-def check_grads(fn, leaves):
-    """Assert analytic and numeric gradients agree for every leaf."""
+def check_grads(fn, leaves, seed=None):
+    """Assert analytic and numeric gradients agree for every leaf.
+
+    fn builds a tensor. With seed=None it must be a scalar and is
+    differentiated as it is; otherwise it is contracted with a normal
+    probe fixed by seed: a seeded backward on the analytic side and a
+    numpy dot on the numeric side.
+    """
     for t in leaves:
         t.zero_grad()
-    fn().backward()
+    out = fn()
+    probe = None if seed is None else np.random.default_rng(seed).normal(
+        size=out.shape)
+    out.backward(probe)
+
+    def contracted():
+        data = fn().data
+        return float(data if probe is None else (data * probe).sum())
+
     for t in leaves:
         assert t.grad is not None, "gradient did not reach a leaf"
-        err = rel_error(t.grad, numeric_grad(fn, t))
+        err = rel_error(t.grad, numeric_grad(contracted, t))
         assert err < REL_TOL, f"gradient mismatch: rel error {err:.3e}"
-
-
-def probed(out, seed):
-    """Contract a tensor to a scalar with a probe fixed by its seed."""
-    probe = np.random.default_rng(seed).normal(size=out.shape)
-    return (out * Tensor(probe)).sum()
 
 
 class TestTensorBasics:
@@ -100,20 +108,20 @@ class TestTensorBasics:
 
     def test_grad_accumulates_across_fresh_graphs(self):
         t = Tensor(np.array([1.5]), requires_grad=True)
-        (t * 3.0).sum().backward()
-        (t * 4.0).sum().backward()
+        (t * 3.0).backward()
+        (t * 4.0).backward()
         np.testing.assert_allclose(t.grad, [7.0])
 
     def test_zero_grad(self):
         t = Tensor(np.array([1.0]), requires_grad=True)
-        (t * 2.0).sum().backward()
+        (t * 2.0).backward()
         t.zero_grad()
         assert t.grad is None
 
     def test_no_grad_blocks_tracking(self):
         t = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
-            out = (t * 2.0).sum()
+            out = t * 2.0
         assert not out.requires_grad
         assert out._backward_fn is None
 
@@ -128,10 +136,10 @@ class TestGradBuffers:
     @pytest.mark.parametrize("build", [
         lambda a, b: a + a,
         lambda a, b: a * a,
-        lambda a, b: ad.tanh(a) * ad.sigmoid(a),  # one input, two ops
+        lambda a, b: ad.sigmoid(a) * ad.softmax(a),  # one input, two ops
         lambda a, b: a + b,
-        lambda a, b: (a * b) - b,
-    ], ids=["a+a", "a*a", "one-input-two-ops", "a+b", "a*b-b"])
+        lambda a, b: a * b + b,
+    ], ids=["a+a", "a*a", "one-input-two-ops", "a+b", "a*b+b"])
     def test_no_two_grads_share_memory(self, build):
         rng = np.random.default_rng(5)
         a, b = leaf(rng, (3, 4)), leaf(rng, (3, 4))
@@ -148,24 +156,25 @@ class TestArithmeticGradients:
         rng = np.random.default_rng(0)
         a, b = leaf(rng, (3, 4)), leaf(rng, (3, 4))
         probe = 1
-        check_grads(lambda: probed((a + b) * a - b, probe), [a, b])
+        # Subtraction is adding the operand scaled by -1.
+        check_grads(lambda: (a + b) * a + b * -1.0, [a, b], probe)
 
     def test_broadcast_row_and_scalar(self):
         rng = np.random.default_rng(2)
         a, row = leaf(rng, (4, 5)), leaf(rng, (5,))
         probe = 3
-        check_grads(lambda: probed(a * row + 2.0, probe), [a, row])
+        check_grads(lambda: a * row + 2.0, [a, row], probe)
 
     def test_broadcast_column(self):
         rng = np.random.default_rng(4)
         a, col = leaf(rng, (4, 5)), leaf(rng, (4, 1))
         probe = 5
-        check_grads(lambda: probed(a + col, probe), [a, col])
+        check_grads(lambda: a + col, [a, col], probe)
 
-    def test_rsub_rmul(self):
+    def test_radd_rmul(self):
         a = Tensor(np.array([2.0]), requires_grad=True)
-        out = (5.0 - a) * 2.0
-        out.sum().backward()
+        out = 2.0 * (5.0 + -1.0 * a)
+        out.backward()
         np.testing.assert_allclose(a.grad, [-2.0])
 
 
@@ -174,19 +183,19 @@ class TestMatmulGradients:
         rng = np.random.default_rng(8)
         a, b = leaf(rng, (4, 6)), leaf(rng, (6, 3))
         probe = 9
-        check_grads(lambda: probed(a @ b, probe), [a, b])
+        check_grads(lambda: a @ b, [a, b], probe)
 
     def test_batched_with_broadcast(self):
         rng = np.random.default_rng(10)
         a, b = leaf(rng, (5, 4, 6)), leaf(rng, (6, 3))
         probe = 11
-        check_grads(lambda: probed(a @ b, probe), [a, b])
+        check_grads(lambda: a @ b, [a, b], probe)
 
     def test_batched_both_sides(self):
         rng = np.random.default_rng(12)
         a, b = leaf(rng, (2, 3, 4)), leaf(rng, (2, 4, 5))
         probe = 13
-        check_grads(lambda: probed(a @ b, probe), [a, b])
+        check_grads(lambda: a @ b, [a, b], probe)
 
     def test_rejects_1d(self):
         with pytest.raises(ShapeError):
@@ -198,56 +207,47 @@ class TestMatmulGradients:
 
 
 class TestReductionsAndShapes:
-    def test_sum_axes(self):
-        rng = np.random.default_rng(14)
-        a = leaf(rng, (3, 4, 2))
-        probe = 15
-        check_grads(lambda: probed(a.sum(axis=1), probe), [a])
-        check_grads(lambda: probed(a.sum(axis=(0, 2), keepdims=True), probe), [a])
-        check_grads(lambda: a.sum(), [a])
-
     def test_reshape_round_trip(self):
         rng = np.random.default_rng(17)
         a = leaf(rng, (3, 8))
         probe = 18
-        check_grads(lambda: probed(a.reshape(3, 2, 4), probe), [a])
+        check_grads(lambda: a.reshape(3, 2, 4), [a], probe)
 
     def test_transpose(self):
         rng = np.random.default_rng(19)
         a = leaf(rng, (3, 4, 5))
         probe = 20
-        check_grads(lambda: probed(a.transpose(2, 0, 1), probe), [a])
+        check_grads(lambda: a.transpose(2, 0, 1), [a], probe)
         b = leaf(rng, (3, 4))
         probe2 = 21
-        check_grads(lambda: probed(b.transpose(), probe2), [b])
+        check_grads(lambda: b.transpose(), [b], probe2)
 
     def test_take_rows(self):
         rng = np.random.default_rng(22)
         table = leaf(rng, (7, 4))
         idx = np.array([1, 1, 3, 6])
         probe = 23
-        check_grads(lambda: probed(table[idx], probe), [table])
+        check_grads(lambda: table[idx], [table], probe)
 
     def test_take_repeated_rows_accumulate(self):
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
         out = table[np.array([0, 0, 0])]
-        out.sum().backward()
+        out.backward(np.ones_like(out.data))
         np.testing.assert_allclose(table.grad, [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_concat(self):
         rng = np.random.default_rng(24)
         a, b = leaf(rng, (2, 3)), leaf(rng, (2, 5))
         probe = 25
-        check_grads(lambda: probed(ad.concat([a, b], axis=1), probe), [a, b])
+        check_grads(lambda: ad.concat([a, b], axis=1), [a, b], probe)
 
 
 class TestElementwiseGradients:
-    def test_tanh_sigmoid(self):
+    def test_sigmoid_gradient(self):
         rng = np.random.default_rng(26)
         a = leaf(rng, (4, 4))
         probe = 27
-        check_grads(lambda: probed(ad.tanh(a), probe), [a])
-        check_grads(lambda: probed(ad.sigmoid(a), probe), [a])
+        check_grads(lambda: ad.sigmoid(a), [a], probe)
 
     def test_sigmoid_known_values(self):
         out = ad.sigmoid(Tensor(np.array([0.0, 100.0, -100.0])))
@@ -267,7 +267,7 @@ class TestElementwiseGradients:
         a = leaf(rng, (3, 5))
         probe = 30
         # The probe matters: an unprobed sum of softmax rows is constant.
-        check_grads(lambda: probed(ad.softmax(a), probe), [a])
+        check_grads(lambda: ad.softmax(a), [a], probe)
 
 
 class TestConv2d:
@@ -313,9 +313,7 @@ class TestConv2d:
             b = leaf(rng, (4,))
             probe = 35
             check_grads(
-                lambda: probed(ad.conv2d(x, k, b, stride_t=stride), probe),
-                [x, k, b],
-            )
+                lambda: ad.conv2d(x, k, b, stride_t=stride), [x, k, b], probe)
 
     def test_batch_rows_match_single_examples_exactly(self):
         # Each example is its own GEMM, so batch composition cannot move
@@ -342,19 +340,19 @@ class TestConv2d:
             x = leaf(rng, (3, 2, 6, 4))
             k = leaf(rng, (3, 2, 3, 3))
             probe = 38
-            check_grads(lambda: probed(ad.conv2d(x, k, stride_t=stride), probe),
-                        [x, k])
+            check_grads(lambda: ad.conv2d(x, k, stride_t=stride),
+                        [x, k], probe)
 
     def test_gradient_to_one_operand_only(self):
         rng = np.random.default_rng(39)
         probe = 40
         x_const = Tensor(rng.normal(size=(2, 2, 5, 4)))
         k = leaf(rng, (3, 2, 3, 3))
-        check_grads(lambda: probed(ad.conv2d(x_const, k, stride_t=2), probe), [k])
+        check_grads(lambda: ad.conv2d(x_const, k, stride_t=2), [k], probe)
         assert x_const.grad is None
         x = leaf(rng, (2, 2, 5, 4))
         k_const = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        check_grads(lambda: probed(ad.conv2d(x, k_const, stride_t=2), probe), [x])
+        check_grads(lambda: ad.conv2d(x, k_const, stride_t=2), [x], probe)
         assert k_const.grad is None
 
     def test_rejects_bad_shapes(self):
@@ -391,7 +389,7 @@ class TestDropout:
         x = Tensor(np.ones(1000), requires_grad=True)
         out = ad.dropout(x, 0.3, train=True, rng=np.random.default_rng(37))
         kept = out.data != 0.0
-        out.sum().backward()
+        out.backward(np.ones_like(out.data))
         np.testing.assert_allclose(x.grad[kept], 1.0 / 0.7, atol=1e-12)
         np.testing.assert_array_equal(x.grad[~kept], 0.0)
 
@@ -447,18 +445,15 @@ class TestSigmoidBce:
         assert np.isfinite(loss.item())
 
     def test_saturated_wrong_logits_linear(self):
-        loss = ad.sigmoid_bce(
-            Tensor(np.array([40.0])), np.array([0.0]), reduction="sum"
-        )
+        loss = ad.sigmoid_bce(Tensor(np.array([40.0])), np.array([0.0]))
         assert loss.item() == pytest.approx(40.0, rel=1e-12)
 
     def test_grad_is_sigmoid_minus_target(self):
         rng = np.random.default_rng(38)
         logits = Tensor(rng.normal(size=12) * 5.0, requires_grad=True)
         targets = (rng.random(12) > 0.5).astype(float)
-        loss = ad.sigmoid_bce(logits, targets, reduction="sum")
-        loss.backward()
-        expect = 1.0 / (1.0 + np.exp(-logits.data)) - targets
+        ad.sigmoid_bce(logits, targets).backward()
+        expect = (1.0 / (1.0 + np.exp(-logits.data)) - targets) / 12
         np.testing.assert_allclose(logits.grad, expect, atol=1e-12)
 
     def test_mean_reduction_scales_grad(self):
@@ -467,19 +462,11 @@ class TestSigmoidBce:
         expect = (1.0 / (1.0 + np.exp(-logits.data)) - [1.0, 0.0]) / 2.0
         np.testing.assert_allclose(logits.grad, expect, atol=1e-12)
 
-    def test_none_reduction_shape(self):
-        loss = ad.sigmoid_bce(Tensor(np.zeros(5)), np.ones(5), reduction="none")
-        assert loss.shape == (5,)
-
     def test_matches_naive_formula_fd(self):
         rng = np.random.default_rng(39)
         logits = leaf(rng, (6,))
         targets = (rng.random(6) > 0.5).astype(float)
         check_grads(lambda: ad.sigmoid_bce(logits, targets), [logits])
-
-    def test_rejects_unknown_reduction(self):
-        with pytest.raises(ValueError):
-            ad.sigmoid_bce(Tensor(np.zeros(2)), np.zeros(2), reduction="max")
 
 
 class TestDense:
@@ -506,8 +493,8 @@ class TestDense:
         layer = Dense(4, 3, rng, dtype=np.float64)
         x = leaf(np.random.default_rng(4), (5, 4))
         probe = 5
-        check_grads(lambda: probed(layer(x), probe),
-                    [x, layer.weight, layer.bias])
+        check_grads(lambda: layer(x),
+                    [x, layer.weight, layer.bias], probe)
 
 
 class TestBatchNorm:
@@ -558,9 +545,9 @@ class TestBatchNorm:
             # Freeze running stats so repeated calls stay comparable.
             bn.running_mean = np.zeros(2)
             bn.running_var = np.ones(2)
-            return probed(bn(x, train=True), probe)
+            return bn(x, train=True)
 
-        check_grads(fn, [x, bn.gamma, bn.beta])
+        check_grads(fn, [x, bn.gamma, bn.beta], probe)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
@@ -581,15 +568,15 @@ class TestBatchNormOp:
         self.mask = self.mask.astype(np.float64)[:, None, :, None]
 
     def test_train_gradients_with_partial_mask(self):
-        check_grads(lambda: probed(ad.batch_norm(
-            self.x, self.gamma, self.beta, self.mask)[0], 41),
-            [self.x, self.gamma, self.beta])
+        check_grads(lambda: ad.batch_norm(
+            self.x, self.gamma, self.beta, self.mask)[0],
+            [self.x, self.gamma, self.beta], 41)
 
     def test_eval_gradients_with_partial_mask(self):
         moments = (np.array([0.3, -0.2]), np.array([1.7, 0.4]))
-        check_grads(lambda: probed(ad.batch_norm(
-            self.x, self.gamma, self.beta, self.mask, moments)[0], 42),
-            [self.x, self.gamma, self.beta])
+        check_grads(lambda: ad.batch_norm(
+            self.x, self.gamma, self.beta, self.mask, moments)[0],
+            [self.x, self.gamma, self.beta], 42)
 
     @pytest.mark.parametrize("moments", [None, (np.zeros(2), np.ones(2))],
                              ids=["train", "eval"])
@@ -605,7 +592,7 @@ class TestBatchNormOp:
 
     def test_masked_frames_get_no_gradient(self):
         out, _ = ad.batch_norm(self.x, self.gamma, self.beta, self.mask)
-        probed(out, 43).backward()
+        out.backward(np.random.default_rng(43).normal(size=out.shape))
         padded = np.broadcast_to(self.mask == 0, out.shape)
         assert np.all(self.x.grad[padded] == 0.0)
 
@@ -695,7 +682,7 @@ class TestGru:
         x = leaf(np.random.default_rng(20), (2, 4, 2))
         probe = 21
         leaves = [x] + list(gru.named_params("g").values())
-        check_grads(lambda: probed(gru(x)[0], probe), leaves)
+        check_grads(lambda: gru(x)[0], leaves, probe)
 
     def test_rejects_2d_input(self):
         gru = Gru(2, 3, np.random.default_rng(22))
@@ -719,20 +706,20 @@ class TestGruScan:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_with_partial_mask(self, reverse):
         x, w, u, b = scan_inputs(np.random.default_rng(60), (2, 5, 3), 4)
-        check_grads(lambda: probed(ad.gru_scan(x, w, u, b, self.MASK, reverse),
-                                   61), [x, *w, *u, *b])
+        check_grads(lambda: ad.gru_scan(x, w, u, b, self.MASK, reverse),
+                    [x, *w, *u, *b], 61)
 
     def test_gradient_to_input_only(self):
         x, w, u, b = scan_inputs(np.random.default_rng(62), (2, 5, 3), 4,
                                  param_grad=False)
-        check_grads(lambda: probed(ad.gru_scan(x, w, u, b, self.MASK), 63), [x])
+        check_grads(lambda: ad.gru_scan(x, w, u, b, self.MASK), [x], 63)
         assert all(p.grad is None for p in (*w, *u, *b))
 
     def test_gradient_to_params_only(self):
         x, w, u, b = scan_inputs(np.random.default_rng(64), (2, 5, 3), 4,
                                  x_grad=False)
-        check_grads(lambda: probed(ad.gru_scan(x, w, u, b, self.MASK, True), 65),
-                    [*w, *u, *b])
+        check_grads(lambda: ad.gru_scan(x, w, u, b, self.MASK, True),
+                    [*w, *u, *b], 65)
         assert x.grad is None
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -809,7 +796,7 @@ class TestBiGru:
         x = leaf(np.random.default_rng(27), (1, 3, 2))
         probe = 28
         leaves = [x] + list(bigru.named_params("b").values())
-        check_grads(lambda: probed(bigru(x)[0], probe), leaves)
+        check_grads(lambda: bigru(x)[0], leaves, probe)
 
 
 class TestCrossAttention:
@@ -878,7 +865,7 @@ class TestCrossAttention:
         kv = leaf(np.random.default_rng(37), (1, 3, 4))
         probe = 38
         leaves = [q, kv] + list(att.named_params("a").values())
-        check_grads(lambda: probed(att(q, kv, kv), probe), leaves)
+        check_grads(lambda: att(q, kv, kv), leaves, probe)
 
     def test_rejects_wrong_dim(self):
         rng = np.random.default_rng(39)
@@ -911,8 +898,8 @@ class TestAdam:
         opt = Adam([w], lr=0.3)
         for _ in range(100):
             opt.zero_grad()
-            loss = ((w - 3.0) * (w - 3.0)).sum()
-            loss.backward()
+            error = w + -3.0
+            (error * error).backward()
             opt.step()
         assert abs(w.data[0] - 3.0) < 0.1
 
@@ -924,7 +911,7 @@ class TestAdam:
 
     def test_zero_grad_clears(self):
         w = parameter(np.array([1.0]))
-        (w * 2.0).sum().backward()
+        (w * 2.0).backward()
         opt = Adam([w], lr=0.1)
         opt.zero_grad()
         assert w.grad is None
@@ -944,7 +931,7 @@ class TestAdam:
             opt = Adam([w], lr=0.05)
             for _ in range(10):
                 opt.zero_grad()
-                (w * w).sum().backward()
+                (w * w).backward(np.ones(2))
                 opt.step()
             return w.data.copy()
 

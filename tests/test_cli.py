@@ -131,6 +131,25 @@ class TestExtract:
         result = run_cli("extract", second_wav, "--sdc", "40-1-3")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("size", [0, 20, 1001],
+                             ids=["empty", "truncated", "half-sample"])
+    def test_short_wav_is_runtime_error(self, second_wav, tmp_path, size):
+        short = tmp_path / "short.wav"
+        short.write_bytes(second_wav.read_bytes()[:size])
+        result = run_cli("extract", short, "-o", tmp_path / "f.kwsf")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "short.wav" in result.stderr
+
+    def test_non_utf8_config_is_usage_error(self, second_wav, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[model]\nfeature = m\xffl\n")
+        result = run_cli("extract", second_wav, "--config", bad,
+                         "-o", tmp_path / "f.kwsf")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "bad.ini: not UTF-8" in result.stderr
+
 
 class TestSynth:
     def test_counts_and_layout(self, workspace):
@@ -355,6 +374,13 @@ class TestEval:
         assert "bad_name.kwsm" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_non_utf8_manifest_is_runtime_error(self, workspace, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"audio": "a.wav", "text": "\xff", "label": 1}\n')
+        result = run_cli("eval", "--manifest", bad, "--ckpt", workspace["ckpt"])
+        assert result.returncode == 1
+        assert "bad.jsonl: not UTF-8" in result.stderr
+
     def test_missing_checkpoint_is_runtime_error(self, workspace, tmp_path):
         result = run_cli("eval", "--manifest", workspace["manifest"],
                          "--ckpt", tmp_path / "none.kwsm")
@@ -401,6 +427,19 @@ class TestLogging:
                          env_extra={"SDCKWS_LOG": "error"})
         assert result.returncode == 0
         assert "resolved config" not in result.stderr
+        assert "environment:" not in result.stderr
+
+    def test_info_logs_environment_first(self, second_wav, tmp_path):
+        result = run_cli("extract", second_wav, "-o", tmp_path / "f.kwsf",
+                         env_extra={"SDCKWS_LOG": "info",
+                                    "OPENBLAS_NUM_THREADS": "1"})
+        assert result.returncode == 0
+        first = result.stderr.splitlines()[0]
+        assert first.startswith("INFO sdckws: environment: ")
+        for part in (f"numpy {np.__version__}", "scipy ", "blas ",
+                     "OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=",
+                     "MKL_NUM_THREADS=", f"cpus {os.cpu_count()}"):
+            assert part in first
 
     def test_no_subcommand_is_usage_error(self):
         result = run_cli()

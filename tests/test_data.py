@@ -225,6 +225,22 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="line 2: audio"):
             load_manifest(path)
 
+    def test_text_outside_alphabet_reports_line(self, wav_dir):
+        path = wav_dir / "m.jsonl"
+        write_manifest(path, [
+            {"audio": "x.wav", "text": "ab", "label": 1},
+            {"audio": "y.wav", "text": "ab1", "label": 0},
+        ])
+        with pytest.raises(ManifestError,
+                           match=r"m\.jsonl line 2: text 'ab1': character '1'"):
+            load_manifest(path)
+
+    def test_non_utf8_manifest_names_the_file(self, wav_dir):
+        path = wav_dir / "m.jsonl"
+        path.write_bytes(b'{"audio": "x.wav", "text": "a\xff", "label": 1}\n')
+        with pytest.raises(ManifestError, match=r"m\.jsonl: not UTF-8"):
+            load_manifest(path)
+
     def test_empty_text_rejected(self, wav_dir):
         path = wav_dir / "m.jsonl"
         write_manifest(path, [{"audio": "x.wav", "text": "", "label": 1}])

@@ -1,4 +1,4 @@
-"""AUC, EER, ROC, F1, score files, and the ablation grid."""
+"""AUC, EER, F1, score files, and the ablation grid."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from sdckws.errors import DegenerateLabels, NonFiniteValue
 from sdckws.metrics import (
-    RocCurve,
     ScoredSet,
     auc,
     eer,
     f1_at,
     read_scores,
-    roc_curve,
     write_scores,
 )
 from sdckws.model import ABLATION_HEADER, AblationRow, ablation_csv
@@ -149,30 +147,6 @@ class TestEer:
         scores, labels = random_set(rng, size)
         value = eer(ScoredSet(scores, labels))
         assert 0.0 <= value <= 1.0
-
-
-class TestRocCurve:
-    def test_endpoints_and_monotonicity(self):
-        rng = np.random.default_rng(4)
-        scores, labels = random_set(rng, 40)
-        curve = roc_curve(ScoredSet(scores, labels))
-        assert isinstance(curve, RocCurve)
-        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
-        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
-        assert np.all(np.diff(curve.fpr) >= 0)
-        assert np.all(np.diff(curve.tpr) >= 0)
-        assert np.all(np.diff(curve.thresholds) < 0)
-        assert curve.thresholds[0] == np.inf
-
-    def test_trapezoid_area_matches_auc_without_ties(self):
-        rng = np.random.default_rng(5)
-        scores = rng.permutation(np.linspace(0.0, 1.0, 30))  # all distinct
-        labels = (rng.random(30) < 0.5).astype(np.int64)
-        labels[:2] = [0, 1]
-        scored = ScoredSet(scores, labels)
-        curve = roc_curve(scored)
-        area = float(np.trapezoid(curve.tpr, curve.fpr))
-        assert area == pytest.approx(auc(scored), abs=1e-12)
 
 
 class TestF1:

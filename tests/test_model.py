@@ -1,6 +1,7 @@
 """Matcher architecture, checkpoints, and the training loop."""
 
 import argparse
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,29 @@ class TestSmallModel:
             counts.append(graph_size(ad.sigmoid_bce(logits, batch.labels)))
         assert counts[0] == counts[1]
 
+    def test_every_autodiff_op_is_reached(self):
+        # The op kinds a training graph reaches, each named by the op
+        # whose closure is a node's backward, must be every op autodiff
+        # defines: an op the matcher stops using fails here.
+        model = KwsModel(small_cfg(dropout=0.2))
+        batch = random_batch(np.random.default_rng(8), 12, sizes=(7, 11))
+        probs, logits = model.forward(batch, train=True,
+                                      rng=np.random.default_rng(9))
+        stack = [probs, ad.sigmoid_bce(logits, batch.labels)]
+        seen, reached = set(), set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._backward_fn is not None:
+                reached.add(node._backward_fn.__qualname__.split(".")[0])
+            stack.extend(node._parents)
+        defined = {name for name, fn in vars(ad).items()
+                   if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                   and "_from_op" in fn.__code__.co_names}
+        assert reached == defined
+
 
 class TestCheckpointFile:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -489,7 +513,7 @@ class TestTrain:
             # The zero-initialized output bias scaled by 1e60 adds 0 to
             # the loss, and its gradient, scaled likewise, overflows
             # float32 to inf.
-            return probs, logits + (self.dense_out.bias * 1e30 * 1e30).sum()
+            return probs, logits + self.dense_out.bias * 1e30 * 1e30
 
         monkeypatch.setattr(KwsModel, "forward", nan_gradient)
         with pytest.raises(NonFiniteValue,
