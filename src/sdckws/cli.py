@@ -59,6 +59,8 @@ def load_ini(path) -> dict:
             parser.read_file(handle)
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc})") from None
+    except configparser.Error as exc:
+        raise UsageError(f"{path}: malformed config ({exc})") from None
     types = {}
     for section, f in model_module.config_fields():
         if section == "sdc":

@@ -170,6 +170,18 @@ def _pad_block(items, width, dtype):
     return block
 
 
+def collate(feats, texts, labels) -> Batch:
+    """Zero-pad [T_i, D] feature arrays and tokenized texts into one Batch."""
+    tokens = [np.asarray(tokenize(text), dtype=np.int64) for text in texts]
+    return Batch(
+        features=_pad_block(feats, feats[0].shape[1], np.float32),
+        feature_lengths=np.array([f.shape[0] for f in feats], dtype=np.int64),
+        tokens=_pad_block(tokens, None, np.int64),
+        token_lengths=np.array([t.shape[0] for t in tokens], dtype=np.int64),
+        labels=np.array(labels, dtype=np.float32),
+    )
+
+
 def make_batches(manifest, front_end, batch_size: int, seed, mode: str = "train",
                  feature_cache: dict | None = None):
     """Yield Batches; train mode shuffles with a seeded permutation.
@@ -188,19 +200,11 @@ def make_batches(manifest, front_end, batch_size: int, seed, mode: str = "train"
         order = np.random.default_rng(seed).permutation(len(manifest))
     for start in range(0, len(manifest), batch_size):
         chosen = [manifest[i] for i in order[start : start + batch_size]]
-        feats = []
         for example in chosen:
             if example.audio_ref not in cache:
                 cache[example.audio_ref] = front_end(read_wav(example.audio_ref))
-            feats.append(cache[example.audio_ref].data)
-        tokens = [np.asarray(tokenize(ex.text), dtype=np.int64) for ex in chosen]
-        yield Batch(
-            features=_pad_block(feats, feats[0].shape[1], np.float32),
-            feature_lengths=np.array([f.shape[0] for f in feats], dtype=np.int64),
-            tokens=_pad_block(tokens, None, np.int64),
-            token_lengths=np.array([t.shape[0] for t in tokens], dtype=np.int64),
-            labels=np.array([ex.label for ex in chosen], dtype=np.float32),
-        )
+        yield collate([cache[ex.audio_ref].data for ex in chosen],
+                      [ex.text for ex in chosen], [ex.label for ex in chosen])
 
 
 # Synthetic keyword audio: character index i sounds as a fixed pair of

@@ -25,6 +25,9 @@ class Waveform:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
+        bad = np.count_nonzero(~np.isfinite(samples))
+        if bad:
+            raise ValueError(f"samples hold {bad} non-finite values")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)

@@ -205,8 +205,7 @@ class CrossAttention:
             )
         q = self.q_proj(query)
         k = self.k_proj(key)
-        k_t = k.transpose(0, 2, 1) if k.ndim == 3 else k.transpose()
-        scores = (q @ k_t) * (1.0 / np.sqrt(self.dim))
+        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dim))
         if key_mask is not None:
             bias = np.where(np.asarray(key_mask) > 0, 0.0, self.MASK_BIAS)
             # Broadcast over the query axis: [.., m] -> [.., 1, m].

@@ -4,11 +4,12 @@ The audio encoder runs two convolution blocks (the first strided along
 time), flattens channels x feature per frame, and applies two
 bidirectional GRU layers and a dense projection to a 128-dim frame
 embedding. The text encoder maps characters through a 512-dim learned
-embedding (or an external per-character matrix of the same width), one
-bidirectional GRU, and a dense projection. Cross-attention with the
-text as query produces a context that a bidirectional GRU discriminator
-reads out into a single sigmoid match score. Training, evaluation and
-the shift/block-count ablation grid are defined here too.
+embedding, one bidirectional GRU, and a dense projection.
+Cross-attention with the text as query produces a context that a
+bidirectional GRU discriminator reads out into a single sigmoid match
+score. Every path, single-pair `score` included, runs `forward` on a
+padded batch. Training, evaluation and the shift/block-count ablation
+grid are defined here too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor, no_grad
-from .data import ALPHABET, Batch, make_batches, tokenize
+from .data import ALPHABET, Batch, collate, make_batches
 from .errors import (
     ConfigMismatch,
     DegenerateDataset,
@@ -238,19 +239,15 @@ class KwsModel:
     def _dropout(self, x, train, rng):
         return ad.dropout(x, self.cfg.dropout, train, rng)
 
-    def audio_encode(self, features, lengths=None, train: bool = False,
-                     rng=None):
-        """Features [B, T, D] (or [T, D]) to embeddings [B, m, embed_dim].
+    def audio_encode(self, features, lengths, train: bool = False, rng=None):
+        """Features [B, T, D] to embeddings [B, m, embed_dim].
 
-        Returns (embeddings, post-stride lengths). Each batch norm
-        takes the frame mask: it leaves padded frames out of its
-        training statistics and zeroes them in its output, so trailing
-        padding cannot leak into real frames.
+        Returns (embeddings, frame mask [B, m]). Each batch norm takes
+        the frame mask: it leaves padded frames out of its training
+        statistics and zeroes them in its output, so trailing padding
+        cannot leak into real frames.
         """
-        arr = features.data if isinstance(features, Tensor) else np.asarray(features)
-        single = arr.ndim == 2
-        if single:
-            arr = arr[None]
+        arr = np.asarray(features)
         if arr.ndim != 3:
             raise ShapeError(f"audio features must be [B, T, D], got {arr.shape}")
         if arr.shape[-1] != self.cfg.feature_width:
@@ -259,13 +256,10 @@ class KwsModel:
                 f" {KIND_NAMES[self.cfg.feature]} width {self.cfg.feature_width}"
             )
         batch, t_in, width = arr.shape
-        if lengths is None:
-            lengths = np.full(batch, t_in, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        out_lengths = strided_length(lengths, self.cfg.stride_t)
+        out_lengths = strided_length(np.asarray(lengths, dtype=np.int64),
+                                     self.cfg.stride_t)
         t_out = strided_length(t_in, self.cfg.stride_t)
-        frame_mask = (np.arange(t_out)[None, :] < out_lengths[:, None])
-        frame_mask = frame_mask.astype(np.float32)
+        frame_mask = (np.arange(t_out) < out_lengths[:, None]).astype(np.float32)
         conv_mask = frame_mask[:, None, :, None]
         x = Tensor(arr.astype(np.float32, copy=False).reshape(
             batch, 1, t_in, width))
@@ -281,91 +275,60 @@ class KwsModel:
         seq = self._dropout(seq, train, rng)
         seq, _ = self.gru_a2(seq, mask=frame_mask)
         seq = self._dropout(seq, train, rng)
-        embedded = self._dropout(self.dense_a(seq), train, rng)
-        if single:
-            return embedded.reshape(t_out, self.cfg.embed_dim), out_lengths
-        return embedded, out_lengths
+        return self._dropout(self.dense_a(seq), train, rng), frame_mask
 
-    def _text_tail(self, embedded, token_mask, train, rng):
+    def text_encode(self, tokens, token_mask, train: bool = False, rng=None):
+        """Token ids [B, n] to embeddings [B, n, embed_dim]."""
+        embedded = self.char_table[np.asarray(tokens, dtype=np.int64)]
         embedded = self._dropout(embedded, train, rng)
         seq, _ = self.gru_t(embedded, mask=token_mask)
         seq = self._dropout(seq, train, rng)
         return self._dropout(self.dense_t(seq), train, rng)
 
-    def text_encode(self, text, train: bool = False, rng=None):
-        """One keyword (string or n x 512 external matrix) to [n, embed_dim]."""
-        if isinstance(text, str):
-            ids = np.asarray([tokenize(text)], dtype=np.int64)
-            embedded = self.char_table[ids]
-            count = ids.shape[1]
-        else:
-            matrix = np.asarray(text, dtype=np.float32)
-            if matrix.ndim != 2:
-                raise ShapeError(
-                    f"external text features must be 2-D, got {matrix.shape}"
-                )
-            if matrix.shape[1] != self.cfg.char_embed_dim:
-                raise ConfigMismatch(
-                    f"external text features are {matrix.shape[1]}-dim, the"
-                    f" text encoder expects {self.cfg.char_embed_dim}"
-                )
-            embedded = Tensor(matrix[None])
-            count = matrix.shape[0]
-        mask = np.ones((1, count), dtype=np.float32)
-        out = self._text_tail(embedded, mask, train, rng)
-        return out.reshape(count, self.cfg.embed_dim)
+    # Old name of the batched encoder, kept for callers that look it up.
+    text_encode_batch = text_encode
 
-    def text_encode_batch(self, tokens, token_mask, train: bool = False,
-                          rng=None):
-        embedded = self.char_table[np.asarray(tokens, dtype=np.int64)]
-        return self._text_tail(embedded, token_mask, train, rng)
+    def match_score(self, e_a, e_t, audio_mask, token_mask):
+        """Embeddings [B, m, D] and [B, n, D] to (probs, logits) of shape [B].
 
-    def match_score(self, audio_embed, text_embed, audio_mask=None,
-                    token_mask=None):
-        """Embeddings to match probability; returns (probs, logits).
-
-        Accepts [m, D] / [n, D] single pairs or [B, m, D] / [B, n, D]
-        batches. The text embedding is the attention query; padded
-        audio frames are masked out of the keys.
+        The text embedding is the attention query; padded audio frames
+        are masked out of the keys and padded tokens out of the
+        discriminator.
         """
-        single = audio_embed.ndim == 2
-        e_a = audio_embed.reshape(1, *audio_embed.shape) if single else audio_embed
-        e_t = text_embed.reshape(1, *text_embed.shape) if single else text_embed
         context = self.attn(e_t, e_a, e_a, key_mask=audio_mask)
         _, final = self.gru_d(context, mask=token_mask)
         logits = self.dense_out(final).reshape(-1)
-        if single:
-            logits = logits.reshape(())
         return ad.sigmoid(logits), logits
 
     def forward(self, batch: Batch, train: bool = False, rng=None):
         """Score a padded batch; returns (probs, logits) tensors of shape [B]."""
-        e_a, out_lengths = self.audio_encode(
+        e_a, audio_mask = self.audio_encode(
             batch.features, batch.feature_lengths, train, rng)
-        t_out = e_a.shape[1]
-        audio_mask = (np.arange(t_out)[None, :] < out_lengths[:, None])
-        audio_mask = audio_mask.astype(np.float32)
         token_mask = batch.token_mask()
-        e_t = self.text_encode_batch(batch.tokens, token_mask, train, rng)
+        e_t = self.text_encode(batch.tokens, token_mask, train, rng)
         return self.match_score(e_a, e_t, audio_mask, token_mask)
 
     def score(self, features, text) -> float:
-        """Eval-mode match probability for one (FeatureMatrix, text) pair."""
-        data = features.data if hasattr(features, "data") else features
+        """Eval-mode match probability for one pair: `forward` at B = 1."""
+        data = np.asarray(features.data if hasattr(features, "data") else features)
+        if data.ndim != 2:
+            raise ShapeError(f"features must be [T, D], got {data.shape}")
         with no_grad():
-            e_a, _ = self.audio_encode(np.asarray(data, dtype=np.float32))
-            e_t = self.text_encode(text)
-            probs, _ = self.match_score(e_a, e_t)
-        return float(probs.data)
+            probs, _ = self.forward(collate([data], [text], [0]))
+        return float(probs.data[0])
+
+    def _state(self) -> dict:
+        """Every checkpointed array by name: parameters, then buffers."""
+        state = {name: p.data for name, p in self.named_params().items()}
+        state.update(self.named_buffers())
+        return state
 
     def to_checkpoint(self) -> "Checkpoint":
-        tensors = {name: p.data.copy() for name, p in self.named_params().items()}
-        for name, buffer in self.named_buffers().items():
-            tensors[name] = buffer.copy()
+        tensors = {name: array.copy() for name, array in self._state().items()}
         return Checkpoint(tensors, self.cfg.to_dict(), self.training_step)
 
     def load_state(self, ckpt: "Checkpoint"):
-        """Install checkpoint weights; configs and shapes must agree."""
+        """Install checkpoint tensors in place; names and shapes must match."""
         own_cfg = self.cfg.to_dict()
         for key in ARCH_KEYS:
             if ckpt.config.get(key) != own_cfg.get(key):
@@ -373,23 +336,21 @@ class KwsModel:
                     f"checkpoint {key}={ckpt.config.get(key)!r} does not match"
                     f" model {key}={own_cfg.get(key)!r}"
                 )
-        params = self.named_params()
-        buffers = self.named_buffers()
-        for name in list(params) + list(buffers):
+        own = self._state()
+        for name, target in own.items():
             if name not in ckpt.tensors:
                 raise ConfigMismatch(f"checkpoint is missing tensor {name!r}")
-        for name, param in params.items():
-            stored = ckpt.tensors[name]
-            if stored.shape != param.data.shape:
+            if ckpt.tensors[name].shape != target.shape:
                 raise ConfigMismatch(
-                    f"tensor {name!r} has shape {stored.shape}, expected"
-                    f" {param.data.shape}"
+                    f"tensor {name!r} has shape {ckpt.tensors[name].shape},"
+                    f" expected {target.shape}"
                 )
-            param.data = stored.astype(np.float32).copy()
-        self.bn1.running_mean = ckpt.tensors["audio.bn1.running_mean"].copy()
-        self.bn1.running_var = ckpt.tensors["audio.bn1.running_var"].copy()
-        self.bn2.running_mean = ckpt.tensors["audio.bn2.running_mean"].copy()
-        self.bn2.running_var = ckpt.tensors["audio.bn2.running_var"].copy()
+        for name in ckpt.tensors:
+            if name not in own:
+                raise ConfigMismatch(
+                    f"checkpoint tensor {name!r} is not part of the model")
+        for name, target in own.items():
+            target[...] = ckpt.tensors[name]
         self.training_step = ckpt.step
 
     @classmethod

@@ -150,6 +150,19 @@ class TestExtract:
         assert "Traceback" not in result.stderr
         assert "bad.ini: not UTF-8" in result.stderr
 
+    @pytest.mark.parametrize("text", [
+        "feature = mel\n",
+        "[model]\nfeature = mel\nfeature = mfcc\n",
+    ], ids=["key-before-section", "repeated-key"])
+    def test_malformed_config_is_usage_error(self, second_wav, tmp_path, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        result = run_cli("extract", second_wav, "--config", bad,
+                         "-o", tmp_path / "f.kwsf")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert str(bad) in result.stderr
+
 
 class TestSynth:
     def test_counts_and_layout(self, workspace):
@@ -372,6 +385,23 @@ class TestEval:
         assert result.returncode == 1
         assert message in result.stderr
         assert "bad_name.kwsm" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("name,value", [
+        ("audio.bn1.running_var", np.ones(1, dtype=np.float32)),
+        ("audio.bn1.running_var", np.ones(3, dtype=np.float32)),
+        ("audio.bn3.running_var", np.ones(2, dtype=np.float32)),
+    ], ids=["broadcastable-buffer", "wrong-buffer", "extra-tensor"])
+    def test_checkpoint_tensor_outside_the_model_is_runtime_error(
+            self, workspace, tmp_path, name, value):
+        ckpt = load_checkpoint(workspace["ckpt"])
+        ckpt.tensors[name] = value
+        broken = tmp_path / "bad_tensor.kwsm"
+        save_checkpoint(broken, ckpt)
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", broken)
+        assert result.returncode == 1
+        assert name in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_non_utf8_manifest_is_runtime_error(self, workspace, tmp_path):

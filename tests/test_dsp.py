@@ -39,6 +39,15 @@ class TestWaveform:
         with pytest.raises(ValueError):
             Waveform(np.zeros((4, 2)), 16000)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, value):
+        # Front-ends would otherwise disagree on such input: PLP swaps in
+        # its silence fallback while the mel family raises.
+        samples = np.zeros(800)
+        samples[[3, 500]] = value
+        with pytest.raises(ValueError, match="2 non-finite"):
+            Waveform(samples, 16000)
+
 
 class TestPreEmphasize:
     def test_matches_scalar_loop(self):

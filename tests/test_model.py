@@ -9,7 +9,13 @@ import pytest
 
 import sdckws.autodiff as ad
 from sdckws import cli
-from sdckws.data import Batch, load_manifest, synth_dataset
+from sdckws.data import (
+    ALPHABET,
+    Batch,
+    load_manifest,
+    synth_dataset,
+    tokenize,
+)
 from sdckws.errors import (
     ConfigMismatch,
     DegenerateDataset,
@@ -154,31 +160,30 @@ def default_model():
 
 class TestFullSizeShapes:
     def test_audio_embedding(self, default_model):
-        feats = np.random.default_rng(0).normal(size=(98, 360)).astype(np.float32)
-        embed, out_lengths = default_model.audio_encode(feats)
-        assert embed.shape == (49, 128)
-        np.testing.assert_array_equal(out_lengths, [49])
+        feats = np.random.default_rng(0).normal(size=(1, 98, 360)).astype(np.float32)
+        embed, frame_mask = default_model.audio_encode(feats, [98])
+        assert embed.shape == (1, 49, 128)
+        np.testing.assert_array_equal(frame_mask.sum(axis=1), [49])
 
     def test_text_embedding(self, default_model):
-        embed = default_model.text_encode("hello")
-        assert embed.shape == (5, 128)
-
-    def test_external_text_features(self, default_model):
-        matrix = np.random.default_rng(1).normal(size=(7, 512))
-        embed = default_model.text_encode(matrix)
-        assert embed.shape == (7, 128)
-
-    def test_external_width_mismatch(self, default_model):
-        with pytest.raises(ConfigMismatch, match="512"):
-            default_model.text_encode(np.zeros((7, 100)))
-
-    def test_external_must_be_matrix(self, default_model):
-        with pytest.raises(ShapeError):
-            default_model.text_encode(np.zeros(512))
+        tokens = np.array([tokenize("hello")])
+        embed = default_model.text_encode(tokens, np.ones((1, 5), np.float32))
+        assert embed.shape == (1, 5, 128)
 
     def test_feature_width_mismatch(self, default_model):
         with pytest.raises(ConfigMismatch, match="360"):
-            default_model.audio_encode(np.zeros((10, 100), dtype=np.float32))
+            default_model.audio_encode(np.zeros((1, 10, 100), dtype=np.float32),
+                                       [10])
+
+    def test_audio_features_must_be_batched(self, default_model):
+        with pytest.raises(ShapeError, match=r"\[B, T, D\]"):
+            default_model.audio_encode(np.zeros((10, 360), dtype=np.float32),
+                                       [10])
+
+    @pytest.mark.parametrize("shape", [(360,), (1, 10, 360)])
+    def test_score_features_must_be_a_matrix(self, default_model, shape):
+        with pytest.raises(ShapeError, match=r"\[T, D\]"):
+            default_model.score(np.zeros(shape, dtype=np.float32), "able")
 
     def test_score_is_probability_and_reproducible(self, default_model):
         feats = np.random.default_rng(2).normal(size=(30, 360)).astype(np.float32)
@@ -234,6 +239,19 @@ class TestSmallModel:
         solo, _ = model.forward(alone)
         assert together.data[0] == solo.data[0]
 
+    def test_score_matches_its_row_of_forward(self):
+        # score is forward on a padded batch of one, so it agrees with the
+        # example's row of a bigger padded batch up to BLAS row rounding.
+        model = KwsModel(small_cfg())
+        batch = random_batch(np.random.default_rng(11), 12, sizes=(7, 13, 4),
+                             token_counts=(3, 5, 2))
+        probs, _ = model.forward(batch)
+        for i in range(batch.size):
+            feats = batch.features[i, :batch.feature_lengths[i]]
+            text = "".join(ALPHABET[t]
+                           for t in batch.tokens[i, :batch.token_lengths[i]])
+            assert abs(model.score(feats, text) - probs.data[i]) <= 1e-6
+
     def test_train_mode_padding_leaves_real_frames_unchanged(self):
         # Batch norm's training statistics cover valid frames only, so
         # appending padded frames moves real-frame embeddings by rounding
@@ -241,11 +259,11 @@ class TestSmallModel:
         model = KwsModel(small_cfg())
         batch = random_batch(np.random.default_rng(7), 12, sizes=(9, 14))
         padded = np.pad(batch.features, ((0, 0), (0, 8), (0, 0)))
-        short, lengths = model.audio_encode(batch.features,
-                                            batch.feature_lengths, train=True)
+        short, frame_mask = model.audio_encode(batch.features,
+                                               batch.feature_lengths, train=True)
         long, _ = model.audio_encode(padded, batch.feature_lengths,
                                      train=True)
-        for i, n in enumerate(lengths):
+        for i, n in enumerate(frame_mask.sum(axis=1).astype(int)):
             np.testing.assert_allclose(long.data[i, :n], short.data[i, :n],
                                        rtol=0, atol=1e-6)
 
