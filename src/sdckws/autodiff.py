@@ -1,15 +1,15 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A Tensor wraps an ndarray and records the operation that produced it
-as a closure; backward() walks the graph in reverse topological order
-and accumulates gradients into every tensor that requires them. The
-op set is exactly what the matcher's graph reaches, and a test walks a
-training graph to keep it so: broadcasting add and mul, matmul, the
-shape moves reshape, transpose, take and concat, sigmoid, softmax, 2-D
-convolution, masked batch norm (one node, with the closed-form
-backward), the masked GRU scan (one node per direction, with
-hand-written backpropagation through time), dropout, and the fused
-sigmoid + mean binary cross-entropy loss.
+A Tensor wraps an ndarray. Every op records its node through _from_op,
+with a closure from the result's gradient to its inputs'; backward()
+walks the graph in reverse topological order and accumulates gradients
+into every tensor that requires them. The op set is exactly what the
+matcher's graph reaches, and a test walks a training graph to keep it
+so: broadcasting add and mul, matmul, the shape moves reshape,
+transpose, take and concat, sigmoid, softmax, 2-D convolution, masked
+batch norm (one node, with the closed-form backward), the masked GRU
+scan (one node per direction, with hand-written backpropagation through
+time), dropout, and the fused sigmoid + mean binary cross-entropy loss.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class Tensor:
         _add_grad(self, np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward_fn is not None:
-                node._backward_fn()
+                node._backward_fn(node.grad)
                 node._backward_fn = None
                 node._parents = ()
                 node.grad = None
@@ -152,8 +152,9 @@ def _add_grad(tensor: Tensor, grad, fresh: bool = False):
 
     fresh=True means the op allocated grad for this tensor alone, so a
     first gradient of the right shape becomes .grad as it is. Any other
-    first gradient may alias or broadcast another node's buffer (out.grad
-    itself, a view of it, or the backward seed) and is copied.
+    first gradient may alias or broadcast another node's buffer (the op's
+    output gradient itself, a view of it, or the backward seed) and is
+    copied.
     """
     if tensor.grad is not None:
         tensor.grad += grad
@@ -164,14 +165,23 @@ def _add_grad(tensor: Tensor, grad, fresh: bool = False):
             tensor.data.dtype)
 
 
-def _from_op(data, parents):
-    """Wrap an op result; returns (tensor, whether to record a backward)."""
-    tracked = _grad_enabled and any(p.requires_grad for p in parents)
+def _tracked(parents) -> bool:
+    """Whether an op on these inputs records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
+def _from_op(data, parents, backward) -> Tensor:
+    """Wrap an op result; the one place a graph node is recorded.
+
+    A tracked result keeps the parents that require grad and backward,
+    which maps its gradient into theirs; Tensor.backward calls it once.
+    """
     out = Tensor(data)
-    if tracked:
+    if _tracked(parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
-    return out, tracked
+        out._backward_fn = backward
+    return out
 
 
 def _unbroadcast(grad, shape):
@@ -187,34 +197,26 @@ def _unbroadcast(grad, shape):
 
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
-    out, tracked = _from_op(a.data + b.data, (a, b))
-    if tracked:
 
-        def _backward():
-            if a.requires_grad:
-                _add_grad(a, _unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                _add_grad(b, _unbroadcast(out.grad, b.data.shape))
+    def _backward(grad):
+        if a.requires_grad:
+            _add_grad(a, _unbroadcast(grad, a.data.shape))
+        if b.requires_grad:
+            _add_grad(b, _unbroadcast(grad, b.data.shape))
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(a.data + b.data, (a, b), _backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
-    out, tracked = _from_op(a.data * b.data, (a, b))
-    if tracked:
 
-        def _backward():
-            if a.requires_grad:
-                _add_grad(a, _unbroadcast(out.grad * b.data, a.data.shape),
-                          fresh=True)
-            if b.requires_grad:
-                _add_grad(b, _unbroadcast(out.grad * a.data, b.data.shape),
-                          fresh=True)
+    def _backward(grad):
+        if a.requires_grad:
+            _add_grad(a, _unbroadcast(grad * b.data, a.data.shape), fresh=True)
+        if b.requires_grad:
+            _add_grad(b, _unbroadcast(grad * a.data, b.data.shape), fresh=True)
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(a.data * b.data, (a, b), _backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -226,100 +228,77 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(str(exc)) from None
-    out, tracked = _from_op(data, (a, b))
-    if tracked:
 
-        def _backward():
-            if a.requires_grad:
-                grad_a = out.grad @ np.swapaxes(b.data, -1, -2)
-                _add_grad(a, _unbroadcast(grad_a, a.data.shape), fresh=True)
-            if b.requires_grad:
-                grad_b = np.swapaxes(a.data, -1, -2) @ out.grad
-                _add_grad(b, _unbroadcast(grad_b, b.data.shape), fresh=True)
+    def _backward(grad):
+        if a.requires_grad:
+            grad_a = grad @ np.swapaxes(b.data, -1, -2)
+            _add_grad(a, _unbroadcast(grad_a, a.data.shape), fresh=True)
+        if b.requires_grad:
+            grad_b = np.swapaxes(a.data, -1, -2) @ grad
+            _add_grad(b, _unbroadcast(grad_b, b.data.shape), fresh=True)
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(data, (a, b), _backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out, tracked = _from_op(a.data.reshape(shape), (a,))
-    if tracked:
+    def _backward(grad):
+        _add_grad(a, grad.reshape(a.data.shape))
 
-        def _backward():
-            _add_grad(a, out.grad.reshape(a.data.shape))
-
-        out._backward_fn = _backward
-    return out
+    return _from_op(a.data.reshape(shape), (a,), _backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     inverse = np.argsort(axes)
-    out, tracked = _from_op(a.data.transpose(axes), (a,))
-    if tracked:
 
-        def _backward():
-            _add_grad(a, out.grad.transpose(inverse))
+    def _backward(grad):
+        _add_grad(a, grad.transpose(inverse))
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(a.data.transpose(axes), (a,), _backward)
 
 
 def take(a: Tensor, key) -> Tensor:
-    out, tracked = _from_op(a.data[key], (a,))
-    if tracked:
+    def _backward(grad):
+        scattered = np.zeros_like(a.data)
+        np.add.at(scattered, key, grad)
+        _add_grad(a, scattered, fresh=True)
 
-        def _backward():
-            grad = np.zeros_like(a.data)
-            np.add.at(grad, key, out.grad)
-            _add_grad(a, grad, fresh=True)
-
-        out._backward_fn = _backward
-    return out
+    return _from_op(a.data[key], (a,), _backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    out, tracked = _from_op(data, tuple(tensors))
-    if tracked:
+
+    def _backward(grad):
         sizes = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        for tensor, piece in zip(tensors, np.split(grad, sizes, axis=axis)):
+            if tensor.requires_grad:
+                _add_grad(tensor, piece)
 
-        def _backward():
-            pieces = np.split(out.grad, sizes, axis=axis)
-            for tensor, piece in zip(tensors, pieces):
-                if tensor.requires_grad:
-                    _add_grad(tensor, piece)
-
-        out._backward_fn = _backward
-    return out
+    return _from_op(data, tuple(tensors), _backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out, tracked = _from_op(expit(a.data), (a,))
-    if tracked:
+    probs = expit(a.data)
 
-        def _backward():
-            _add_grad(a, out.grad * out.data * (1.0 - out.data), fresh=True)
+    def _backward(grad):
+        _add_grad(a, grad * probs * (1.0 - probs), fresh=True)
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(probs, (a,), _backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
     probs = exps / exps.sum(axis=axis, keepdims=True)
-    out, tracked = _from_op(probs, (a,))
-    if tracked:
 
-        def _backward():
-            dot = (out.grad * out.data).sum(axis=axis, keepdims=True)
-            _add_grad(a, out.data * (out.grad - dot), fresh=True)
+    def _backward(grad):
+        dot = (grad * probs).sum(axis=axis, keepdims=True)
+        _add_grad(a, probs * (grad - dot), fresh=True)
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(probs, (a,), _backward)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -380,50 +359,46 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         np.matmul(weights, cols_2d, out=data[i].reshape(ch_out, -1))
     if bias is not None:
         data += bias.data[None, :, None, None]
+
+    def _backward(grad):
+        if bias is not None and bias.requires_grad:
+            _add_grad(bias, grad.sum(axis=(0, 2, 3)), fresh=True)
+        # One fresh buffer holds cols_i, then kernel^T @ g_i: the
+        # closure keeps no forward columns alive.
+        cols = np.empty(windows.shape[1:], dtype=padded.dtype)
+        cols_2d = cols.reshape(weights.shape[1], -1)
+        if kernel.requires_grad:
+            grad_w = np.zeros_like(weights)
+        if x.requires_grad:
+            grad_padded = np.zeros_like(padded)
+        for i in range(batch):
+            g_i = grad[i].reshape(ch_out, -1)
+            if kernel.requires_grad:
+                np.copyto(cols, windows[i])
+                grad_w += g_i @ cols_2d.T
+            if x.requires_grad:
+                np.matmul(weights.T, g_i, out=cols_2d)
+                gp = grad_padded[i]
+                for dt in range(kh):
+                    for df in range(kw):
+                        gp[:, dt : dt + t_hi : stride_t, df : df + f_out] += (
+                            cols[:, dt, df]
+                        )
+        if kernel.requires_grad:
+            _add_grad(kernel, grad_w.reshape(kernel.data.shape),
+                      fresh=True)
+        if x.requires_grad:
+            # The interior view of a buffer this op allocated: no copy.
+            _add_grad(
+                x,
+                grad_padded[
+                    :, :, pad_t : pad_t + t_in, pad_f : pad_f + f_in
+                ],
+                fresh=True,
+            )
+
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out, tracked = _from_op(data, parents)
-    if tracked:
-
-        def _backward():
-            grad = out.grad
-            if bias is not None and bias.requires_grad:
-                _add_grad(bias, grad.sum(axis=(0, 2, 3)), fresh=True)
-            # One fresh buffer holds cols_i, then kernel^T @ g_i: the
-            # closure keeps no forward columns alive.
-            cols = np.empty(windows.shape[1:], dtype=padded.dtype)
-            cols_2d = cols.reshape(weights.shape[1], -1)
-            if kernel.requires_grad:
-                grad_w = np.zeros_like(weights)
-            if x.requires_grad:
-                grad_padded = np.zeros_like(padded)
-            for i in range(batch):
-                g_i = grad[i].reshape(ch_out, -1)
-                if kernel.requires_grad:
-                    np.copyto(cols, windows[i])
-                    grad_w += g_i @ cols_2d.T
-                if x.requires_grad:
-                    np.matmul(weights.T, g_i, out=cols_2d)
-                    gp = grad_padded[i]
-                    for dt in range(kh):
-                        for df in range(kw):
-                            gp[:, dt : dt + t_hi : stride_t, df : df + f_out] += (
-                                cols[:, dt, df]
-                            )
-            if kernel.requires_grad:
-                _add_grad(kernel, grad_w.reshape(kernel.data.shape),
-                          fresh=True)
-            if x.requires_grad:
-                # The interior view of a buffer this op allocated: no copy.
-                _add_grad(
-                    x,
-                    grad_padded[
-                        :, :, pad_t : pad_t + t_in, pad_f : pad_f + f_in
-                    ],
-                    fresh=True,
-                )
-
-        out._backward_fn = _backward
-    return out
+    return _from_op(data, parents, _backward)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
@@ -484,37 +459,33 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
         scale = gamma.data * inv
         data = x.data * (scale.reshape(shape) * valid)
         data += (beta.data - mean * scale).reshape(shape) * valid
-    out, tracked = _from_op(data, (x, gamma, beta))
-    if tracked:
 
-        def _backward():
-            grad = out.grad
-            d_beta = valid_sum(grad.sum(axis=3))
-            if beta.requires_grad:
-                _add_grad(beta, d_beta, fresh=True)
-            if moments is None:
-                # xhat is zero where masked, so this sum needs no mask.
-                d_gamma = np.einsum("bctf,bctf->bct", grad, xhat).sum(axis=(0, 2))
-                if gamma.requires_grad:
-                    _add_grad(gamma, d_gamma, fresh=True)
-                if x.requires_grad:
-                    # A backward runs once, so dx is built in xhat's buffer.
-                    dx = xhat
-                    dx *= (-d_gamma / count).reshape(shape)
-                    dx += grad
-                    dx -= (d_beta / count).reshape(shape)
-                    dx *= (gamma.data * inv).reshape(shape) * valid
-                    _add_grad(x, dx, fresh=True)
-            else:
-                if gamma.requires_grad:
-                    d_scale = valid_sum(np.einsum("bctf,bctf->bct", grad, x.data))
-                    _add_grad(gamma, (d_scale - mean * d_beta) * inv, fresh=True)
-                if x.requires_grad:
-                    _add_grad(x, grad * (scale.reshape(shape) * valid),
-                              fresh=True)
+    def _backward(grad):
+        d_beta = valid_sum(grad.sum(axis=3))
+        if beta.requires_grad:
+            _add_grad(beta, d_beta, fresh=True)
+        if moments is None:
+            # xhat is zero where masked, so this sum needs no mask.
+            d_gamma = np.einsum("bctf,bctf->bct", grad, xhat).sum(axis=(0, 2))
+            if gamma.requires_grad:
+                _add_grad(gamma, d_gamma, fresh=True)
+            if x.requires_grad:
+                # A backward runs once, so dx is built in xhat's buffer.
+                dx = xhat
+                dx *= (-d_gamma / count).reshape(shape)
+                dx += grad
+                dx -= (d_beta / count).reshape(shape)
+                dx *= (gamma.data * inv).reshape(shape) * valid
+                _add_grad(x, dx, fresh=True)
+        else:
+            if gamma.requires_grad:
+                d_scale = valid_sum(np.einsum("bctf,bctf->bct", grad, x.data))
+                _add_grad(gamma, (d_scale - mean * d_beta) * inv, fresh=True)
+            if x.requires_grad:
+                _add_grad(x, grad * (scale.reshape(shape) * valid),
+                          fresh=True)
 
-        out._backward_fn = _backward
-    return out, (mean, var)
+    return _from_op(data, (x, gamma, beta), _backward), (mean, var)
 
 
 def _rowwise(h, u):
@@ -566,7 +537,7 @@ def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
     pre = (x_2d @ w_all + np.concatenate([p.data for p in b])).reshape(
         batch, steps, 3 * hidden)
     seq = np.empty((batch, steps, hidden), dtype=dtype)
-    out, tracked = _from_op(seq, (x, *params))
+    tracked = _tracked((x, *params))
     # gates[t] is [z | r | c] at frame t; untracked, one step's buffer.
     gates = np.empty((steps if tracked else 1, batch, 3 * hidden), dtype=dtype)
     sz, sr, sc = (slice(k * hidden, (k + 1) * hidden) for k in range(3))
@@ -584,43 +555,41 @@ def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
         h_new = z * h + (1.0 - z) * c
         h = h_new if mask is None else np.where(valid[:, t, None], h_new, h)
         seq[:, t] = h
-    if tracked:
 
-        def _backward():
-            d_pre = np.empty((batch, steps, 3 * hidden), dtype=dtype)
-            d_uzr = np.zeros_like(u_zr)
-            d_uh = np.zeros_like(u_h)
-            dh = h0
-            for i in range(steps - 1, -1, -1):
-                t = order[i]
-                h_prev = seq[:, order[i - 1]] if i else h0
-                z, r, c = gates[t, :, sz], gates[t, :, sr], gates[t, :, sc]
-                dh = dh + out.grad[:, t]
-                if mask is None:
-                    dh_new, dh = dh, 0.0
-                else:
-                    keep = valid[:, t, None]
-                    dh_new, dh = np.where(keep, dh, 0.0), np.where(keep, 0.0, dh)
-                dp = d_pre[:, t]
-                np.multiply(dh_new * (1.0 - z), 1.0 - c * c, out=dp[:, sc])
-                d_rh = dp[:, sc] @ u_h.T
-                d_uh += (r * h_prev).T @ dp[:, sc]
-                np.multiply(dh_new * (h_prev - c), z * (1.0 - z), out=dp[:, sz])
-                np.multiply(d_rh * h_prev, r * (1.0 - r), out=dp[:, sr])
-                d_uzr += h_prev.T @ dp[:, szr]
-                dh = dh + dh_new * z + d_rh * r + dp[:, szr] @ u_zr.T
-            d_2d = d_pre.reshape(batch * steps, 3 * hidden)
-            if any(p.requires_grad for p in w):
-                _split_grads(w, x_2d.T @ d_2d)
-            if x.requires_grad:
-                _add_grad(x, (d_2d @ w_all.T).reshape(x.data.shape), fresh=True)
-            if any(p.requires_grad for p in b):
-                _split_grads(b, d_2d.sum(axis=0))
-            _split_grads(u[:2], d_uzr)
-            _split_grads(u[2:], d_uh)
+    def _backward(grad):
+        d_pre = np.empty((batch, steps, 3 * hidden), dtype=dtype)
+        d_uzr = np.zeros_like(u_zr)
+        d_uh = np.zeros_like(u_h)
+        dh = h0
+        for i in range(steps - 1, -1, -1):
+            t = order[i]
+            h_prev = seq[:, order[i - 1]] if i else h0
+            z, r, c = gates[t, :, sz], gates[t, :, sr], gates[t, :, sc]
+            dh = dh + grad[:, t]
+            if mask is None:
+                dh_new, dh = dh, 0.0
+            else:
+                keep = valid[:, t, None]
+                dh_new, dh = np.where(keep, dh, 0.0), np.where(keep, 0.0, dh)
+            dp = d_pre[:, t]
+            np.multiply(dh_new * (1.0 - z), 1.0 - c * c, out=dp[:, sc])
+            d_rh = dp[:, sc] @ u_h.T
+            d_uh += (r * h_prev).T @ dp[:, sc]
+            np.multiply(dh_new * (h_prev - c), z * (1.0 - z), out=dp[:, sz])
+            np.multiply(d_rh * h_prev, r * (1.0 - r), out=dp[:, sr])
+            d_uzr += h_prev.T @ dp[:, szr]
+            dh = dh + dh_new * z + d_rh * r + dp[:, szr] @ u_zr.T
+        d_2d = d_pre.reshape(batch * steps, 3 * hidden)
+        if any(p.requires_grad for p in w):
+            _split_grads(w, x_2d.T @ d_2d)
+        if x.requires_grad:
+            _add_grad(x, (d_2d @ w_all.T).reshape(x.data.shape), fresh=True)
+        if any(p.requires_grad for p in b):
+            _split_grads(b, d_2d.sum(axis=0))
+        _split_grads(u[:2], d_uzr)
+        _split_grads(u[2:], d_uh)
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(seq, (x, *params), _backward)
 
 
 def _split_grads(tensors, grad):
@@ -644,16 +613,13 @@ def dropout(x: Tensor, rate: float, train: bool,
     scale = 1.0 / (1.0 - rate)
     data = x.data * scale
     data *= keep
-    out, tracked = _from_op(data, (x,))
-    if tracked:
 
-        def _backward():
-            grad = out.grad * scale
-            grad *= keep
-            _add_grad(x, grad, fresh=True)
+    def _backward(grad):
+        dx = grad * scale
+        dx *= keep
+        _add_grad(x, dx, fresh=True)
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(data, (x,), _backward)
 
 
 def sigmoid_bce(logits: Tensor, targets) -> Tensor:
@@ -672,11 +638,8 @@ def sigmoid_bce(logits: Tensor, targets) -> Tensor:
     x = logits.data
     elems = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     data = np.asarray(elems.mean(), dtype=x.dtype)
-    out, tracked = _from_op(data, (logits,))
-    if tracked:
 
-        def _backward():
-            _add_grad(logits, out.grad * (expit(x) - t) / x.size, fresh=True)
+    def _backward(grad):
+        _add_grad(logits, grad * (expit(x) - t) / x.size, fresh=True)
 
-        out._backward_fn = _backward
-    return out
+    return _from_op(data, (logits,), _backward)

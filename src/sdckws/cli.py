@@ -148,12 +148,18 @@ def cmd_extract(args) -> int:
             LOG.error("no .wav files under %s", args.input)
             return 1
         out_dir = args.output or args.input
-        os.makedirs(out_dir, exist_ok=True)
         targets = [
             os.path.join(out_dir,
                          os.path.splitext(os.path.basename(p))[0] + ".kwsf")
             for p in wavs
         ]
+        source_of = {}
+        for source, target in zip(wavs, targets):
+            other = source_of.setdefault(target, source)
+            if other != source:
+                raise UsageError(f"{other} and {source} would both be written"
+                                 f" to {target}")
+        os.makedirs(out_dir, exist_ok=True)
     else:
         wavs = [args.input]
         default = os.path.splitext(args.input)[0] + ".kwsf"

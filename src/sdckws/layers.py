@@ -1,9 +1,11 @@
 """Trainable layers built on the Tensor engine, plus the Adam update.
 
-Each layer owns its parameter tensors and exposes named_params() so
-the model can checkpoint them. Recurrent layers take an optional
-per-frame validity mask; masked steps hold the previous state, which
-makes padded frames invisible to both scan directions.
+Each layer holds its tensors as attributes, and the Layer base names
+them for the checkpoint by attribute: a Tensor is a parameter, an
+ndarray a buffer, and a nested layer extends the prefix. Recurrent
+layers take an optional per-frame validity mask; masked steps hold the
+previous state, which makes padded frames invisible to both scan
+directions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,33 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-class Dense:
+def named_tensors(value, prefix: str, kind: type) -> dict:
+    """Every `kind` object (Tensor or ndarray) under value, by checkpoint name.
+
+    A value of that kind is named prefix itself. A Layer names its
+    attributes prefix.attr, recursively, in the order they were first
+    assigned, which is checkpoint order. Anything else holds none.
+    """
+    if isinstance(value, kind):
+        return {prefix: value}
+    named = {}
+    if isinstance(value, Layer):
+        for attr, child in vars(value).items():
+            named.update(named_tensors(child, f"{prefix}.{attr}", kind))
+    return named
+
+
+class Layer:
+    """Names its Tensor attributes as parameters, its ndarrays as buffers."""
+
+    def named_params(self, prefix: str) -> dict:
+        return named_tensors(self, prefix, Tensor)
+
+    def named_buffers(self, prefix: str) -> dict:
+        return named_tensors(self, prefix, np.ndarray)
+
+
+class Dense(Layer):
     """Affine map y = x W + b on the last axis."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
@@ -40,11 +68,8 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
-    def named_params(self, prefix: str):
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
-
-class Conv2d:
+class Conv2d(Layer):
     """3x3 convolution over [batch, ch, T, F], strided along time only."""
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator,
@@ -59,11 +84,8 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.kernel, self.bias, stride_t=self.stride_t)
 
-    def named_params(self, prefix: str):
-        return {f"{prefix}.kernel": self.kernel, f"{prefix}.bias": self.bias}
 
-
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-channel normalization over the batch and spatial axes.
 
     Train mode normalizes by the statistics of the batch's valid
@@ -97,17 +119,8 @@ class BatchNorm:
             ).astype(self.running_var.dtype)
         return out
 
-    def named_params(self, prefix: str):
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
 
-    def named_buffers(self, prefix: str):
-        return {
-            f"{prefix}.running_mean": self.running_mean,
-            f"{prefix}.running_var": self.running_var,
-        }
-
-
-class Gru:
+class Gru(Layer):
     """Single-direction gated recurrent unit with masked scan.
 
     z_t = sigmoid(x_t Wz + h_{t-1} Uz + bz)
@@ -140,12 +153,8 @@ class Gru:
                           (self.bz, self.br, self.bh), mask=mask, reverse=reverse)
         return seq, seq[:, 0 if reverse else -1]
 
-    def named_params(self, prefix: str):
-        names = ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")
-        return {f"{prefix}.{n}": getattr(self, n) for n in names}
 
-
-class BiGru:
+class BiGru(Layer):
     """Forward and backward GRU passes concatenated per time step."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
@@ -161,13 +170,8 @@ class BiGru:
         final = ad.concat([last_f, last_b], axis=1)
         return seq, final
 
-    def named_params(self, prefix: str):
-        params = self.fwd.named_params(f"{prefix}.fwd")
-        params.update(self.bwd.named_params(f"{prefix}.bwd"))
-        return params
 
-
-class CrossAttention:
+class CrossAttention(Layer):
     """Single-head scaled dot-product attention with learned projections.
 
     Queries come from one stream and keys/values from another; key
@@ -191,11 +195,6 @@ class CrossAttention:
         weights = self._softmax_weights(query, key, key_mask)
         return self.out_proj(weights @ self.v_proj(value))
 
-    def attention_weights(self, query: Tensor, key: Tensor,
-                          key_mask: np.ndarray | None = None) -> np.ndarray:
-        """Softmax weights only, for inspection and tests."""
-        return self._softmax_weights(query, key, key_mask).data
-
     def _softmax_weights(self, query: Tensor, key: Tensor,
                          key_mask: np.ndarray | None) -> Tensor:
         if query.shape[-1] != self.dim or key.shape[-1] != self.dim:
@@ -211,12 +210,6 @@ class CrossAttention:
             # Broadcast over the query axis: [.., m] -> [.., 1, m].
             scores = scores + Tensor(bias.astype(scores.dtype)[..., None, :])
         return ad.softmax(scores, axis=-1)
-
-    def named_params(self, prefix: str):
-        params = {}
-        for name in ("q_proj", "k_proj", "v_proj", "out_proj"):
-            params.update(getattr(self, name).named_params(f"{prefix}.{name}"))
-        return params
 
 
 @dataclass

@@ -14,6 +14,7 @@ grid are defined here too.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields, replace
 
@@ -47,6 +48,7 @@ from .layers import (
     CrossAttention,
     Dense,
     glorot_uniform,
+    named_tensors,
     parameter,
 )
 
@@ -179,6 +181,24 @@ ARCH_KEYS = tuple(f.name for _, f in config_fields()
                   if not f.metadata.get("training_only"))
 
 
+# Checkpoint name prefix of each tensor-holding KwsModel attribute, in order.
+CHECKPOINT_PREFIXES = {
+    "conv1": "audio.conv1",
+    "bn1": "audio.bn1",
+    "conv2": "audio.conv2",
+    "bn2": "audio.bn2",
+    "gru_a1": "audio.gru1",
+    "gru_a2": "audio.gru2",
+    "dense_a": "audio.dense",
+    "char_table": "text.embed.table",
+    "gru_t": "text.gru",
+    "dense_t": "text.dense",
+    "attn": "extract.attn",
+    "gru_d": "disc.gru",
+    "dense_out": "disc.dense",
+}
+
+
 def strided_length(length: int, stride_t: int) -> int:
     """Post-convolution frame count: ceil(length / stride_t)."""
     return (length - 1) // stride_t + 1
@@ -210,31 +230,17 @@ class KwsModel:
         self.dense_out = Dense(2 * cfg.disc_hidden, 1, rng)
         self.training_step = 0
 
+    def _named(self, kind: type) -> dict:
+        named = {}
+        for attr, prefix in CHECKPOINT_PREFIXES.items():
+            named.update(named_tensors(getattr(self, attr), prefix, kind))
+        return named
+
     def named_params(self) -> dict:
-        params = {}
-        params.update(self.conv1.named_params("audio.conv1"))
-        params.update(self.bn1.named_params("audio.bn1"))
-        params.update(self.conv2.named_params("audio.conv2"))
-        params.update(self.bn2.named_params("audio.bn2"))
-        params.update(self.gru_a1.named_params("audio.gru1"))
-        params.update(self.gru_a2.named_params("audio.gru2"))
-        params.update(self.dense_a.named_params("audio.dense"))
-        params["text.embed.table"] = self.char_table
-        params.update(self.gru_t.named_params("text.gru"))
-        params.update(self.dense_t.named_params("text.dense"))
-        params.update(self.attn.named_params("extract.attn"))
-        params.update(self.gru_d.named_params("disc.gru"))
-        params.update(self.dense_out.named_params("disc.dense"))
-        return params
+        return self._named(Tensor)
 
     def named_buffers(self) -> dict:
-        buffers = {}
-        buffers.update(self.bn1.named_buffers("audio.bn1"))
-        buffers.update(self.bn2.named_buffers("audio.bn2"))
-        return buffers
-
-    def parameters(self) -> list:
-        return list(self.named_params().values())
+        return self._named(np.ndarray)
 
     def _dropout(self, x, train, rng):
         return ad.dropout(x, self.cfg.dropout, train, rng)
@@ -445,7 +451,8 @@ def load_checkpoint(path) -> Checkpoint:
         shapes[name] = reader.unpack(f"<{ndim}I")
     tensors = {}
     for name, shape in shapes.items():
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # Python ints: a declared shape must not wrap to a small count.
+        count = math.prod(shape)
         raw = reader.pull(4 * count)
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     if reader.offset != len(blob):
@@ -549,7 +556,7 @@ def train(manifest, cfg: ModelConfig, epochs: int, val_fraction: float = 0.1,
     front = make_front_end(cfg.feature, cfg.front_end, cfg.sdc)
     cache = {}
     model = KwsModel(cfg)
-    optimizer = Adam(model.parameters(), lr=cfg.lr)
+    optimizer = Adam(model.named_params().values(), lr=cfg.lr)
     history = []
     best_auc = -1.0
     best = model.to_checkpoint()

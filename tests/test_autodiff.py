@@ -4,6 +4,7 @@ Every gradient check runs in float64 with step 1e-5 and a fixed random
 probe on the output so no direction is accidentally stationary.
 """
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,85 @@ class TestTensorBasics:
     def test_untracked_result_has_no_parents(self):
         out = Tensor(np.ones(3)) * Tensor(np.ones(3))
         assert out._parents == ()
+
+
+# Every op that records graph nodes, called on small float64 inputs;
+# make(shape) builds the op's next input tensor, in argument order.
+OP_CALLS = {
+    "add": lambda make: ad.add(make((2, 3)), make((3,))),
+    "mul": lambda make: ad.mul(make((2, 3)), make((2, 1))),
+    "matmul": lambda make: ad.matmul(make((2, 3)), make((3, 4))),
+    "reshape": lambda make: ad.reshape(make((2, 3)), (3, 2)),
+    "transpose": lambda make: ad.transpose(make((2, 3)), (1, 0)),
+    "take": lambda make: ad.take(make((4, 3)), np.array([0, 2, 2])),
+    "concat": lambda make: ad.concat([make((2, 3)), make((1, 3))]),
+    "sigmoid": lambda make: ad.sigmoid(make((2, 3))),
+    "softmax": lambda make: ad.softmax(make((2, 3))),
+    "conv2d": lambda make: ad.conv2d(make((1, 1, 4, 3)), make((2, 1, 3, 3)),
+                                     make((2,))),
+    "batch_norm": lambda make: ad.batch_norm(make((2, 2, 3, 2)), make((2,)),
+                                             make((2,)))[0],
+    "gru_scan": lambda make: ad.gru_scan(
+        make((2, 3, 2)), [make((2, 4)) for _ in range(3)],
+        [make((4, 4)) for _ in range(3)], [make((4,)) for _ in range(3)]),
+    "dropout": lambda make: ad.dropout(make((2, 3)), 0.5, True,
+                                       np.random.default_rng(0)),
+    "sigmoid_bce": lambda make: ad.sigmoid_bce(make((4,)),
+                                               np.array([0, 1, 1, 0])),
+}
+
+
+def recording_ops():
+    """The ops that call _from_op, found as the op-reach test finds them."""
+    return sorted(name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and "_from_op" in fn.__code__.co_names)
+
+
+def call_op(name, needs_grad):
+    """Run one op; needs_grad(i) says whether input i requires grad."""
+    rng = np.random.default_rng(3)
+    made = []
+
+    def make(shape):
+        made.append(Tensor(rng.normal(size=shape),
+                           requires_grad=needs_grad(len(made))))
+        return made[-1]
+
+    return OP_CALLS[name](make), made
+
+
+class TestRecording:
+    """_from_op records a node exactly when an input requires grad."""
+
+    def test_every_recording_op_has_a_call(self):
+        assert sorted(OP_CALLS) == recording_ops()
+
+    @pytest.mark.parametrize("name", recording_ops())
+    def test_no_grad_records_nothing(self, name):
+        with no_grad():
+            out, _ = call_op(name, lambda i: True)
+        assert not out.requires_grad
+        assert out._backward_fn is None
+        assert out._parents == ()
+
+    @pytest.mark.parametrize("name", recording_ops())
+    def test_constant_inputs_record_nothing(self, name):
+        out, _ = call_op(name, lambda i: False)
+        assert not out.requires_grad
+        assert out._backward_fn is None
+        assert out._parents == ()
+
+    @pytest.mark.parametrize("which", ["first", "last"])
+    @pytest.mark.parametrize("name", recording_ops())
+    def test_parents_are_the_inputs_that_require_grad(self, name, which):
+        _, made = call_op(name, lambda i: False)
+        chosen = 0 if which == "first" else len(made) - 1
+        out, made = call_op(name, lambda i: i == chosen)
+        assert out.requires_grad
+        assert out._backward_fn is not None
+        assert len(out._parents) == 1
+        assert out._parents[0] is made[chosen]
 
 
 class TestGradBuffers:
@@ -812,7 +892,7 @@ class TestCrossAttention:
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(2, 5, 8)))
         kv = Tensor(rng.normal(size=(2, 7, 8)))
-        weights = att.attention_weights(q, kv)
+        weights = att._softmax_weights(q, kv, None).data
         assert weights.shape == (2, 5, 7)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert (weights >= 0).all()
@@ -822,7 +902,7 @@ class TestCrossAttention:
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(1, 4, 8)))
         kv = Tensor(np.tile(rng.normal(size=(1, 1, 8)), (1, 6, 1)))
-        weights = att.attention_weights(q, kv)
+        weights = att._softmax_weights(q, kv, None).data
         np.testing.assert_allclose(weights, 1.0 / 6.0, atol=1e-12)
 
     def test_single_key_passes_value_through_out_proj(self):
@@ -840,7 +920,7 @@ class TestCrossAttention:
         q = Tensor(rng.normal(size=(1, 4, 8)))
         kv = Tensor(rng.normal(size=(1, 6, 8)))
         mask = np.array([[1.0, 1.0, 0.0, 1.0, 0.0, 1.0]])
-        weights = att.attention_weights(q, kv, key_mask=mask)
+        weights = att._softmax_weights(q, kv, mask).data
         np.testing.assert_array_equal(weights[:, :, 2], 0.0)
         np.testing.assert_array_equal(weights[:, :, 4], 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)

@@ -1,6 +1,7 @@
 """End-to-end command-line runs in subprocesses: exit codes and artifacts."""
 
 import os
+import struct
 import subprocess
 import sys
 
@@ -118,6 +119,20 @@ class TestExtract:
         assert [os.path.basename(p) for p in produced] == ["a.kwsf", "b.kwsf"]
         for path in produced:
             assert read_features(path).data.shape[1] == 40
+
+    def test_directory_basename_collision_is_usage_error(self, tmp_path):
+        rng = np.random.default_rng(10)
+        for sub in ("a", "b"):
+            (tmp_path / "in" / sub).mkdir(parents=True)
+            write_wav(tmp_path / "in" / sub / "x.wav",
+                      Waveform(0.1 * rng.normal(size=8000), SAMPLE_RATE))
+        result = run_cli("extract", tmp_path / "in", "-o", tmp_path / "out",
+                         "--feature", "mel")
+        assert result.returncode == 2
+        assert os.path.join("a", "x.wav") in result.stderr
+        assert os.path.join("b", "x.wav") in result.stderr
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.rglob("*.kwsf")) == []
 
     def test_unknown_feature_is_usage_error(self, second_wav):
         result = run_cli("extract", second_wav, "--feature", "bogus")
@@ -328,6 +343,23 @@ class TestEval:
                          "--ckpt", broken)
         assert result.returncode == 1
         assert "truncated" in result.stderr
+
+    def test_overflowing_tensor_shape_is_runtime_error(self, workspace,
+                                                       tmp_path):
+        # 65536 ** 4 elements wrap to 0 in int64; the header must still be
+        # read as a declared size far past the end of the file.
+        blob = workspace["ckpt"].read_bytes()
+        old = b"audio.bn2.gamma" + struct.pack("<BI", 1, 2)
+        new = b"audio.bn2.gamma" + struct.pack("<B4I", 4, *(65536,) * 4)
+        assert blob.count(old) == 1
+        broken = tmp_path / "huge_shape.kwsm"
+        broken.write_bytes(blob.replace(old, new))
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", broken)
+        assert result.returncode == 1
+        assert "huge_shape.kwsm" in result.stderr
+        assert "truncated" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unknown_feature_in_checkpoint_is_runtime_error(self, workspace,
                                                             tmp_path):

@@ -287,7 +287,7 @@ class TestSmallModel:
         batch = random_batch(np.random.default_rng(3), 12,
                              sizes=(7, 9, 6, 8, 7, 9),
                              token_counts=(3, 2, 4, 2, 3, 2))
-        optimizer = Adam(model.parameters(), lr=0.02)
+        optimizer = Adam(model.named_params().values(), lr=0.02)
         losses = []
         for _ in range(80):
             _, logits = model.forward(batch)
