@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Subcommands: extract (wav to feature files), synth (generate a
-synthetic keyword dataset), train, eval, and ablate (the shift/block
-sweep). Configuration comes from an INI file with [frontend], [sdc]
-and [model] sections; command-line flags override file values. Exit
-codes: 0 success, 1 runtime or data error, 2 usage error. The
-SDCKWS_LOG environment variable (debug/info/warning/error) sets log
-verbosity on stderr.
+synthetic keyword dataset), train, eval, and ablate (one model per
+value of any one config key). Configuration comes from an INI file with
+[frontend], [sdc] and [model] sections; command-line flags override
+file values. Exit codes: 0 success, 1 runtime or data error, 2 usage
+error. The SDCKWS_LOG environment variable (debug/info/warning/error)
+sets log verbosity on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import glob
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,9 @@ import scipy
 from . import data as data_module
 from . import metrics as metrics_module
 from . import model as model_module
-from .errors import KwsError
+from .errors import EmptyDataset, KwsError
 from .features import (
     FEATURE_NAMES,
-    FrontEndConfig,
     SdcConfig,
     make_front_end,
     write_features,
@@ -61,24 +60,17 @@ def load_ini(path) -> dict:
         raise UsageError(f"{path}: not UTF-8 text ({exc})") from None
     except configparser.Error as exc:
         raise UsageError(f"{path}: malformed config ({exc})") from None
-    types = {}
-    for section, f in model_module.config_fields():
-        if section == "sdc":
-            types.update(((section, sub.name), sub.type)
-                         for sub in fields(SdcConfig))
-        else:
-            types[(section, f.name)] = f.type
-    sections = {section for section, _ in types}
+    sections = {spec.section for spec in model_module.CONFIG_KEYS.values()}
     values = {}
     for section in parser.sections():
         if section not in sections:
             raise UsageError(f"unknown config section [{section}]")
         for key, text in parser.items(section):
-            if (section, key) not in types:
+            spec = model_module.CONFIG_KEYS.get(key)
+            if spec is None or spec.section != section:
                 raise UsageError(f"unknown key {key!r} in section [{section}]")
             try:
-                values[(section, key)] = model_module.decode_value(
-                    types[(section, key)], text)
+                values[key] = model_module.decode_value(spec.type, text)
             except ValueError as exc:
                 raise UsageError(
                     f"bad value for {section}.{key}: {text!r} ({exc})") from None
@@ -91,26 +83,16 @@ def build_model_config(args) -> model_module.ModelConfig:
     A flag overrides the config key named by its argparse dest; --sdc
     replaces the whole [sdc] section.
     """
-    ini = load_ini(args.config) if getattr(args, "config", None) else {}
-    kwargs = {"frontend": {}, "sdc": {}, "model": {}}
-    for (section, key), value in ini.items():
-        kwargs[section][key] = value
-    for section, f in model_module.config_fields():
-        flag = getattr(args, f.name, None)
-        if flag is None:
-            continue
-        if section == "sdc":
-            kwargs[section] = asdict(flag)
-        elif isinstance(flag, str):
-            kwargs[section][f.name] = model_module.decode_value(f.type, flag)
-        else:
-            kwargs[section][f.name] = flag
+    values = load_ini(args.config) if getattr(args, "config", None) else {}
+    if getattr(args, "sdc", None) is not None:
+        values.update(asdict(args.sdc))
+    for key, spec in model_module.CONFIG_KEYS.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = (model_module.decode_value(spec.type, flag)
+                           if isinstance(flag, str) else flag)
     try:
-        cfg = model_module.ModelConfig(
-            front_end=FrontEndConfig(**kwargs["frontend"]),
-            sdc=SdcConfig(**kwargs["sdc"]),
-            **kwargs["model"],
-        )
+        cfg = model_module.config_with(model_module.ModelConfig(), values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _log_config(cfg)
@@ -145,8 +127,7 @@ def cmd_extract(args) -> int:
         wavs = sorted(glob.glob(os.path.join(args.input, "**", "*.wav"),
                                 recursive=True))
         if not wavs:
-            LOG.error("no .wav files under %s", args.input)
-            return 1
+            raise EmptyDataset(f"no .wav files under {args.input}")
         out_dir = args.output or args.input
         targets = [
             os.path.join(out_dir,
@@ -218,38 +199,51 @@ def cmd_eval(args) -> int:
 
 
 def parse_sweep(text: str):
-    """Parse 'd=1..4' or 'k=5..10' into (variable, values)."""
+    """Parse 'KEY=V1,V2,...', or 'KEY=LO..HI' for an int key, into (key, values)."""
+    key, _, span = text.partition("=")
+    spec = model_module.CONFIG_KEYS.get(key)
+    if spec is None:
+        raise argparse.ArgumentTypeError(
+            f"sweep key must be a config file key, got {key!r}")
     try:
-        variable, span = text.split("=", 1)
-        low_text, high_text = span.split("..", 1)
-        low, high = int(low_text), int(high_text)
-    except ValueError:
+        if spec.type == "int" and ".." in span:
+            low, high = (int(end) for end in span.split("..", 1))
+            values = list(range(low, high + 1))
+        else:
+            values = [model_module.decode_value(spec.type, item)
+                      for item in span.split(",")]
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"sweep must look like d=1..4 or k=5..10, got {text!r}") from None
-    if variable not in ("d", "k"):
-        raise argparse.ArgumentTypeError(
-            f"sweep variable must be d or k, got {variable!r}")
-    if low < 1 or high < low:
-        raise argparse.ArgumentTypeError(f"bad sweep range {text!r}")
-    return variable, list(range(low, high + 1))
+            f"bad sweep value in {text!r} ({exc})") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty sweep range {text!r}")
+    return key, values
 
 
 def cmd_ablate(args) -> int:
     cfg = build_model_config(args)
+    key, values = args.sweep
+    for value in values:
+        try:
+            model_module.config_with(cfg, {key: value})
+        except ValueError as exc:
+            raise UsageError(f"--sweep {key}: {exc}") from None
     manifest_train = data_module.load_manifest(args.train_manifest)
     manifest_eval = data_module.load_manifest(args.eval_manifest)
-    variable, values = args.sweep
-    d_values = values if variable == "d" else []
-    k_values = values if variable == "k" else []
     def log_row(row):
-        LOG.info("d=%d k=%d auc=%.4f eer=%.4f", row.d, row.k, row.auc, row.eer)
+        LOG.info("%s=%s auc=%.4f eer=%.4f", key,
+                 model_module.encode_value(row.value), row.auc, row.eer)
     rows = model_module.ablation_grid(
-        manifest_train, manifest_eval, d_values, k_values, cfg, args.epochs,
+        manifest_train, manifest_eval, key, values, cfg, args.epochs,
         log=log_row)
     _atomic(args.output, lambda tmp: Path(tmp).write_text(
         model_module.ablation_csv(rows), encoding="utf-8"))
     print(args.output)
     return 0
+
+
+# Least value of each count flag; main rejects smaller or non-finite ones.
+_MINIMUMS = {"per_keyword": 1, "negative_ratio": 0, "epochs": 0, "seed": 0}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("-o", "--output", help="scores CSV path")
     p_eval.set_defaults(handler=cmd_eval)
 
-    p_ablate = sub.add_parser("ablate", help="sweep the shift or block count")
+    p_ablate = sub.add_parser("ablate", help="one model per swept key value")
     p_ablate.add_argument("--train-manifest", dest="train_manifest",
                           required=True)
     p_ablate.add_argument("--eval-manifest", dest="eval_manifest",
                           required=True)
     p_ablate.add_argument("--sweep", type=parse_sweep, required=True,
-                          metavar="d=1..4|k=5..10")
+                          metavar="KEY=V1,V2,...|KEY=LO..HI")
     p_ablate.add_argument("--epochs", type=int, required=True)
     p_ablate.add_argument("-o", "--output", required=True, help="grid CSV path")
     add_config_flags(p_ablate, with_model=True)
@@ -320,12 +314,16 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "synth" and len(args.keywords) < 2:
-        parser.error("synth needs at least 2 keywords")
+    if args.command == "synth" and len(set(args.keywords)) < 2:
+        parser.error("synth needs at least 2 distinct keywords")
+    for name, low in _MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and not low <= value < float("inf"):
+            parser.error(f"--{name.replace('_', '-')} must be finite and >= {low}")
     _log_environment()
     try:
         return args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         LOG.error("%s", exc)
         return 2
     except (KwsError, OSError) as exc:

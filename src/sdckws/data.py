@@ -71,6 +71,8 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE) -> Waveform:
     except (wave_module.Error, EOFError) as exc:
         raise FormatError(
             f"{path}: {str(exc) or 'file ends inside the RIFF header'}") from None
+    except RuntimeError:  # wave's seek past the size a chunk declares
+        raise FormatError(f"{path}: corrupt chunk size") from None
     if len(raw) % 2:
         raise FormatError(f"{path}: file ends inside a sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

@@ -62,7 +62,7 @@ class DegenerateLabels(KwsError):
 
 
 class NonFiniteValue(KwsError):
-    """A training loss, a gradient or a score is NaN or infinite."""
+    """A loss, gradient, score or waveform power is NaN or infinite."""
 
 
 class IoError(KwsError):

@@ -29,6 +29,7 @@ from .errors import (
     ConfigMismatch,
     DegenerateFilter,
     FormatError,
+    NonFiniteValue,
 )
 
 
@@ -196,7 +197,10 @@ def _windowed_power(wave: Waveform, cfg: FrontEndConfig) -> np.ndarray:
     frames = frame_signal(
         emphasized, cfg.frame_len(wave.sample_rate), cfg.hop(wave.sample_rate)
     )
-    return power_spectrum(apply_hamming(frames), cfg.nfft)
+    power = power_spectrum(apply_hamming(frames), cfg.nfft)
+    if not np.isfinite(power).all():
+        raise NonFiniteValue("the waveform's power spectrum overflows float64")
+    return power
 
 
 def _log_mel_matrix(wave: Waveform, cfg: FrontEndConfig) -> np.ndarray:
@@ -293,6 +297,11 @@ def bark_scale(f_hz):
 def bark_to_hz(z):
     """Inverse of bark_scale."""
     return 600.0 * np.sinh(np.asarray(z, dtype=np.float64) / 6.0)
+
+
+def plp_lags(sample_rate: int) -> int:
+    """Most cepstra PLP gives at a rate: the symmetrized bark bands' length."""
+    return 2 * int(np.floor(bark_scale(sample_rate / 2.0)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -105,17 +105,3 @@ def write_scores(path, scored: ScoredSet) -> None:
         lines.append(f"{float(score)!r},{int(label)}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def read_scores(path) -> ScoredSet:
-    scores = []
-    labels = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line == SCORES_HEADER:
-                continue
-            score_text, label_text = line.split(",")
-            scores.append(float(score_text))
-            labels.append(int(label_text))
-    return ScoredSet(np.array(scores), np.array(labels))

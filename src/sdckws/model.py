@@ -8,22 +8,24 @@ embedding, one bidirectional GRU, and a dense projection.
 Cross-attention with the text as query produces a context that a
 bidirectional GRU discriminator reads out into a single sigmoid match
 score. Every path, single-pair `score` included, runs `forward` on a
-padded batch. Training, evaluation and the shift/block-count ablation
-grid are defined here too.
+padded batch. The config schema (one table of INI keys), training,
+evaluation and the ablation sweep over any one config key are defined
+here too.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor, no_grad
-from .data import ALPHABET, Batch, collate, make_batches
+from .data import ALPHABET, SAMPLE_RATE, Batch, collate, make_batches
 from .errors import (
     ConfigMismatch,
     DegenerateDataset,
@@ -39,6 +41,7 @@ from .features import (
     SdcConfig,
     feature_dim,
     make_front_end,
+    plp_lags,
 )
 from .layers import (
     Adam,
@@ -55,6 +58,39 @@ from .layers import (
 KIND_NAMES = {kind: name for name, kind in FEATURE_NAMES.items()}
 
 
+def encode_value(value) -> str:
+    """Spell one config value as the .kwsm block does."""
+    if isinstance(value, FeatureKind):
+        return KIND_NAMES[value]
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, SdcConfig):
+        return str(value)
+    return repr(value)
+
+
+def decode_value(type_name: str, text: str):
+    """Parse one config value given its field's annotation string."""
+    if type_name == "bool":
+        word = text.strip().lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"expected a boolean, got {text!r}")
+    if type_name == "FeatureKind":
+        if text not in FEATURE_NAMES:
+            raise ValueError(f"unknown feature {text!r}; expected one of"
+                             f" {', '.join(FEATURE_NAMES)}")
+        return FEATURE_NAMES[text]
+    if type_name == "float":
+        value = float(text)
+        if not np.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
+    return int(text)
+
+
 # Marks the fields that only steer training; every other field is
 # architecture and must match for a checkpoint to load.
 _TRAINING_ONLY = {"training_only": True}
@@ -64,7 +100,7 @@ _TRAINING_ONLY = {"training_only": True}
 class ModelConfig:
     """Architecture and training knobs; defaults follow the matcher recipe.
 
-    Field order is the .kwsm config block order (see `config_fields`).
+    Field order is the .kwsm config block order (see `to_dict`).
     """
 
     feature: FeatureKind = FeatureKind.SDC
@@ -93,6 +129,14 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # Audio is read at SAMPLE_RATE, so the front-end must run there.
+        if self.front_end.hop(SAMPLE_RATE) < 1:
+            raise ValueError(f"hop_ms {self.front_end.hop_ms} is under a sample")
+        if (self.feature in (FeatureKind.PLP, FeatureKind.RASTA_PLP)
+                and self.front_end.num_cepstra > plp_lags(SAMPLE_RATE)):
+            raise ValueError(f"plp gives at most {plp_lags(SAMPLE_RATE)} cepstra")
         if self.feature == FeatureKind.SDC and self.sdc.n != self.front_end.num_mel:
             raise ValueError(
                 f"sdc base width {self.sdc.n} must equal num_mel"
@@ -104,81 +148,60 @@ class ModelConfig:
         return feature_dim(self.feature, self.front_end, self.sdc)
 
     def to_dict(self) -> dict:
-        """The .kwsm config block: one text value per key of `config_fields`."""
-        out = {}
-        for section, f in config_fields():
-            value = getattr(self.front_end if section == "frontend" else self,
-                            f.name)
-            if isinstance(value, FeatureKind):
-                out[f.name] = KIND_NAMES[value]
-            elif isinstance(value, bool):
-                out[f.name] = "1" if value else "0"
-            elif isinstance(value, SdcConfig):
-                out[f.name] = str(value)
-            else:
-                out[f.name] = repr(value)
-        return out
+        """The .kwsm config block: every field as text, front_end's inline."""
+        flat = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            flat.update(asdict(value) if isinstance(value, FrontEndConfig)
+                        else {f.name: value})
+        return {key: encode_value(value) for key, value in flat.items()}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
         """Rebuild a config from a .kwsm block; absent keys take defaults."""
-        kwargs, front_kwargs = {}, {}
-        for section, f in config_fields():
-            if f.name not in raw:
-                continue
+        default = cls()
+        values = {}
+        for key in (key for key in default.to_dict() if key in raw):
             try:
-                value = decode_value(f.type, raw[f.name])
+                if key == "sdc":
+                    values.update(asdict(SdcConfig.parse(raw[key])))
+                else:
+                    values[key] = decode_value(CONFIG_KEYS[key].type, raw[key])
             except ValueError as exc:
-                raise FormatError(
-                    f"config {f.name}={raw[f.name]!r}: {exc}") from None
-            (front_kwargs if section == "frontend" else kwargs)[f.name] = value
+                raise FormatError(f"config {key}={raw[key]!r}: {exc}") from None
         try:
-            return cls(front_end=FrontEndConfig(**front_kwargs), **kwargs)
+            return config_with(default, values)
         except ValueError as exc:
             raise FormatError(f"config block: {exc}") from None
 
 
-def config_fields():
-    """Yield (INI section, dataclass field) for every config key.
+# INI section of each nested config's keys; the others are [model] keys.
+_NESTED = {"front_end": "frontend", "sdc": "sdc"}
 
-    The order is the .kwsm config block order. `[sdc]` is one key here,
-    written N-d-p-k; the INI spells it out as `SdcConfig`'s fields.
-    """
-    for f in fields(ModelConfig):
-        if f.type == "FrontEndConfig":
-            for sub in fields(FrontEndConfig):
-                yield "frontend", sub
-        else:
-            yield ("sdc" if f.type == "SdcConfig" else "model"), f
+ConfigKey = namedtuple("ConfigKey", "section type")
 
-
-def decode_value(type_name: str, text: str):
-    """Parse one config value given its field's annotation string."""
-    if type_name == "bool":
-        word = text.strip().lower()
-        if word in ("1", "true", "yes", "on"):
-            return True
-        if word in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
-    if type_name == "FeatureKind":
-        if text not in FEATURE_NAMES:
-            raise ValueError(f"unknown feature {text!r}; expected one of"
-                             f" {', '.join(FEATURE_NAMES)}")
-        return FEATURE_NAMES[text]
-    if type_name == "SdcConfig":
-        return SdcConfig.parse(text)
-    if type_name == "float":
-        value = float(text)
-        if not np.isfinite(value):
-            raise ValueError(f"expected a finite number, got {text!r}")
-        return value
-    return int(text)
-
+# Every key of the INI file, the flags and `ablate --sweep`, in .kwsm
+# block order (which packs [sdc] into one `sdc=N-d-p-k` key): the one
+# map from a key to its section and its type for decode_value.
+CONFIG_KEYS = {
+    sub.name: ConfigKey(_NESTED.get(f.name, "model"), sub.type)
+    for f in fields(ModelConfig)
+    for sub in (fields(f.default_factory) if f.name in _NESTED else [f])
+}
 
 # Keys that must agree for a checkpoint to load into a model.
-ARCH_KEYS = tuple(f.name for _, f in config_fields()
-                  if not f.metadata.get("training_only"))
+ARCH_KEYS = tuple(key for key in ModelConfig().to_dict() if key not in {
+    f.name for f in fields(ModelConfig) if f.metadata.get("training_only")})
+
+
+def config_with(cfg: ModelConfig, values: dict) -> ModelConfig:
+    """`cfg` with some keys set to decoded values; ValueError if invalid."""
+    by_section = {"model": {}, **{section: {} for section in _NESTED.values()}}
+    for key, value in values.items():
+        by_section[CONFIG_KEYS[key].section][key] = value
+    nested = {name: replace(getattr(cfg, name), **by_section[section])
+              for name, section in _NESTED.items()}
+    return replace(cfg, **nested, **by_section["model"])
 
 
 # Checkpoint name prefix of each tensor-holding KwsModel attribute, in order.
@@ -601,10 +624,11 @@ def train(manifest, cfg: ModelConfig, epochs: int, val_fraction: float = 0.1,
 
 @dataclass(frozen=True)
 class AblationRow:
-    """One grid cell: the swept configuration and its evaluation metrics."""
+    """One grid cell: the swept key and value, the config it trained, metrics."""
 
-    d: int
-    k: int
+    key: str
+    value: object
+    cfg: ModelConfig
     auc: float
     eer: float
 
@@ -612,26 +636,21 @@ class AblationRow:
 ABLATION_HEADER = "d,k,auc,eer"
 
 
-def ablation_grid(manifest_train, manifest_eval, d_values, k_values, base_cfg,
+def ablation_grid(manifest_train, manifest_eval, key: str, values, base_cfg,
                   epochs: int, log=None) -> list:
-    """Train and evaluate one model per swept shift or block count.
+    """Train and evaluate one model per value of one config key.
 
-    Sweeps are one-at-a-time: every d in d_values with the base k, then
-    every k in k_values with the base d. Each cell derives its own seed
-    from the base seed and its coordinates, so the grid is
-    deterministic and cells are independent.
+    An invalid value raises ValueError before any cell trains. A cell
+    trains with seed `seed * 10000 + d * 100 + k` of its own config.
     """
-    cells = [(d, base_cfg.sdc.k) for d in d_values]
-    cells += [(base_cfg.sdc.d, k) for k in k_values]
+    cells = [config_with(base_cfg, {key: value}) for value in values]
     rows = []
-    for d, k in cells:
-        sdc_cfg = replace(base_cfg.sdc, d=d, k=k)
-        cfg = replace(base_cfg, sdc=sdc_cfg,
-                      seed=int(base_cfg.seed) * 10000 + d * 100 + k)
+    for value, cfg in zip(values, cells):
+        cfg = replace(cfg, seed=cfg.seed * 10000 + cfg.sdc.d * 100 + cfg.sdc.k)
         trained, _, _ = train(manifest_train, cfg, epochs)
         scored = evaluate(trained, manifest_eval)
-        row = AblationRow(d=d, k=k, auc=metrics.auc(scored),
-                          eer=metrics.eer(scored))
+        row = AblationRow(key, value, cfg, metrics.auc(scored),
+                          metrics.eer(scored))
         rows.append(row)
         if log is not None:
             log(row)
@@ -639,7 +658,9 @@ def ablation_grid(manifest_train, manifest_eval, d_values, k_values, base_cfg,
 
 
 def ablation_csv(rows) -> str:
-    lines = [ABLATION_HEADER]
-    for row in rows:
-        lines.append(f"{row.d},{row.k},{row.auc!r},{row.eer!r}")
+    """`d,k,auc,eer` per cell, led by the swept key's column unless it is d or k."""
+    lead = bool(rows) and rows[0].key not in ("d", "k")
+    lines = [(f"{rows[0].key}," if lead else "") + ABLATION_HEADER]
+    lines += [(f"{encode_value(r.value)}," if lead else "")
+              + f"{r.cfg.sdc.d},{r.cfg.sdc.k},{r.auc!r},{r.eer!r}" for r in rows]
     return "\n".join(lines) + "\n"

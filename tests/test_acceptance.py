@@ -405,18 +405,17 @@ def test_criterion_7_ablation_grids(capsys, tmp_path):
             synth_dataset(keywords, 6, 1.0, 14, tmp_path / "eval")
         )
         cfg = desk_config(batch_size=16)
-        d_rows = ablation_grid(train_manifest, eval_manifest,
-                               d_values=[1, 2, 3, 4], k_values=[],
-                               base_cfg=cfg, epochs=8)
-        k_rows = ablation_grid(train_manifest, eval_manifest,
-                               d_values=[], k_values=[5, 6, 7, 8, 9, 10],
-                               base_cfg=cfg, epochs=8)
-        assert [(r.d, r.k) for r in d_rows] == [(1, 8), (2, 8), (3, 8), (4, 8)]
-        assert [(r.d, r.k) for r in k_rows] == [(1, k) for k in range(5, 11)]
+        d_rows = ablation_grid(train_manifest, eval_manifest, "d",
+                               [1, 2, 3, 4], base_cfg=cfg, epochs=8)
+        k_rows = ablation_grid(train_manifest, eval_manifest, "k",
+                               [5, 6, 7, 8, 9, 10], base_cfg=cfg, epochs=8)
+        cells = lambda rows: [(r.cfg.sdc.d, r.cfg.sdc.k) for r in rows]
+        assert cells(d_rows) == [(1, 8), (2, 8), (3, 8), (4, 8)]
+        assert cells(k_rows) == [(1, k) for k in range(5, 11)]
         for row in d_rows + k_rows:
             assert 0.0 <= row.auc <= 1.0
             assert 0.0 <= row.eer <= 1.0
         notes.append(
-            "d trend " + " ".join(f"d{r.d}:{r.auc:.3f}" for r in d_rows)
-            + "; k trend " + " ".join(f"k{r.k}:{r.auc:.3f}" for r in k_rows)
+            "d trend " + " ".join(f"d{r.value}:{r.auc:.3f}" for r in d_rows)
+            + "; k trend " + " ".join(f"k{r.value}:{r.auc:.3f}" for r in k_rows)
         )

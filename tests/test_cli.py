@@ -1,18 +1,22 @@
 """End-to-end command-line runs in subprocesses: exit codes and artifacts."""
 
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sdckws import cli
 from sdckws.data import SAMPLE_RATE, load_manifest, write_wav
 from sdckws.dsp import Waveform
 from sdckws.features import read_features
-from sdckws.metrics import read_scores
 from sdckws.model import load_checkpoint, save_checkpoint
+from test_metrics import read_scores
 
 SMALL_INI = """\
 [frontend]
@@ -138,6 +142,11 @@ class TestExtract:
         result = run_cli("extract", second_wav, "--feature", "bogus")
         assert result.returncode == 2
 
+    def test_directory_without_wavs_is_runtime_error(self, tmp_path):
+        result = run_cli("extract", tmp_path)
+        assert result.returncode == 1
+        assert f"no .wav files under {tmp_path}" in result.stderr
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         result = run_cli("extract", tmp_path / "ghost.wav")
         assert result.returncode == 1
@@ -155,6 +164,17 @@ class TestExtract:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert "short.wav" in result.stderr
+
+    def test_corrupt_chunk_size_is_runtime_error(self, second_wav, tmp_path):
+        # The fmt chunk's size field, set past the end of the file.
+        blob = bytearray(second_wav.read_bytes())
+        blob[16:20] = struct.pack("<I", 100000)
+        corrupt = tmp_path / "corrupt.wav"
+        corrupt.write_bytes(bytes(blob))
+        result = run_cli("extract", corrupt, "-o", tmp_path / "f.kwsf")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "corrupt.wav" in result.stderr
 
     def test_non_utf8_config_is_usage_error(self, second_wav, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -282,6 +302,12 @@ class TestTrain:
                          "-o", tmp_path / "m.kwsm")
         assert result.returncode == 2
         assert "warp_factor" in result.stderr
+        bad.write_text("[model]\nd = 2\n")
+        result = run_cli("train", "--manifest", workspace["manifest"],
+                         "--epochs", "1", "--config", bad,
+                         "-o", tmp_path / "m.kwsm")
+        assert result.returncode == 2
+        assert "unknown key 'd' in section [model]" in result.stderr
 
     def test_unknown_section_is_usage_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -310,6 +336,20 @@ class TestTrain:
                          "-o", tmp_path / "m.kwsm")
         assert result.returncode == 2
         assert "bad value for model.lr" in result.stderr
+
+    @pytest.mark.parametrize("text", [
+        "[model]\nseed = -1\n",
+        "[frontend]\nframe_ms = 0.02\nhop_ms = 0.01\n",
+        "[frontend]\nnum_cepstra = 39\n[model]\nfeature = plp\n",
+    ], ids=["negative-seed", "hop-under-one-sample", "plp-cepstra"])
+    def test_config_training_cannot_use_is_usage_error(self, workspace,
+                                                       tmp_path, text):
+        (tmp_path / "bad.ini").write_text(text)
+        result = run_cli("train", "--manifest", workspace["manifest"],
+                         "--epochs", "1", "--config", tmp_path / "bad.ini",
+                         "-o", tmp_path / "m.kwsm")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
     def test_missing_manifest_is_runtime_error(self, workspace, tmp_path):
         result = run_cli("train", "--manifest", tmp_path / "none.jsonl",
@@ -462,6 +502,40 @@ class TestAblate:
         assert len(lines) == 3
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
+    @pytest.mark.parametrize("sweep,column", [
+        ("p=1..3", ["1", "2", "3"]),
+        ("feature=mel,sdc", ["mel", "sdc"]),
+        ("seed=1,2", ["1", "2"]),
+    ])
+    def test_any_key_sweeps_with_its_own_column(self, workspace, tmp_path,
+                                                sweep, column):
+        out = tmp_path / "grid.csv"
+        result = run_cli("ablate", "--train-manifest", workspace["manifest"],
+                         "--eval-manifest", workspace["manifest"],
+                         "--sweep", sweep, "--epochs", "0",
+                         "--config", workspace["root"] / "sdc.ini", "-o", out)
+        assert result.returncode == 0, result.stderr
+        lines = out.read_text().strip().split("\n")
+        key = sweep.split("=")[0]
+        assert lines[0] == f"{key},d,k,auc,eer"
+        assert [line.split(",")[0] for line in lines[1:]] == column
+        # the base d and k of sdc.ini in every cell
+        assert {tuple(line.split(",")[1:3]) for line in lines[1:]} == {("1", "2")}
+
+    @pytest.mark.parametrize("sweep", ["sdc=8-1-2-2", "d=0,1", "n=20",
+                                       "lr=0,0.1", "feature=fft"])
+    def test_bad_sweep_is_usage_error_before_training(self, workspace,
+                                                      tmp_path, sweep):
+        out = tmp_path / "grid.csv"
+        result = run_cli("ablate", "--train-manifest", workspace["manifest"],
+                         "--eval-manifest", workspace["manifest"],
+                         "--sweep", sweep, "--epochs", "1",
+                         "--config", workspace["root"] / "sdc.ini", "-o", out)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "auc=" not in result.stderr
+        assert not out.exists()
+
     def test_bad_sweep_variable_is_usage_error(self, workspace, tmp_path):
         result = run_cli("ablate", "--train-manifest", workspace["manifest"],
                          "--eval-manifest", workspace["manifest"],
@@ -506,3 +580,43 @@ class TestLogging:
     def test_no_subcommand_is_usage_error(self):
         result = run_cli()
         assert result.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--keywords", "ab", "cd", "--per-keyword", "0"],
+    ["synth", "--keywords", "ab", "cd", "--negative-ratio", "-1"],
+    ["synth", "--keywords", "ab", "cd", "--negative-ratio", "nan"],
+    ["synth", "--keywords", "ab", "cd", "--seed", "-1"],
+    ["synth", "--keywords", "ab", "ab"],
+    ["train", "--manifest", "m.jsonl", "--epochs", "1", "--seed", "-1"],
+    ["train", "--manifest", "m.jsonl", "--epochs", "-1"],
+    ["ablate", "--train-manifest", "m.jsonl", "--eval-manifest", "m.jsonl",
+     "--sweep", "d=1..2", "--epochs", "-1"],
+], ids=["per-keyword", "negative-ratio", "nan-ratio", "synth-seed",
+        "duplicate-keywords", "train-seed", "train-epochs", "ablate-epochs"])
+def test_bad_count_is_rejected_before_the_command_runs(argv, tmp_path):
+    # main rejects these counts before a handler runs.
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "-o", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def readme_commands():
+    """Every `sdckws ...` command in README's bash blocks, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("sdckws "):
+                commands.append(line.strip())
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert any("--sweep" in command for command in commands)
+    parser = cli.build_parser()
+    for command in commands:
+        assert "$" not in command, command
+        parser.parse_args(shlex.split(command)[1:])

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sdckws.data import (
     ALPHABET,
@@ -23,6 +25,7 @@ from sdckws.dsp import Waveform
 from sdckws.errors import (
     EmptyDataset,
     FormatError,
+    KwsError,
     ManifestError,
     TokenizeError,
     UnsupportedFormat,
@@ -140,6 +143,24 @@ class TestWavIo:
         path.write_bytes(b"this is not audio at all")
         with pytest.raises(FormatError):
             read_wav(path)
+
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
+                          min_size=1, max_size=3))
+    @example(edits=[(18, 1)])  # fmt chunk size past the end of the file
+    def test_header_edits_raise_only_typed_errors(self, tmp_path, edits):
+        path = tmp_path / "edited.wav"
+        write_wav(path, Waveform(np.linspace(-0.5, 0.5, 400), SAMPLE_RATE))
+        blob = bytearray(path.read_bytes())
+        for offset, value in edits:
+            blob[offset] = value
+        path.write_bytes(bytes(blob))
+        try:
+            read_wav(path)
+        except KwsError as exc:
+            assert "edited.wav" in str(exc)
 
 
 def write_manifest(path, records):

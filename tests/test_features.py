@@ -12,6 +12,7 @@ from sdckws.errors import (
     ConfigMismatch,
     DegenerateFilter,
     FormatError,
+    NonFiniteValue,
 )
 from sdckws.features import (
     FEATURE_NAMES,
@@ -37,6 +38,7 @@ from sdckws.features import (
     mel_to_hz,
     mfcc,
     plp,
+    plp_lags,
     rasta_filter,
     rasta_plp,
     read_features,
@@ -563,6 +565,14 @@ class TestPlp:
             np.testing.assert_allclose(feat[t], oracle, atol=1e-6)
 
 
+    def test_plp_lags_bound_the_cepstra(self):
+        wave = noise_wave(14)
+        lags = plp_lags(SR)
+        assert plp(wave, FrontEndConfig(num_cepstra=lags)).dim == lags
+        with pytest.raises(ValueError, match="autocorrelation lags"):
+            plp(wave, FrontEndConfig(num_cepstra=lags + 1))
+
+
 class TestRastaFilter:
     def test_constant_input_zero_after_warmup(self):
         out = rasta_filter(np.full((60, 5), 2.7))
@@ -629,6 +639,14 @@ class TestFrontEndDims:
         feat = front(noise_wave(17))
         assert feat.data.shape == (98, dim)
         assert feature_dim(kind, cfg) == dim
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("name", list(FEATURE_NAMES))
+    def test_overflowing_power_is_non_finite_value(self, name):
+        wave = Waveform(1e200 * np.random.default_rng(19).normal(size=SR), SR)
+        front = make_front_end(FEATURE_NAMES[name], FrontEndConfig())
+        with pytest.raises(NonFiniteValue, match="power spectrum overflows"):
+            front(wave)
 
     def test_sdc_base_must_match_num_mel(self):
         with pytest.raises(ConfigMismatch):

@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdckws.errors import DegenerateLabels, NonFiniteValue
-from sdckws.metrics import (
-    ScoredSet,
-    auc,
-    eer,
-    f1_at,
-    read_scores,
-    write_scores,
-)
-from sdckws.model import ABLATION_HEADER, AblationRow, ablation_csv
+from sdckws.features import SdcConfig
+from sdckws.metrics import SCORES_HEADER, ScoredSet, auc, eer, f1_at, write_scores
+from sdckws.model import ABLATION_HEADER, AblationRow, ModelConfig, ablation_csv
+
+
+def read_scores(path) -> ScoredSet:
+    """The tests' reader for the scores CSV that write_scores writes."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    assert lines[0] == SCORES_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    return ScoredSet(np.array([float(score) for score, _ in rows]),
+                     np.array([int(label) for _, label in rows]))
 
 
 def brute_auc(scores, labels):
@@ -210,20 +214,31 @@ class TestScoresFile:
 
 class TestAblationCsv:
     def test_format(self):
-        rows = [AblationRow(d=1, k=8, auc=0.9375, eer=0.0625),
-                AblationRow(d=2, k=8, auc=1.0, eer=0.0)]
+        cfg = ModelConfig(sdc=SdcConfig(d=1, k=8))
+        rows = [AblationRow("d", 1, cfg, auc=0.9375, eer=0.0625),
+                AblationRow("d", 2, ModelConfig(sdc=SdcConfig(d=2, k=8)),
+                            auc=1.0, eer=0.0)]
         text = ablation_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == ABLATION_HEADER
         assert lines[1] == "1,8,0.9375,0.0625"
         assert float(lines[2].split(",")[2]) == 1.0
 
+    def test_other_key_leads_with_its_column(self):
+        cfg = ModelConfig(sdc=SdcConfig(p=2), lr=0.001)
+        text = ablation_csv([AblationRow("p", 2, cfg, auc=0.5, eer=0.25),
+                             AblationRow("lr", 0.001, cfg, auc=0.5, eer=0.25)])
+        lines = text.strip().split("\n")
+        assert lines[0] == "p," + ABLATION_HEADER
+        assert lines[1] == "2,1,8,0.5,0.25"
+        assert lines[2] == "0.001,1,8,0.5,0.25"
+
 
 class TestAblationGrid:
     def test_cells_and_determinism(self, tmp_path):
         from sdckws.data import load_manifest, synth_dataset
-        from sdckws.features import FeatureKind, FrontEndConfig, SdcConfig
-        from sdckws.model import ModelConfig, ablation_grid
+        from sdckws.features import FeatureKind, FrontEndConfig
+        from sdckws.model import ablation_grid
 
         manifest = load_manifest(
             synth_dataset(["ab", "cd"], 3, 1.0, 30, tmp_path / "ds")
@@ -236,13 +251,45 @@ class TestAblationGrid:
             disc_hidden=4, dropout=0.0, batch_size=8, seed=2,
         )
         logged = []
-        rows = ablation_grid(manifest, manifest, d_values=[1, 2],
-                             k_values=[3], base_cfg=cfg, epochs=0,
-                             log=logged.append)
+
+        def grid():
+            return (ablation_grid(manifest, manifest, "d", [1, 2], cfg, 0,
+                                  log=logged.append)
+                    + ablation_grid(manifest, manifest, "k", [3], cfg, 0,
+                                    log=logged.append))
+
+        rows = grid()
         # one-at-a-time sweep: base k for the d cells, base d for the k cells
-        assert [(r.d, r.k) for r in rows] == [(1, 2), (2, 2), (1, 3)]
+        assert [(r.cfg.sdc.d, r.cfg.sdc.k) for r in rows] == [(1, 2), (2, 2), (1, 3)]
         assert logged == rows
         assert all(0.0 <= r.auc <= 1.0 and 0.0 <= r.eer <= 1.0 for r in rows)
-        again = ablation_grid(manifest, manifest, d_values=[1, 2],
-                              k_values=[3], base_cfg=cfg, epochs=0)
+        again = grid()
         assert ablation_csv(again) == ablation_csv(rows)
+
+    def test_cell_seed_rule(self, tmp_path):
+        from sdckws.data import load_manifest, synth_dataset
+        from sdckws.features import FeatureKind, FrontEndConfig
+        from sdckws.model import ablation_grid
+
+        manifest = load_manifest(
+            synth_dataset(["ab", "cd"], 3, 1.0, 30, tmp_path / "ds")
+        )
+        cfg = ModelConfig(
+            feature=FeatureKind.MEL_SPEC,
+            front_end=FrontEndConfig(num_mel=8, num_cepstra=8),
+            sdc=SdcConfig(n=8, d=1, p=2, k=2),
+            conv_filters=2, gru_hidden=4, embed_dim=6, char_embed_dim=8,
+            disc_hidden=4, dropout=0.0, batch_size=8, seed=2,
+        )
+        p_rows = ablation_grid(manifest, manifest, "p", [1, 3], cfg, 0)
+        seed_rows = ablation_grid(manifest, manifest, "seed", [1, 2], cfg, 0)
+        # p does not enter the seed, so a p sweep is paired; seeds differ
+        assert [r.cfg.seed for r in p_rows] == [20102, 20102]
+        assert [r.cfg.seed for r in seed_rows] == [10102, 20102]
+        assert [r.value for r in seed_rows] == [1, 2]
+
+    def test_invalid_cell_trains_nothing(self, tmp_path):
+        from sdckws.model import ablation_grid
+
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            ablation_grid([], [], "d", [1, 0], ModelConfig(), 1)

@@ -28,10 +28,12 @@ from sdckws.features import FeatureKind, FrontEndConfig, SdcConfig
 from sdckws.layers import Adam
 from sdckws.model import (
     ARCH_KEYS,
+    CONFIG_KEYS,
     Checkpoint,
     HISTORY_HEADER,
     KwsModel,
     ModelConfig,
+    config_with,
     evaluate,
     history_csv,
     load_checkpoint,
@@ -120,7 +122,7 @@ class TestModelConfig:
     @pytest.mark.parametrize("key,value", [
         ("conv_filters", "0"), ("dropout", "1.5"), ("num_mel", "12"),
         ("lr", "nan"), ("frame_ms", "nan"), ("log_floor", "inf"),
-        ("pre_emphasis", "1.5"),
+        ("pre_emphasis", "1.5"), ("seed", "-1"), ("hop_ms", "0.01"),
     ])
     def test_from_dict_out_of_range_is_format_error(self, key, value):
         with pytest.raises(FormatError, match=key):
@@ -133,10 +135,43 @@ class TestModelConfig:
         path = tmp_path / "readme.ini"
         path.write_text(ini)
         values = cli.load_ini(path)
-        assert {key for _, key in values} == (
+        assert set(values) == (
             set(ModelConfig().to_dict()) - {"sdc"} | {"n", "d", "p", "k"})
         args = argparse.Namespace(config=path)
         assert cli.build_model_config(args) == ModelConfig()
+
+
+class TestConfigKeys:
+    def test_sections_and_kwsm_order(self):
+        assert list(CONFIG_KEYS) == [
+            "feature", "n", "d", "p", "k", "frame_ms", "hop_ms",
+            "pre_emphasis", "nfft", "num_mel", "num_cepstra", "log_floor",
+            "delta_window", "conv_filters", "kernel", "stride_t",
+            "gru_hidden", "embed_dim", "char_embed_dim", "disc_hidden",
+            "dropout", "lr", "batch_size", "seed", "dropout_after_conv",
+        ]
+        sections = {key: spec.section for key, spec in CONFIG_KEYS.items()}
+        assert {k for k, s in sections.items() if s == "sdc"} == set("ndpk")
+        assert sections["num_mel"] == "frontend"
+        assert sections["feature"] == sections["lr"] == "model"
+
+    def test_config_with_replaces_keys_in_every_section(self):
+        cfg = config_with(ModelConfig(), {"d": 2, "num_cepstra": 20,
+                                          "lr": 0.01})
+        assert cfg == ModelConfig(sdc=SdcConfig(d=2), lr=0.01,
+                                  front_end=FrontEndConfig(num_cepstra=20))
+        assert config_with(cfg, {}) == cfg
+
+    @pytest.mark.parametrize("values", [{"d": 0}, {"n": 20}, {"lr": 0.0}])
+    def test_config_with_rejects_invalid_result(self, values):
+        with pytest.raises(ValueError):
+            config_with(ModelConfig(), values)
+
+    def test_sdc_flag_replaces_the_whole_section(self, tmp_path):
+        path = tmp_path / "d2.ini"
+        path.write_text("[sdc]\nd = 2\np = 4\n")
+        args = argparse.Namespace(config=path, sdc=SdcConfig.parse("40-1-3-8"))
+        assert cli.build_model_config(args).sdc == SdcConfig(40, 1, 3, 8)
 
 
 class TestStridedLength:
