@@ -4,11 +4,11 @@ A Tensor wraps an ndarray. Every op records its node through _from_op,
 with a closure from the result's gradient to its inputs'; backward()
 walks the graph in reverse topological order and accumulates gradients
 into every tensor that requires them. The op set is exactly what the
-matcher's graph reaches, and a test walks a training graph to keep it
-so: broadcasting add and mul, matmul, the shape moves reshape,
-transpose, take and concat, sigmoid, softmax, 2-D convolution, masked
-batch norm (one node, with the closed-form backward), the masked GRU
-scan (one node per direction, with hand-written backpropagation through
+matcher's training loss reaches, and a test walks that loss's graph to
+keep it so: broadcasting add and mul, matmul, the shape moves reshape,
+transpose, take and concat, softmax, 2-D convolution, masked batch
+norm (one node, with the closed-form backward), the masked GRU scan
+(one node per direction, with hand-written backpropagation through
 time), dropout, and the fused sigmoid + mean binary cross-entropy loss.
 """
 
@@ -22,6 +22,7 @@ from scipy.special import expit
 from .errors import ShapeError
 
 _grad_enabled = True
+BN_EPS = 1e-5  # added to batch norm's variance
 
 
 @contextlib.contextmanager
@@ -134,10 +135,6 @@ class Tensor:
         return reshape(self, shape if len(shape) != 1 else shape[0])
 
     def transpose(self, *axes):
-        if len(axes) == 0:
-            return transpose(self, None)
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            return transpose(self, tuple(axes[0]))
         return transpose(self, axes)
 
 
@@ -247,9 +244,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _from_op(a.data.reshape(shape), (a,), _backward)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
+def transpose(a: Tensor, axes) -> Tensor:
     inverse = np.argsort(axes)
 
     def _backward(grad):
@@ -278,15 +273,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 _add_grad(tensor, piece)
 
     return _from_op(data, tuple(tensors), _backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    probs = expit(a.data)
-
-    def _backward(grad):
-        _add_grad(a, grad * probs * (1.0 - probs), fresh=True)
-
-    return _from_op(probs, (a,), _backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -402,13 +388,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
-               moments=None, eps: float = 1e-5):
+               moments=None):
     """Masked per-channel batch norm of x [B, C, T, F]; returns (out, (mean, var)).
 
     out = gamma * (x - mean) / sqrt(var + eps) + beta where mask
     [B, 1, T, 1] is nonzero and 0 elsewhere, so padded positions leave
     the op zeroed whatever they held. mask=None marks every position
-    valid.
+    valid, and eps is BN_EPS.
 
     moments=None is train mode: mean and var are the biased per-channel
     statistics of the valid positions only, returned so the caller can
@@ -449,13 +435,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
         mean = valid_sum(x.data.sum(axis=3)) / count
         xhat = x.data - mean.reshape(shape)
         var = valid_sum(np.einsum("bctf,bctf->bct", xhat, xhat)) / count
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv.reshape(shape) * valid
         data = xhat * gamma.data.reshape(shape)
         data += beta.data.reshape(shape) * valid
     else:
         mean, var = moments
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         scale = gamma.data * inv
         data = x.data * (scale.reshape(shape) * valid)
         data += (beta.data - mean * scale).reshape(shape) * valid

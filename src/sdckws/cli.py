@@ -52,7 +52,7 @@ def _setup_logging():
 
 def load_ini(path) -> dict:
     """Read and decode the config file, rejecting unknown sections and keys."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)

@@ -21,7 +21,6 @@ from .dsp import Waveform
 from .errors import (
     EmptyDataset,
     FormatError,
-    IoError,
     ManifestError,
     TokenizeError,
     UnsupportedFormat,
@@ -46,8 +45,8 @@ def tokenize(text: str) -> list[int]:
     return indices
 
 
-def read_wav(path, expected_rate: int = SAMPLE_RATE) -> Waveform:
-    """Read RIFF PCM 16-bit mono audio, scaling samples by 1/32768."""
+def read_wav(path) -> Waveform:
+    """Read RIFF PCM 16-bit mono audio, all declared samples, scaled by 1/32768."""
     try:
         with wave_module.open(str(path), "rb") as handle:
             if handle.getcomptype() != "NONE":
@@ -62,21 +61,23 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE) -> Waveform:
                 raise UnsupportedFormat(
                     f"{path}: {handle.getnchannels()} channels, need mono"
                 )
-            if handle.getframerate() != expected_rate:
+            if handle.getframerate() != SAMPLE_RATE:
                 raise UnsupportedFormat(
                     f"{path}: sample rate {handle.getframerate()},"
-                    f" need {expected_rate}"
+                    f" need {SAMPLE_RATE}"
                 )
-            raw = handle.readframes(handle.getnframes())
+            declared = handle.getnframes()
+            raw = handle.readframes(declared)
     except (wave_module.Error, EOFError) as exc:
         raise FormatError(
             f"{path}: {str(exc) or 'file ends inside the RIFF header'}") from None
     except RuntimeError:  # wave's seek past the size a chunk declares
         raise FormatError(f"{path}: corrupt chunk size") from None
-    if len(raw) % 2:
-        raise FormatError(f"{path}: file ends inside a sample")
+    if len(raw) != 2 * declared:
+        raise FormatError(f"{path}: header declares {declared} samples,"
+                          f" file holds {len(raw) // 2}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, expected_rate)
+    return Waveform(samples, SAMPLE_RATE)
 
 
 def write_wav(path, wave: Waveform) -> None:
@@ -226,18 +227,17 @@ def char_tones(index: int) -> tuple[float, float]:
             TONE_BASE_HIGH + TONE_STEP_HIGH * index)
 
 
-def render_keyword(text: str, rng: np.random.Generator,
-                   sample_rate: int = SAMPLE_RATE) -> Waveform:
+def render_keyword(text: str, rng: np.random.Generator) -> Waveform:
     """Render one utterance: per-character tone pairs, tempo jitter, noise."""
     indices = tokenize(text)
     tempo = 1.0 + TEMPO_JITTER * (2.0 * rng.random() - 1.0)
-    seg_len = int(round(SEGMENT_MS / 1000.0 * sample_rate * tempo))
-    ramp_len = max(1, int(0.005 * sample_rate))
+    seg_len = int(round(SEGMENT_MS / 1000.0 * SAMPLE_RATE * tempo))
+    ramp_len = max(1, int(0.005 * SAMPLE_RATE))
     envelope = np.ones(seg_len)
     fade = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, ramp_len)))
     envelope[:ramp_len] = fade
     envelope[-ramp_len:] = fade[::-1]
-    t = np.arange(seg_len) / sample_rate
+    t = np.arange(seg_len) / SAMPLE_RATE
     segments = []
     for index in indices:
         f_low, f_high = char_tones(index)
@@ -247,7 +247,7 @@ def render_keyword(text: str, rng: np.random.Generator,
     clean = np.concatenate(segments)
     noise_rms = np.sqrt(np.mean(clean**2)) / (10.0 ** (SNR_DB / 20.0))
     noisy = clean + noise_rms * rng.standard_normal(clean.shape[0])
-    return Waveform(np.clip(noisy, -1.0, 1.0 - 1.0 / 32768.0), sample_rate)
+    return Waveform(np.clip(noisy, -1.0, 1.0 - 1.0 / 32768.0), SAMPLE_RATE)
 
 
 def _write_tone_table(path) -> None:
@@ -283,23 +283,16 @@ def synth_dataset(keywords, per_keyword: int, negative_ratio: float, seed,
         raise ValueError(f"per_keyword must be >= 1, got {per_keyword}")
     if negative_ratio < 0:
         raise ValueError(f"negative_ratio must be >= 0, got {negative_ratio}")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "wavs"), exist_ok=True)
-        _write_tone_table(os.path.join(out_dir, "tones.txt"))
-    except OSError as exc:
-        raise IoError(f"cannot prepare {out_dir}: {exc}") from None
+    os.makedirs(os.path.join(out_dir, "wavs"), exist_ok=True)
+    _write_tone_table(os.path.join(out_dir, "tones.txt"))
     records = []
     utterance = 0
     for kw_index, keyword in enumerate(keywords):
         for rep in range(per_keyword):
             rng = np.random.default_rng([seed, utterance])
             rel_path = os.path.join("wavs", f"kw{kw_index}_{rep:03d}.wav")
-            try:
-                write_wav(os.path.join(out_dir, rel_path),
-                          render_keyword(keyword, rng))
-            except OSError as exc:
-                raise IoError(f"cannot write {rel_path}: {exc}") from None
+            write_wav(os.path.join(out_dir, rel_path),
+                      render_keyword(keyword, rng))
             records.append({"audio": rel_path, "text": keyword, "label": 1})
             utterance += 1
     negatives_per_kw = int(round(per_keyword * negative_ratio))
@@ -311,10 +304,7 @@ def synth_dataset(keywords, per_keyword: int, negative_ratio: float, seed,
             wrong_text = pool[rep % len(pool)]
             records.append({"audio": rel_path, "text": wrong_text, "label": 0})
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    try:
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write manifest: {exc}") from None
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
     return manifest_path

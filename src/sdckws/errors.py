@@ -63,7 +63,3 @@ class DegenerateLabels(KwsError):
 
 class NonFiniteValue(KwsError):
     """A loss, gradient, score or waveform power is NaN or infinite."""
-
-
-class IoError(KwsError):
-    """A filesystem operation (create, write) failed."""

@@ -18,6 +18,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
 
+BN_MOMENTUM = 0.9  # decay of BatchNorm's running moments
+ADAM_BETA1 = 0.9  # decay of Adam's first moment
+ADAM_BETA2 = 0.999  # decay of Adam's second moment
+ADAM_EPS = 1e-8  # added to Adam's denominator
+
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
                    dtype=np.float32) -> np.ndarray:
@@ -90,32 +95,28 @@ class BatchNorm(Layer):
 
     Train mode normalizes by the statistics of the batch's valid
     positions (mask [B, 1, T, 1] nonzero; all positions without a mask)
-    and folds them into running moments with momentum 0.9; eval mode
-    uses the running moments, so inference is a pure function of the
+    and folds them into running moments with momentum BN_MOMENTUM; eval
+    mode uses the running moments, so inference is a pure function of the
     parameters. Masked positions come out zero in both modes. The whole
     layer is one autodiff.batch_norm node.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.9,
-                 eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = parameter(np.ones(channels, dtype=dtype))
         self.beta = parameter(np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, train: bool,
                  mask: np.ndarray | None = None) -> Tensor:
         moments = None if train else (self.running_mean, self.running_var)
-        out, (mu, var) = ad.batch_norm(x, self.gamma, self.beta, mask,
-                                       moments, self.eps)
+        out, (mu, var) = ad.batch_norm(x, self.gamma, self.beta, mask, moments)
         if train:
             self.running_mean = (
-                self.momentum * self.running_mean + (1.0 - self.momentum) * mu
+                BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mu
             ).astype(self.running_mean.dtype)
             self.running_var = (
-                self.momentum * self.running_var + (1.0 - self.momentum) * var
+                BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
             ).astype(self.running_var.dtype)
         return out
 
@@ -174,9 +175,9 @@ class BiGru(Layer):
 class CrossAttention(Layer):
     """Single-head scaled dot-product attention with learned projections.
 
-    Queries come from one stream and keys/values from another; key
-    positions with mask 0 receive a large negative score bias, which
-    zeroes their softmax weight.
+    Queries come from one stream and keys and values from one memory
+    stream; memory positions with mask 0 receive a large negative score
+    bias, which zeroes their softmax weight.
     """
 
     MASK_BIAS = -1e9
@@ -188,12 +189,10 @@ class CrossAttention(Layer):
         self.v_proj = Dense(dim, dim, rng, dtype)
         self.out_proj = Dense(dim, dim, rng, dtype)
 
-    def __call__(self, query: Tensor, key: Tensor, value: Tensor,
+    def __call__(self, query: Tensor, memory: Tensor,
                  key_mask: np.ndarray | None = None) -> Tensor:
-        if key.shape != value.shape:
-            raise ShapeError(f"key {key.shape} and value {value.shape} differ")
-        weights = self._softmax_weights(query, key, key_mask)
-        return self.out_proj(weights @ self.v_proj(value))
+        weights = self._softmax_weights(query, memory, key_mask)
+        return self.out_proj(weights @ self.v_proj(memory))
 
     def _softmax_weights(self, query: Tensor, key: Tensor,
                          key_mask: np.ndarray | None) -> Tensor:
@@ -225,14 +224,14 @@ class AdamState:
         return cls(np.zeros_like(data), np.zeros_like(data))
 
 
-def adam_step(state: AdamState, data: np.ndarray, grad: np.ndarray, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(state: AdamState, data: np.ndarray, grad: np.ndarray, lr: float):
     """Bias-corrected Adam update applied in place to data, m and v.
 
     Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g
-    and data -= lr m_hat / (sqrt(v_hat) + eps) with two scratch buffers,
-    in the order of the plain expressions, so the result is bit-identical
-    to them when data, grad and the moments share a dtype.
+    and data -= lr m_hat / (sqrt(v_hat) + eps), with beta1, beta2 and eps
+    the ADAM_ constants, using two scratch buffers in the order of the
+    plain expressions, so the result is bit-identical to them when data,
+    grad and the moments share a dtype.
     """
     if grad.shape != data.shape:
         raise ShapeError(f"grad shape {grad.shape} != param shape {data.shape}")
@@ -240,17 +239,17 @@ def adam_step(state: AdamState, data: np.ndarray, grad: np.ndarray, lr: float,
     m, v = state.m, state.v
     step = np.empty_like(m)
     root = np.empty_like(v)
-    np.multiply(grad, 1.0 - beta1, out=step)
-    m *= beta1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+    m *= ADAM_BETA1
     m += step
-    np.multiply(grad, 1.0 - beta2, out=root)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=root)
     root *= grad
-    v *= beta2
+    v *= ADAM_BETA2
     v += root
-    np.divide(v, 1.0 - beta2**state.step, out=root)
+    np.divide(v, 1.0 - ADAM_BETA2**state.step, out=root)
     np.sqrt(root, out=root)
-    root += eps
-    np.divide(m, 1.0 - beta1**state.step, out=step)
+    root += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**state.step, out=step)
     step *= lr
     step /= root
     data -= step
@@ -259,23 +258,18 @@ def adam_step(state: AdamState, data: np.ndarray, grad: np.ndarray, lr: float,
 class Adam:
     """Adam over a list of parameter tensors."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = list(params)
         self.states = [AdamState.zeros_like(p.data) for p in self.params]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def step(self):
         for param, state in zip(self.params, self.states):
             if param.grad is None:
                 continue
-            adam_step(state, param.data, param.grad, self.lr,
-                      self.beta1, self.beta2, self.eps)
+            adam_step(state, param.data, param.grad, self.lr)
 
     def zero_grad(self):
         for param in self.params:

@@ -21,6 +21,7 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from . import metrics
@@ -56,6 +57,7 @@ from .layers import (
 )
 
 KIND_NAMES = {kind: name for name, kind in FEATURE_NAMES.items()}
+VAL_FRACTION = 0.1  # share of each class that train() holds out
 
 
 def encode_value(value) -> str:
@@ -322,12 +324,12 @@ class KwsModel:
 
         The text embedding is the attention query; padded audio frames
         are masked out of the keys and padded tokens out of the
-        discriminator.
+        discriminator; probs is expit(logits), outside the graph.
         """
-        context = self.attn(e_t, e_a, e_a, key_mask=audio_mask)
+        context = self.attn(e_t, e_a, key_mask=audio_mask)
         _, final = self.gru_d(context, mask=token_mask)
         logits = self.dense_out(final).reshape(-1)
-        return ad.sigmoid(logits), logits
+        return Tensor(expit(logits.data)), logits
 
     def forward(self, batch: Batch, train: bool = False, rng=None):
         """Score a padded batch; returns (probs, logits) tensors of shape [B]."""
@@ -357,13 +359,14 @@ class KwsModel:
         return Checkpoint(tensors, self.cfg.to_dict(), self.training_step)
 
     def load_state(self, ckpt: "Checkpoint"):
-        """Install checkpoint tensors in place; names and shapes must match."""
+        """Install checkpoint tensors; decoded arch keys, names, shapes must match."""
         own_cfg = self.cfg.to_dict()
+        ckpt_cfg = ModelConfig.from_dict(ckpt.config).to_dict()
         for key in ARCH_KEYS:
-            if ckpt.config.get(key) != own_cfg.get(key):
+            if ckpt_cfg[key] != own_cfg[key]:
                 raise ConfigMismatch(
-                    f"checkpoint {key}={ckpt.config.get(key)!r} does not match"
-                    f" model {key}={own_cfg.get(key)!r}"
+                    f"checkpoint {key}={ckpt_cfg[key]!r} does not match"
+                    f" model {key}={own_cfg[key]!r}"
                 )
         own = self._state()
         for name, target in own.items():
@@ -511,7 +514,7 @@ def history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def split_validation(manifest, seed, fraction: float = 0.1):
+def split_validation(manifest, seed):
     """Deterministic stratified split; both classes land in both parts."""
     positives = [i for i, ex in enumerate(manifest) if ex.label == 1]
     negatives = [i for i, ex in enumerate(manifest) if ex.label == 0]
@@ -520,7 +523,7 @@ def split_validation(manifest, seed, fraction: float = 0.1):
     rng = np.random.default_rng([seed, 91])
     val_idx = set()
     for group in (positives, negatives):
-        count = min(len(group) - 1, max(1, int(round(len(group) * fraction))))
+        count = min(len(group) - 1, max(1, round(len(group) * VAL_FRACTION)))
         if count < 1:
             raise DegenerateDataset(
                 "dataset is too small to reserve a validation example per class"
@@ -555,8 +558,7 @@ def _mean_bce(scored: "metrics.ScoredSet") -> float:
     return float(losses.mean())
 
 
-def train(manifest, cfg: ModelConfig, epochs: int, val_fraction: float = 0.1,
-          log=None):
+def train(manifest, cfg: ModelConfig, epochs: int, log=None):
     """Mini-batch BCE training with Adam and best-validation-AUC selection.
 
     Returns (model, checkpoint, history). The returned model carries
@@ -575,7 +577,7 @@ def train(manifest, cfg: ModelConfig, epochs: int, val_fraction: float = 0.1,
         )
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    train_set, val_set = split_validation(manifest, cfg.seed, val_fraction)
+    train_set, val_set = split_validation(manifest, cfg.seed)
     front = make_front_end(cfg.feature, cfg.front_end, cfg.sdc)
     cache = {}
     model = KwsModel(cfg)

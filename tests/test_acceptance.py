@@ -201,7 +201,7 @@ def test_criterion_2_gradients_match_central_differences(capsys):
             if i == 2:
                 key_mask[0, -1] = 0.0
             worst = max(worst, check_gradients(
-                lambda: layer(q, kv, kv, key_mask=key_mask),
+                lambda: layer(q, kv, key_mask=key_mask),
                 [q, kv] + list(layer.named_params("a").values()), 340 + i))
 
         for i, size in enumerate([4, 3, 6]):

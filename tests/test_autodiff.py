@@ -95,7 +95,6 @@ class TestTensorBasics:
         a = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
         b = Tensor(np.ones((2, 2), np.float32))
         assert (a @ b).dtype == np.float32
-        assert ad.sigmoid(a).dtype == np.float32
 
     def test_backward_needs_scalar_without_seed(self):
         t = Tensor(np.ones(3), requires_grad=True)
@@ -141,7 +140,6 @@ OP_CALLS = {
     "transpose": lambda make: ad.transpose(make((2, 3)), (1, 0)),
     "take": lambda make: ad.take(make((4, 3)), np.array([0, 2, 2])),
     "concat": lambda make: ad.concat([make((2, 3)), make((1, 3))]),
-    "sigmoid": lambda make: ad.sigmoid(make((2, 3))),
     "softmax": lambda make: ad.softmax(make((2, 3))),
     "conv2d": lambda make: ad.conv2d(make((1, 1, 4, 3)), make((2, 1, 3, 3)),
                                      make((2,))),
@@ -216,7 +214,7 @@ class TestGradBuffers:
     @pytest.mark.parametrize("build", [
         lambda a, b: a + a,
         lambda a, b: a * a,
-        lambda a, b: ad.sigmoid(a) * ad.softmax(a),  # one input, two ops
+        lambda a, b: ad.softmax(a) * ad.softmax(a, axis=0),  # one input, two ops
         lambda a, b: a + b,
         lambda a, b: a * b + b,
     ], ids=["a+a", "a*a", "one-input-two-ops", "a+b", "a*b+b"])
@@ -300,7 +298,7 @@ class TestReductionsAndShapes:
         check_grads(lambda: a.transpose(2, 0, 1), [a], probe)
         b = leaf(rng, (3, 4))
         probe2 = 21
-        check_grads(lambda: b.transpose(), [b], probe2)
+        check_grads(lambda: b.transpose(1, 0), [b], probe2)
 
     def test_take_rows(self):
         rng = np.random.default_rng(22)
@@ -323,16 +321,6 @@ class TestReductionsAndShapes:
 
 
 class TestElementwiseGradients:
-    def test_sigmoid_gradient(self):
-        rng = np.random.default_rng(26)
-        a = leaf(rng, (4, 4))
-        probe = 27
-        check_grads(lambda: ad.sigmoid(a), [a], probe)
-
-    def test_sigmoid_known_values(self):
-        out = ad.sigmoid(Tensor(np.array([0.0, 100.0, -100.0])))
-        np.testing.assert_allclose(out.data, [0.5, 1.0, 0.0], atol=1e-12)
-
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(28)
         out = ad.softmax(Tensor(rng.normal(size=(5, 7)) * 10.0))
@@ -603,7 +591,7 @@ class TestBatchNorm:
         x = Tensor(np.ones((1, 2, 1, 1)))
         out = bn(x, train=False).data.reshape(-1)
         expect = (np.array([1.0, 1.0]) - bn.running_mean) / np.sqrt(
-            bn.running_var + bn.eps
+            bn.running_var + ad.BN_EPS
         )
         np.testing.assert_allclose(out, expect, rtol=1e-6)
 
@@ -885,7 +873,7 @@ class TestCrossAttention:
         att = CrossAttention(8, rng)
         q = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32))
         kv = Tensor(rng.normal(size=(2, 7, 8)).astype(np.float32))
-        assert att(q, kv, kv).shape == (2, 5, 8)
+        assert att(q, kv).shape == (2, 5, 8)
 
     def test_weights_row_stochastic(self):
         rng = np.random.default_rng(30)
@@ -910,7 +898,7 @@ class TestCrossAttention:
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(1, 3, 8)))
         kv = Tensor(rng.normal(size=(1, 1, 8)))
-        out = att(q, kv, kv)
+        out = att(q, kv)
         expect = att.out_proj(att.v_proj(kv)).data
         np.testing.assert_allclose(out.data, np.tile(expect, (1, 3, 1)), atol=1e-10)
 
@@ -933,9 +921,8 @@ class TestCrossAttention:
         kv_b = kv_a.copy()
         kv_b[0, 4] = 99.0  # only the masked key differs
         mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0]])
-        out_a = att(Tensor(kv_a[:, :3]), Tensor(kv_a), Tensor(kv_a), key_mask=mask)
-        out_b = att(Tensor(kv_b[:, :3].copy()), Tensor(kv_b), Tensor(kv_b),
-                    key_mask=mask)
+        out_a = att(Tensor(kv_a[:, :3]), Tensor(kv_a), key_mask=mask)
+        out_b = att(Tensor(kv_b[:, :3].copy()), Tensor(kv_b), key_mask=mask)
         np.testing.assert_allclose(out_a.data[:, 0], out_b.data[:, 0], atol=1e-12)
 
     def test_gradients(self):
@@ -945,23 +932,14 @@ class TestCrossAttention:
         kv = leaf(np.random.default_rng(37), (1, 3, 4))
         probe = 38
         leaves = [q, kv] + list(att.named_params("a").values())
-        check_grads(lambda: att(q, kv, kv), leaves, probe)
+        check_grads(lambda: att(q, kv), leaves, probe)
 
     def test_rejects_wrong_dim(self):
         rng = np.random.default_rng(39)
         att = CrossAttention(8, rng)
         with pytest.raises(ShapeError):
             att(Tensor(np.ones((1, 2, 4), np.float32)),
-                Tensor(np.ones((1, 3, 8), np.float32)),
                 Tensor(np.ones((1, 3, 8), np.float32)))
-
-    def test_rejects_key_value_mismatch(self):
-        rng = np.random.default_rng(40)
-        att = CrossAttention(8, rng)
-        with pytest.raises(ShapeError):
-            att(Tensor(np.ones((1, 2, 8), np.float32)),
-                Tensor(np.ones((1, 3, 8), np.float32)),
-                Tensor(np.ones((1, 4, 8), np.float32)))
 
 
 class TestAdam:
@@ -1034,7 +1012,7 @@ class TestAdam:
         m, v, expect = state.m.copy(), state.v.copy(), data.copy()
         for step in range(1, 6):
             grad = (rng.normal(size=data.shape) * 10.0 ** -step).astype(dtype)
-            adam_step(state, data, grad, 3e-3, 0.9, 0.999, 1e-8)
+            adam_step(state, data, grad, 3e-3)
             m, v, expect = plain_step(m, v, expect, grad, step, 3e-3,
                                       0.9, 0.999, 1e-8)
             for got, want in ((state.m, m), (state.v, v), (data, expect)):

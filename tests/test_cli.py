@@ -155,8 +155,9 @@ class TestExtract:
         result = run_cli("extract", second_wav, "--sdc", "40-1-3")
         assert result.returncode == 2
 
-    @pytest.mark.parametrize("size", [0, 20, 1001],
-                             ids=["empty", "truncated", "half-sample"])
+    @pytest.mark.parametrize("size", [0, 20, 1001, 16044],
+                             ids=["empty", "truncated", "half-sample",
+                                  "short-data-chunk"])
     def test_short_wav_is_runtime_error(self, second_wav, tmp_path, size):
         short = tmp_path / "short.wav"
         short.write_bytes(second_wav.read_bytes()[:size])
@@ -223,6 +224,16 @@ class TestSynth:
     def test_single_keyword_is_usage_error(self, tmp_path):
         result = run_cli("synth", "--keywords", "solo", "-o", tmp_path / "d")
         assert result.returncode == 2
+
+    def test_output_that_is_a_file_is_runtime_error(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        result = run_cli("synth", "--keywords", "ab", "cd", "-o", taken)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("ERROR")]
+        assert len(errors) == 1 and str(taken) in errors[0]
 
     def test_bad_character_is_data_error(self, tmp_path):
         result = run_cli("synth", "--keywords", "ok", "no#pe",
@@ -335,6 +346,18 @@ class TestTrain:
                          "--epochs", "1", "--config", bad,
                          "-o", tmp_path / "m.kwsm")
         assert result.returncode == 2
+        assert "bad value for model.lr" in result.stderr
+
+    @pytest.mark.parametrize("text", ["[model]\nlr = 1e-3%\n",
+                                      "[model]\nlr = %(seed)s\n"],
+                             ids=["percent", "interpolation"])
+    def test_percent_in_value_is_usage_error(self, workspace, tmp_path, text):
+        (tmp_path / "bad.ini").write_text(text)
+        result = run_cli("train", "--manifest", workspace["manifest"],
+                         "--epochs", "1", "--config", tmp_path / "bad.ini",
+                         "-o", tmp_path / "m.kwsm")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
         assert "bad value for model.lr" in result.stderr
 
     @pytest.mark.parametrize("text", [

@@ -145,6 +145,25 @@ class TestWavIo:
             read_wav(path)
 
 
+    @pytest.mark.parametrize("cut", [False, True],
+                             ids=["size-past-end", "file-cut-short"])
+    def test_fewer_samples_than_declared_rejected(self, tmp_path, cut):
+        path = tmp_path / "short.wav"
+        write_wav(path, Waveform(np.linspace(-0.5, 0.5, 400), SAMPLE_RATE))
+        blob = bytearray(path.read_bytes())
+        assert blob[36:40] == b"data"
+        if cut:
+            blob = blob[:44 + 500]  # 250 of the 400 declared samples
+        else:
+            blob[40:44] = struct.pack("<I", 100000)
+        path.write_bytes(bytes(blob))
+        held = 250 if cut else 400
+        declared = 400 if cut else 50000
+        with pytest.raises(FormatError,
+                           match=f"short.wav: header declares {declared}"
+                                 f" samples, file holds {held}"):
+            read_wav(path)
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import sdckws.autodiff as ad
 from sdckws import cli
@@ -367,15 +368,26 @@ class TestSmallModel:
             counts.append(graph_size(ad.sigmoid_bce(logits, batch.labels)))
         assert counts[0] == counts[1]
 
-    def test_every_autodiff_op_is_reached(self):
-        # The op kinds a training graph reaches, each named by the op
-        # whose closure is a node's backward, must be every op autodiff
-        # defines: an op the matcher stops using fails here.
+    def test_probs_are_expit_of_logits_outside_the_graph(self):
         model = KwsModel(small_cfg(dropout=0.2))
         batch = random_batch(np.random.default_rng(8), 12, sizes=(7, 11))
         probs, logits = model.forward(batch, train=True,
                                       rng=np.random.default_rng(9))
-        stack = [probs, ad.sigmoid_bce(logits, batch.labels)]
+        expect = expit(logits.data)
+        assert probs.dtype == expect.dtype == np.float32
+        assert probs.data.tobytes() == expect.tobytes()
+        assert probs._backward_fn is None and probs._parents == ()
+        assert logits._backward_fn is not None
+
+    def test_every_autodiff_op_is_reached(self):
+        # The op kinds a training loss's backward runs, each named by the
+        # op whose closure is a node's backward, must be every op autodiff
+        # defines: an op the loss stops reaching fails here.
+        model = KwsModel(small_cfg(dropout=0.2))
+        batch = random_batch(np.random.default_rng(8), 12, sizes=(7, 11))
+        _, logits = model.forward(batch, train=True,
+                                  rng=np.random.default_rng(9))
+        stack = [ad.sigmoid_bce(logits, batch.labels)]
         seen, reached = set(), set()
         while stack:
             node = stack.pop()
@@ -449,6 +461,29 @@ class TestCheckpointFile:
         del tensors["disc.dense.weight"]
         with pytest.raises(ConfigMismatch, match="disc.dense.weight"):
             model.load_state(Checkpoint(tensors, ckpt.config, ckpt.step))
+
+    @pytest.mark.parametrize("edit", [
+        lambda config: dict(config, frame_ms="25"),
+        lambda config: {k: v for k, v in config.items() if k != "kernel"},
+    ], ids=["respelled-value", "omitted-default-key"])
+    def test_block_compares_decoded_values(self, edit):
+        model = KwsModel(small_cfg(seed=7))
+        ckpt = model.to_checkpoint()
+        assert ckpt.config["frame_ms"] == "25.0"
+        assert ckpt.config["kernel"] == "3"
+        edited = Checkpoint(ckpt.tensors, edit(ckpt.config), ckpt.step)
+        restored = KwsModel.from_checkpoint(edited)
+        assert restored.cfg == model.cfg
+        for name, param in model.named_params().items():
+            other = restored.named_params()[name]
+            assert param.data.tobytes() == other.data.tobytes(), name
+
+    def test_decoded_arch_mismatch_names_the_key(self):
+        model = KwsModel(small_cfg())
+        ckpt = model.to_checkpoint()
+        config = dict(ckpt.config, stride_t="1")
+        with pytest.raises(ConfigMismatch, match="stride_t"):
+            model.load_state(Checkpoint(ckpt.tensors, config, ckpt.step))
 
     def test_lr_and_seed_are_not_arch_keys(self, tmp_path):
         # Training knobs may differ between saver and loader.

@@ -4,13 +4,18 @@ perfbench/spans.py wraps program functions by name and replays layers
 with the arguments it captured; a rename or a changed layer call would
 only surface as a failed `perfbench/run.py --trace 1`. These run its
 `instrument` in a fresh process, then each of the six front-ends or one
-tiny training run, and check what the traced run reads from it.
+tiny training run, and check what the traced run reads from it. A short
+untraced run of each workload checks the benchmark's own correctness
+checks and the end-to-end metric names it reports.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,3 +81,21 @@ def test_instrument_wraps_every_traced_function():
 
 def test_replay_times_every_layer_backward(tmp_path):
     run_probe(REPLAY_PROBE, tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["extract-1s", "score-1s", "train-short"])
+def test_workload_smoke_run(workload, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "workloads.py"),
+         "--workload", workload, "--seed", "1", "--seconds", "0.5",
+         "--trace", "0", "--workdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["failed"] == 0, report["failures"]
+    assert report["attempted"] > 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(report["e2e"]) == sorted(m["name"] for m in declared)
