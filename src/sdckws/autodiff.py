@@ -3,7 +3,13 @@
 A Tensor wraps an ndarray. Every op records its node through _from_op,
 with a closure from the result's gradient to its inputs'; backward()
 walks the graph in reverse topological order and accumulates gradients
-into every tensor that requires them. The op set is exactly what the
+into every node that requires them. The graph is made of nodes, not of
+activations: a tracked op result's node holds its parents' nodes, the
+closure, and the shape and dtype a gradient takes, never the result's
+.data, and each closure captures exactly the arrays its backward reads.
+An activation that backward does not read is freed as soon as the
+caller drops its Tensor. A leaf that requires grad is its own node, so
+its gradient lands in its .grad. The op set is exactly what the
 matcher's training loss reaches, and a test walks that loss's graph to
 keep it so: broadcasting add and mul, matmul, the shape moves reshape,
 transpose, take and concat, softmax, 2-D convolution, masked batch
@@ -44,17 +50,45 @@ def _coerce_array(data):
     return arr
 
 
-class Tensor:
-    """Dense array plus the bookkeeping for reverse-mode gradients."""
+class _Node:
+    """The graph record of one tracked op result, without its .data.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    It holds the parents' nodes, the backward closure, the gradient
+    while backward runs, and the shape and dtype that gradient takes.
+    """
+
+    __slots__ = ("grad", "shape", "dtype", "_parents", "_backward_fn")
+
+    def __init__(self, data, parents, backward):
+        self.grad = None
+        self.shape = data.shape
+        self.dtype = data.dtype
+        self._parents = parents
+        self._backward_fn = backward
+
+
+class Tensor:
+    """Dense array plus the bookkeeping for reverse-mode gradients.
+
+    A tracked op result points at its _Node; a leaf has none and, when
+    it requires grad, is a node itself (no parents, no closure).
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _coerce_array(data)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward_fn = None
+        self._node = None
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node._backward_fn
 
     @property
     def shape(self):
@@ -90,9 +124,10 @@ class Tensor:
                     f"backward() without a seed needs a scalar, got {self.shape}"
                 )
             grad = np.ones_like(self.data)
+        root = self if self._node is None else self._node
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -105,7 +140,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        _add_grad(self, np.asarray(grad, dtype=self.data.dtype))
+        _add_grad(root, np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
@@ -144,40 +179,51 @@ def _as_tensor(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.dtype))
 
 
-def _add_grad(tensor: Tensor, grad, fresh: bool = False):
-    """Accumulate grad into tensor.grad.
+def _grad_node(tensor: Tensor):
+    """The node tensor's gradient flows into, or None if it needs none."""
+    if not tensor.requires_grad:
+        return None
+    return tensor if tensor._node is None else tensor._node
 
-    fresh=True means the op allocated grad for this tensor alone, so a
-    first gradient of the right shape becomes .grad as it is. Any other
-    first gradient may alias or broadcast another node's buffer (the op's
-    output gradient itself, a view of it, or the backward seed) and is
-    copied.
+
+def _add_grad(node, grad, fresh: bool = False):
+    """Accumulate grad into node.grad.
+
+    node is a _Node or a leaf Tensor; only its grad, shape and dtype are
+    read, never an activation. fresh=True means the op allocated grad
+    for this node alone, so a first gradient of the right shape becomes
+    .grad as it is. Any other first gradient may alias or broadcast
+    another node's buffer (the op's output gradient itself, a view of
+    it, or the backward seed) and is copied.
     """
-    if tensor.grad is not None:
-        tensor.grad += grad
-    elif fresh and np.shape(grad) == tensor.data.shape:
-        tensor.grad = np.asarray(grad, dtype=tensor.data.dtype)
+    if node.grad is not None:
+        node.grad += grad
+    elif fresh and np.shape(grad) == node.shape:
+        node.grad = np.asarray(grad, dtype=node.dtype)
     else:
-        tensor.grad = np.broadcast_to(grad, tensor.data.shape).astype(
-            tensor.data.dtype)
+        node.grad = np.broadcast_to(grad, node.shape).astype(node.dtype)
 
 
-def _tracked(parents) -> bool:
-    """Whether an op on these inputs records a graph node."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+def _tracked(nodes) -> bool:
+    """Whether an op whose inputs have these _grad_node()s records a node."""
+    return _grad_enabled and any(n is not None for n in nodes)
 
 
-def _from_op(data, parents, backward) -> Tensor:
+def _from_op(data, nodes, backward) -> Tensor:
     """Wrap an op result; the one place a graph node is recorded.
 
-    A tracked result keeps the parents that require grad and backward,
-    which maps its gradient into theirs; Tensor.backward calls it once.
+    nodes are the inputs' _grad_node()s. A tracked result gets a _Node
+    holding the non-None ones, backward (which maps the result's
+    gradient into theirs; Tensor.backward calls it once), and data's
+    shape and dtype, but not data: backward reads only the arrays its
+    closure captured, so the result's array lives as long as its Tensor
+    (or a closure that reads it) does.
     """
     out = Tensor(data)
-    if _tracked(parents):
+    if _tracked(nodes):
         out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward_fn = backward
+        out._node = _Node(out.data, tuple(n for n in nodes if n is not None),
+                          backward)
     return out
 
 
@@ -194,26 +240,29 @@ def _unbroadcast(grad, shape):
 
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
+    na, nb = _grad_node(a), _grad_node(b)
 
     def _backward(grad):
-        if a.requires_grad:
-            _add_grad(a, _unbroadcast(grad, a.data.shape))
-        if b.requires_grad:
-            _add_grad(b, _unbroadcast(grad, b.data.shape))
+        if na is not None:
+            _add_grad(na, _unbroadcast(grad, na.shape))
+        if nb is not None:
+            _add_grad(nb, _unbroadcast(grad, nb.shape))
 
-    return _from_op(a.data + b.data, (a, b), _backward)
+    return _from_op(a.data + b.data, (na, nb), _backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
+    na, nb = _grad_node(a), _grad_node(b)
+    a_data, b_data = a.data, b.data
 
     def _backward(grad):
-        if a.requires_grad:
-            _add_grad(a, _unbroadcast(grad * b.data, a.data.shape), fresh=True)
-        if b.requires_grad:
-            _add_grad(b, _unbroadcast(grad * a.data, b.data.shape), fresh=True)
+        if na is not None:
+            _add_grad(na, _unbroadcast(grad * b_data, na.shape), fresh=True)
+        if nb is not None:
+            _add_grad(nb, _unbroadcast(grad * a_data, nb.shape), fresh=True)
 
-    return _from_op(a.data * b.data, (a, b), _backward)
+    return _from_op(a_data * b_data, (na, nb), _backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -221,70 +270,80 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul needs >= 2-D operands, got {a.data.shape} and {b.data.shape}"
         )
+    a_data, b_data = a.data, b.data
     try:
-        data = a.data @ b.data
+        data = a_data @ b_data
     except ValueError as exc:
         raise ShapeError(str(exc)) from None
+    na, nb = _grad_node(a), _grad_node(b)
 
     def _backward(grad):
-        if a.requires_grad:
-            grad_a = grad @ np.swapaxes(b.data, -1, -2)
-            _add_grad(a, _unbroadcast(grad_a, a.data.shape), fresh=True)
-        if b.requires_grad:
-            grad_b = np.swapaxes(a.data, -1, -2) @ grad
-            _add_grad(b, _unbroadcast(grad_b, b.data.shape), fresh=True)
+        if na is not None:
+            grad_a = grad @ np.swapaxes(b_data, -1, -2)
+            _add_grad(na, _unbroadcast(grad_a, na.shape), fresh=True)
+        if nb is not None:
+            grad_b = np.swapaxes(a_data, -1, -2) @ grad
+            _add_grad(nb, _unbroadcast(grad_b, nb.shape), fresh=True)
 
-    return _from_op(data, (a, b), _backward)
+    return _from_op(data, (na, nb), _backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def _backward(grad):
-        _add_grad(a, grad.reshape(a.data.shape))
+    na = _grad_node(a)
 
-    return _from_op(a.data.reshape(shape), (a,), _backward)
+    def _backward(grad):
+        _add_grad(na, grad.reshape(na.shape))
+
+    return _from_op(a.data.reshape(shape), (na,), _backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     inverse = np.argsort(axes)
+    na = _grad_node(a)
 
     def _backward(grad):
-        _add_grad(a, grad.transpose(inverse))
+        _add_grad(na, grad.transpose(inverse))
 
-    return _from_op(a.data.transpose(axes), (a,), _backward)
+    return _from_op(a.data.transpose(axes), (na,), _backward)
 
 
 def take(a: Tensor, key) -> Tensor:
-    def _backward(grad):
-        scattered = np.zeros_like(a.data)
-        np.add.at(scattered, key, grad)
-        _add_grad(a, scattered, fresh=True)
+    na = _grad_node(a)
 
-    return _from_op(a.data[key], (a,), _backward)
+    def _backward(grad):
+        scattered = np.zeros(na.shape, dtype=na.dtype)
+        np.add.at(scattered, key, grad)
+        _add_grad(na, scattered, fresh=True)
+
+    return _from_op(a.data[key], (na,), _backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
+    nodes = [_grad_node(t) for t in tensors]
+    lengths = [t.data.shape[axis] for t in tensors]
 
     def _backward(grad):
-        sizes = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        for tensor, piece in zip(tensors, np.split(grad, sizes, axis=axis)):
-            if tensor.requires_grad:
-                _add_grad(tensor, piece)
+        pieces = np.split(grad, np.cumsum(lengths)[:-1], axis=axis)
+        for node, piece in zip(nodes, pieces):
+            if node is not None:
+                _add_grad(node, piece)
 
-    return _from_op(data, tuple(tensors), _backward)
+    return _from_op(data, nodes, _backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
     probs = exps / exps.sum(axis=axis, keepdims=True)
+    na = _grad_node(a)
 
     def _backward(grad):
         dot = (grad * probs).sum(axis=axis, keepdims=True)
-        _add_grad(a, probs * (grad - dot), fresh=True)
+        _add_grad(na, probs * (grad - dot), fresh=True)
 
-    return _from_op(probs, (a,), _backward)
+    return _from_op(probs, (na,), _backward)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -306,7 +365,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     kh * kw strided adds. No batch-wide patch tensor is built: past the
     padded input, the output and their gradients, the op holds one
     example's columns, and no example's result depends on the rest of
-    the batch.
+    the batch. The node keeps the padded input, which backward reads,
+    and not x.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D, got {x.data.shape}")
@@ -345,24 +405,26 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         np.matmul(weights, cols_2d, out=data[i].reshape(ch_out, -1))
     if bias is not None:
         data += bias.data[None, :, None, None]
+    nx, nk = _grad_node(x), _grad_node(kernel)
+    nb = None if bias is None else _grad_node(bias)
 
     def _backward(grad):
-        if bias is not None and bias.requires_grad:
-            _add_grad(bias, grad.sum(axis=(0, 2, 3)), fresh=True)
+        if nb is not None:
+            _add_grad(nb, grad.sum(axis=(0, 2, 3)), fresh=True)
         # One fresh buffer holds cols_i, then kernel^T @ g_i: the
         # closure keeps no forward columns alive.
         cols = np.empty(windows.shape[1:], dtype=padded.dtype)
         cols_2d = cols.reshape(weights.shape[1], -1)
-        if kernel.requires_grad:
+        if nk is not None:
             grad_w = np.zeros_like(weights)
-        if x.requires_grad:
+        if nx is not None:
             grad_padded = np.zeros_like(padded)
         for i in range(batch):
             g_i = grad[i].reshape(ch_out, -1)
-            if kernel.requires_grad:
+            if nk is not None:
                 np.copyto(cols, windows[i])
                 grad_w += g_i @ cols_2d.T
-            if x.requires_grad:
+            if nx is not None:
                 np.matmul(weights.T, g_i, out=cols_2d)
                 gp = grad_padded[i]
                 for dt in range(kh):
@@ -370,21 +432,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                         gp[:, dt : dt + t_hi : stride_t, df : df + f_out] += (
                             cols[:, dt, df]
                         )
-        if kernel.requires_grad:
-            _add_grad(kernel, grad_w.reshape(kernel.data.shape),
-                      fresh=True)
-        if x.requires_grad:
+        if nk is not None:
+            _add_grad(nk, grad_w.reshape(nk.shape), fresh=True)
+        if nx is not None:
             # The interior view of a buffer this op allocated: no copy.
             _add_grad(
-                x,
+                nx,
                 grad_padded[
                     :, :, pad_t : pad_t + t_in, pad_f : pad_f + f_in
                 ],
                 fresh=True,
             )
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _from_op(data, parents, _backward)
+    return _from_op(data, (nx, nk, nb), _backward)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
@@ -399,14 +459,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
     moments=None is train mode: mean and var are the biased per-channel
     statistics of the valid positions only, returned so the caller can
     fold them into running moments. The op keeps the normalized input
-    xhat (zero where masked) and the per-channel 1 / sqrt(var + eps), and
-    its backward is the closed form of Ioffe & Szegedy (2015) over the n
-    valid positions, with g the masked output gradient:
+    xhat (zero where masked) and the per-channel 1 / sqrt(var + eps), not
+    x, and its backward is the closed form of Ioffe & Szegedy (2015) over
+    the n valid positions, with g the masked output gradient:
     dx = gamma / sqrt(var + eps) * (g - sum(g) / n - xhat * sum(g xhat) / n).
 
     moments=(mean, var) is eval mode: they fold into one per-channel
     scale = gamma / sqrt(var + eps) and shift = beta - mean * scale that
-    make the output in one pass, and are returned as given.
+    make the output in one pass, and are returned as given; a tracked
+    eval-mode node keeps x, which gamma's gradient reads.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch norm expects [B, C, T, F], got {x.data.shape}")
@@ -423,6 +484,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
                 f" {x.data.shape}")
     shape = (1, -1, 1, 1)
     valid_bt = valid[:, :, :, 0]
+    nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
+    gamma_data = gamma.data
 
     def valid_sum(rows):
         """Per-channel total of a [B, C, T] array over valid frames."""
@@ -437,41 +500,42 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
         var = valid_sum(np.einsum("bctf,bctf->bct", xhat, xhat)) / count
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv.reshape(shape) * valid
-        data = xhat * gamma.data.reshape(shape)
+        data = xhat * gamma_data.reshape(shape)
         data += beta.data.reshape(shape) * valid
     else:
         mean, var = moments
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        scale = gamma.data * inv
-        data = x.data * (scale.reshape(shape) * valid)
+        scale = gamma_data * inv
+        x_data = x.data
+        data = x_data * (scale.reshape(shape) * valid)
         data += (beta.data - mean * scale).reshape(shape) * valid
 
     def _backward(grad):
         d_beta = valid_sum(grad.sum(axis=3))
-        if beta.requires_grad:
-            _add_grad(beta, d_beta, fresh=True)
+        if nbeta is not None:
+            _add_grad(nbeta, d_beta, fresh=True)
         if moments is None:
             # xhat is zero where masked, so this sum needs no mask.
             d_gamma = np.einsum("bctf,bctf->bct", grad, xhat).sum(axis=(0, 2))
-            if gamma.requires_grad:
-                _add_grad(gamma, d_gamma, fresh=True)
-            if x.requires_grad:
+            if ngamma is not None:
+                _add_grad(ngamma, d_gamma, fresh=True)
+            if nx is not None:
                 # A backward runs once, so dx is built in xhat's buffer.
                 dx = xhat
                 dx *= (-d_gamma / count).reshape(shape)
                 dx += grad
                 dx -= (d_beta / count).reshape(shape)
-                dx *= (gamma.data * inv).reshape(shape) * valid
-                _add_grad(x, dx, fresh=True)
+                dx *= (gamma_data * inv).reshape(shape) * valid
+                _add_grad(nx, dx, fresh=True)
         else:
-            if gamma.requires_grad:
-                d_scale = valid_sum(np.einsum("bctf,bctf->bct", grad, x.data))
-                _add_grad(gamma, (d_scale - mean * d_beta) * inv, fresh=True)
-            if x.requires_grad:
-                _add_grad(x, grad * (scale.reshape(shape) * valid),
+            if ngamma is not None:
+                d_scale = valid_sum(np.einsum("bctf,bctf->bct", grad, x_data))
+                _add_grad(ngamma, (d_scale - mean * d_beta) * inv, fresh=True)
+            if nx is not None:
+                _add_grad(nx, grad * (scale.reshape(shape) * valid),
                           fresh=True)
 
-    return _from_op(data, (x, gamma, beta), _backward), (mean, var)
+    return _from_op(data, (nx, ngamma, nbeta), _backward), (mean, var)
 
 
 def _rowwise(h, u):
@@ -497,7 +561,8 @@ def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
 
     The whole scan is one graph node. The three gates' input projections
     are one [B*T, in] @ [in, 3H] GEMM. When the op is tracked it keeps
-    z, r and c per step (h_{t-1} is the previous output), and backward
+    the input as x_2d, the state sequence, and z, r and c per step
+    (h_{t-1} is the previous output), and backward
     runs backpropagation through time over them into one [B, T, 3H]
     pre-activation gradient dP; the input, input-weight and bias
     gradients are then one GEMM or sum each over dP, and the recurrent
@@ -523,7 +588,9 @@ def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
     pre = (x_2d @ w_all + np.concatenate([p.data for p in b])).reshape(
         batch, steps, 3 * hidden)
     seq = np.empty((batch, steps, hidden), dtype=dtype)
-    tracked = _tracked((x, *params))
+    nx = _grad_node(x)
+    nw, nu, nb = ([_grad_node(p) for p in group] for group in (w, u, b))
+    tracked = _tracked((nx, *nw, *nu, *nb))
     # gates[t] is [z | r | c] at frame t; untracked, one step's buffer.
     gates = np.empty((steps if tracked else 1, batch, 3 * hidden), dtype=dtype)
     sz, sr, sc = (slice(k * hidden, (k + 1) * hidden) for k in range(3))
@@ -566,23 +633,23 @@ def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
             d_uzr += h_prev.T @ dp[:, szr]
             dh = dh + dh_new * z + d_rh * r + dp[:, szr] @ u_zr.T
         d_2d = d_pre.reshape(batch * steps, 3 * hidden)
-        if any(p.requires_grad for p in w):
-            _split_grads(w, x_2d.T @ d_2d)
-        if x.requires_grad:
-            _add_grad(x, (d_2d @ w_all.T).reshape(x.data.shape), fresh=True)
-        if any(p.requires_grad for p in b):
-            _split_grads(b, d_2d.sum(axis=0))
-        _split_grads(u[:2], d_uzr)
-        _split_grads(u[2:], d_uh)
+        if any(n is not None for n in nw):
+            _split_grads(nw, x_2d.T @ d_2d)
+        if nx is not None:
+            _add_grad(nx, (d_2d @ w_all.T).reshape(nx.shape), fresh=True)
+        if any(n is not None for n in nb):
+            _split_grads(nb, d_2d.sum(axis=0))
+        _split_grads(nu[:2], d_uzr)
+        _split_grads(nu[2:], d_uh)
 
-    return _from_op(seq, (x, *params), _backward)
+    return _from_op(seq, (nx, *nw, *nu, *nb), _backward)
 
 
-def _split_grads(tensors, grad):
-    """Hand each tensor its equal slice of grad's last axis."""
-    for tensor, piece in zip(tensors, np.split(grad, len(tensors), axis=-1)):
-        if tensor.requires_grad:
-            _add_grad(tensor, piece, fresh=True)
+def _split_grads(nodes, grad):
+    """Hand each node its equal slice of grad's last axis; None takes none."""
+    for node, piece in zip(nodes, np.split(grad, len(nodes), axis=-1)):
+        if node is not None:
+            _add_grad(node, piece, fresh=True)
 
 
 def dropout(x: Tensor, rate: float, train: bool,
@@ -599,13 +666,14 @@ def dropout(x: Tensor, rate: float, train: bool,
     scale = 1.0 / (1.0 - rate)
     data = x.data * scale
     data *= keep
+    nx = _grad_node(x)
 
     def _backward(grad):
         dx = grad * scale
         dx *= keep
-        _add_grad(x, dx, fresh=True)
+        _add_grad(nx, dx, fresh=True)
 
-    return _from_op(data, (x,), _backward)
+    return _from_op(data, (nx,), _backward)
 
 
 def sigmoid_bce(logits: Tensor, targets) -> Tensor:
@@ -624,8 +692,9 @@ def sigmoid_bce(logits: Tensor, targets) -> Tensor:
     x = logits.data
     elems = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     data = np.asarray(elems.mean(), dtype=x.dtype)
+    nx = _grad_node(logits)
 
     def _backward(grad):
-        _add_grad(logits, grad * (expit(x) - t) / x.size, fresh=True)
+        _add_grad(nx, grad * (expit(x) - t) / x.size, fresh=True)
 
-    return _from_op(data, (logits,), _backward)
+    return _from_op(data, (nx,), _backward)

@@ -63,3 +63,7 @@ class DegenerateLabels(KwsError):
 
 class NonFiniteValue(KwsError):
     """A loss, gradient, score or waveform power is NaN or infinite."""
+
+
+class InsufficientMemory(KwsError):
+    """A training step is estimated to need more memory than is available."""

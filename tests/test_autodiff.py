@@ -6,6 +6,7 @@ probe on the output so no direction is accidentally stationary.
 
 import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sdckws.layers import (
     AdamState,
     BatchNorm,
     BiGru,
+    Conv2d,
     CrossAttention,
     Dense,
     Gru,
@@ -206,6 +208,57 @@ class TestRecording:
         assert out._backward_fn is not None
         assert len(out._parents) == 1
         assert out._parents[0] is made[chosen]
+
+
+class TestActivationLifetime:
+    """A node keeps what its backward reads, never an input's Tensor."""
+
+    @pytest.mark.parametrize("name", recording_ops())
+    def test_closure_holds_no_tensor(self, name):
+        # Every input is an op result, whose node is not a Tensor: a
+        # Tensor in the closure would keep an input's activation alive.
+        rng = np.random.default_rng(3)
+        out = OP_CALLS[name](lambda shape: Tensor(
+            rng.normal(size=shape), requires_grad=True) * 1.0)
+        held = []
+        for cell in out._backward_fn.__closure__:
+            try:
+                value = cell.cell_contents
+            except ValueError:  # a name only the other mode assigns
+                continue
+            held.extend(value if isinstance(value, (list, tuple)) else [value])
+        assert not [v for v in held if isinstance(v, Tensor)]
+
+    def test_audio_block_frees_what_backward_does_not_read(self):
+        # conv -> batch norm -> dropout -> conv -> transpose -> reshape in
+        # train mode, keeping only the last output: backward reads the
+        # normalized input, the keep mask and the padded conv input, so
+        # every watched array is freed before it runs.
+        rng = np.random.default_rng(40)
+        conv1 = Conv2d(1, 3, rng, stride_t=2)
+        conv2 = Conv2d(3, 3, rng)
+        norm = BatchNorm(3)
+        mask = np.ones((2, 1, 5, 1), dtype=np.float32)
+        mask[1, :, 3:] = 0.0
+        x = Tensor(rng.normal(size=(2, 1, 9, 5)).astype(np.float32))
+        watched = {}
+
+        def watch(name, tensor):
+            watched[name] = weakref.ref(tensor.data)
+            return tensor
+
+        h = watch("conv", conv1(x))
+        h = watch("batch norm", norm(h, True, mask))
+        h = watch("dropout", ad.dropout(h, 0.5, True, rng))
+        h = watch("conv2", conv2(h))
+        h = watch("transpose", h.transpose(0, 2, 1, 3))
+        out = h.reshape(2, 5, 15)
+        del h
+        assert [name for name, ref in watched.items() if ref() is not None] == []
+        out.backward(np.ones_like(out.data))
+        for param in (conv1.kernel, conv1.bias, norm.gamma, norm.beta,
+                      conv2.kernel, conv2.bias):
+            assert param.grad is not None and np.abs(param.grad).max() > 0
 
 
 class TestGradBuffers:

@@ -186,6 +186,18 @@ class TestExtract:
         assert "Traceback" not in result.stderr
         assert "bad.ini: not UTF-8" in result.stderr
 
+    def test_overflowing_frame_is_usage_error(self, second_wav, tmp_path):
+        bad = tmp_path / "huge.ini"
+        bad.write_text("[frontend]\nframe_ms = 1e306\nhop_ms = 1e305\n")
+        result = run_cli("extract", second_wav, "--config", bad,
+                         "-o", tmp_path / "f.kwsf")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("ERROR")]
+        assert len(errors) == 1 and "frame_ms" in errors[0]
+        assert not (tmp_path / "f.kwsf").exists()
+
     @pytest.mark.parametrize("text", [
         "feature = mel\n",
         "[model]\nfeature = mel\nfeature = mfcc\n",
@@ -286,6 +298,32 @@ class TestTrain:
         assert "Traceback" not in result.stderr
         assert not out.exists()
         assert not (tmp_path / "nan_history.csv").exists()
+
+    def test_step_over_available_memory_exits_1(self, workspace, tmp_path):
+        # The CLI in a process that reports 1 KiB of available memory.
+        script = (
+            "import sys\n"
+            "from sdckws import cli, model\n"
+            "model.available_memory = lambda: 1024\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "big.kwsm"
+        result = subprocess.run(
+            [sys.executable, "-c", script, "train", "--manifest",
+             workspace["manifest"], "--epochs", "1", "--config",
+             workspace["root"] / "small.ini", "-o", out],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 1
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("ERROR")]
+        assert len(errors) == 1
+        assert re.fullmatch(
+            r"ERROR sdckws: epoch 0 step 0: a training step on features"
+            r" \[\d+, \d+, 12\] needs about [\d.]+ MiB, but 0\.0 MiB is"
+            r" available", errors[0]), errors[0]
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+        assert not (tmp_path / "big_history.csv").exists()
 
     def test_same_seed_is_byte_identical(self, workspace, tmp_path):
         outputs = []

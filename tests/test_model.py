@@ -1,7 +1,10 @@
 """Matcher architecture, checkpoints, and the training loop."""
 
 import argparse
+import gc
 import inspect
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from scipy.special import expit
 
 import sdckws.autodiff as ad
 from sdckws import cli
+from sdckws import model as model_module
 from sdckws.data import (
     ALPHABET,
     Batch,
@@ -22,6 +26,7 @@ from sdckws.errors import (
     DegenerateDataset,
     EmptyDataset,
     FormatError,
+    InsufficientMemory,
     NonFiniteValue,
     ShapeError,
 )
@@ -40,6 +45,7 @@ from sdckws.model import (
     load_checkpoint,
     save_checkpoint,
     split_validation,
+    step_peak_bytes,
     strided_length,
     train,
 )
@@ -81,6 +87,10 @@ class TestModelConfig:
             small_cfg(lr=float("inf"))
         with pytest.raises(ValueError):
             small_cfg(conv_filters=0)
+        # 1e306 ms is inf samples: a ValueError naming the key, not an
+        # OverflowError from the sample count.
+        with pytest.raises(ValueError, match="frame_ms"):
+            ModelConfig(front_end=FrontEndConfig(frame_ms=1e306, hop_ms=1e305))
 
     def test_sdc_base_must_match_mel_count(self):
         with pytest.raises(ValueError, match="num_mel"):
@@ -124,6 +134,7 @@ class TestModelConfig:
         ("conv_filters", "0"), ("dropout", "1.5"), ("num_mel", "12"),
         ("lr", "nan"), ("frame_ms", "nan"), ("log_floor", "inf"),
         ("pre_emphasis", "1.5"), ("seed", "-1"), ("hop_ms", "0.01"),
+        ("frame_ms", "1e306"),
     ])
     def test_from_dict_out_of_range_is_format_error(self, key, value):
         with pytest.raises(FormatError, match=key):
@@ -623,6 +634,77 @@ class TestTrain:
         np.testing.assert_array_equal(scored.scores, repeat.scores)
         regrouped = evaluate(model, manifest, batch_size=3)
         np.testing.assert_allclose(scored.scores, regrouped.scores, atol=1e-5)
+
+
+class TestTrainingMemory:
+    """A training step keeps what its backward reads, and train checks it fits."""
+
+    def test_one_second_step_fits_its_budget(self):
+        # Default architecture, 1 s clips (98 frames) at batch 8, dropout on.
+        cfg = ModelConfig(seed=1)
+        model = KwsModel(cfg)
+        batch = random_batch(np.random.default_rng(12), cfg.feature_width,
+                             sizes=(98,) * 8, token_counts=(5,) * 8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            _, logits = model.forward(batch, train=True,
+                                      rng=np.random.default_rng(13))
+            loss = ad.sigmoid_bce(logits, batch.labels)
+            retained = tracemalloc.get_traced_memory()[0] - base
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        mib_per_example = 8 * 2**20
+        assert retained <= 14 * mib_per_example
+        assert peak <= 20 * mib_per_example
+        # The guard's estimate is calibrated here: it must not undercount.
+        assert peak <= step_peak_bytes(cfg, 8, 98)
+
+    def test_estimate_scales_with_post_conv_frames_and_width(self):
+        cfg = ModelConfig()
+        assert step_peak_bytes(cfg, 8, 98) == (
+            model_module.STEP_PEAK_COPIES * 4 * 8 * 49 * 32 * 360)
+        assert step_peak_bytes(cfg, 8, 97) == step_peak_bytes(cfg, 8, 98)
+        assert step_peak_bytes(cfg, 16, 98) == 2 * step_peak_bytes(cfg, 8, 98)
+
+    def test_guard_stops_training_before_the_first_forward(self, tmp_path,
+                                                           monkeypatch):
+        manifest = tiny_dataset(tmp_path)
+        cfg = ModelConfig(batch_size=4, seed=3)
+        monkeypatch.setattr(model_module, "available_memory",
+                            lambda: 10 * 2**20)
+        calls = []
+        monkeypatch.setattr(KwsModel, "forward",
+                            lambda *args, **kwargs: calls.append(1))
+        with pytest.raises(InsufficientMemory) as info:
+            train(manifest, cfg, epochs=1)
+        assert calls == []
+        found = re.fullmatch(
+            r"epoch 0 step 0: a training step on features \[4, (\d+), 360\]"
+            r" needs about ([\d.]+) MiB, but 10\.0 MiB is available",
+            str(info.value))
+        assert found is not None, str(info.value)
+        need = step_peak_bytes(cfg, 4, int(found[1]))
+        assert found[2] == f"{need / 2**20:.1f}"
+
+    def test_meminfo_is_read_for_mem_available(self, tmp_path, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:        8000000 kB\n"
+                           "MemFree:         1000000 kB\n"
+                           "MemAvailable:    2048 kB\n")
+        monkeypatch.setattr(model_module, "MEMINFO_PATH", str(meminfo))
+        assert model_module.available_memory() == 2048 * 1024
+
+    def test_no_guard_without_meminfo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model_module, "MEMINFO_PATH",
+                            str(tmp_path / "missing"))
+        assert model_module.available_memory() is None
+        _, ckpt, _ = train(tiny_dataset(tmp_path), small_cfg(batch_size=4),
+                           epochs=1)
+        assert ckpt.step > 0
 
 
 class TestSplitValidation:
