@@ -29,6 +29,9 @@ from .errors import ShapeError
 
 _grad_enabled = True
 BN_EPS = 1e-5  # added to batch norm's variance
+# Bytes of conv2d's forward column block: it holds as many output rows'
+# windows as fit, so the copy and the GEMM run from L2 (sweep in CHANGES.md).
+CONV_BLOCK_BYTES = 512 * 1024
 
 
 @contextlib.contextmanager
@@ -354,19 +357,23 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     kh, kw. Output time length is floor((T - 1) / stride_t) + 1, which for
     the 3x3 kernel equals ceil(T / stride_t); frequency length is F.
 
-    The op runs one example at a time as an im2col GEMM. Example i's
-    windows are copied into one reused [ch_in * kh * kw, t_out * f_out]
-    column buffer (rows ordered channel, then kernel row, then kernel
-    column, matching kernel.reshape(ch_out, -1)), and the product
-    kernel @ cols is written straight into out[i] viewed as
-    [ch_out, t_out * f_out]. Backward rebuilds each example's columns
+    The forward runs im2col in row blocks (Chellapilla et al. 2006): the
+    windows of R output rows of one example at a time are copied into one
+    reused [ch_in * kh * kw, R * f_out] column block (rows ordered
+    channel, then kernel row, then kernel column, matching
+    kernel.reshape(ch_out, -1)), and kernel @ block is written straight
+    into out[i, :, t0 : t0 + R] viewed as [ch_out, R * f_out], a view
+    because a block's rows are contiguous within each channel; a short
+    last block uses the block's first columns. R fills CONV_BLOCK_BYTES,
+    so the block stays in cache, and depends only on the layer's shape,
+    never on the batch. Backward rebuilds each example's whole columns
     rather than keeping them, accumulates g_i @ cols_i^T into the kernel
     gradient and scatters kernel^T @ g_i back onto the padded input with
     kh * kw strided adds. No batch-wide patch tensor is built: past the
-    padded input, the output and their gradients, the op holds one
-    example's columns, and no example's result depends on the rest of
-    the batch. The node keeps the padded input, which backward reads,
-    and not x.
+    padded input, the output and their gradients, the forward holds one
+    column block and backward one example's columns, and no example's
+    result depends on the rest of the batch. The node keeps the padded
+    input, which backward reads, and not x.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D, got {x.data.shape}")
@@ -396,13 +403,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         writeable=False,
     )
     weights = kernel.data.reshape(ch_out, -1)
-    cols = np.empty(windows.shape[1:], dtype=padded.dtype)
-    cols_2d = cols.reshape(weights.shape[1], -1)
+    rows = min(t_out, max(1, CONV_BLOCK_BYTES
+                          // (weights.shape[1] * f_out * padded.itemsize)))
+    block = np.empty((ch_in, kh, kw, rows, f_out), dtype=padded.dtype)
+    block_2d = block.reshape(weights.shape[1], -1)
     data = np.empty((batch, ch_out, t_out, f_out),
                     dtype=np.result_type(x.data, kernel.data))
     for i in range(batch):
-        np.copyto(cols, windows[i])
-        np.matmul(weights, cols_2d, out=data[i].reshape(ch_out, -1))
+        for t0 in range(0, t_out, rows):
+            n = min(rows, t_out - t0)
+            np.copyto(block[:, :, :, :n], windows[i, :, :, :, t0 : t0 + n])
+            np.matmul(weights, block_2d[:, : n * f_out],
+                      out=data[i, :, t0 : t0 + n].reshape(ch_out, -1))
     if bias is not None:
         data += bias.data[None, :, None, None]
     nx, nk = _grad_node(x), _grad_node(kernel)

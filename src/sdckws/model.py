@@ -59,11 +59,14 @@ from .layers import (
 
 KIND_NAMES = {kind: name for name, kind in FEATURE_NAMES.items()}
 VAL_FRACTION = 0.1  # share of each class that train() holds out
-# Float32 copies of one example's [conv_filters, frames, feature_width]
-# conv activation, frames counted after the strided conv, that a training
-# step holds at its peak: 8.3 measured on 1 s clips with the default
-# architecture, and a test holds the step under this figure.
-STEP_PEAK_COPIES = 9
+# Float32 copies of each per-example activation a training step holds at
+# its peak, counted per frame after the strided conv (the conv activation,
+# conv_filters x feature_width, plus the recurrent stack's gru_hidden)
+# and per token (char_embed_dim). With conv2d's backward columns and two
+# copies of the parameters, the estimate is 1.38-1.46 times the measured
+# peak of mfcc, mel and sdc on 1 s clips at batch 8 (1.25-1.81 over
+# batches of 1-32); a test holds the step under it.
+STEP_PEAK_COPIES = 8
 MEMINFO_PATH = "/proc/meminfo"  # read for MemAvailable only
 
 
@@ -381,14 +384,8 @@ class KwsModel:
                     f" model {key}={own_cfg[key]!r}"
                 )
         own = self._state()
-        for name, target in own.items():
-            if name not in ckpt.tensors:
-                raise ConfigMismatch(f"checkpoint is missing tensor {name!r}")
-            if ckpt.tensors[name].shape != target.shape:
-                raise ConfigMismatch(
-                    f"tensor {name!r} has shape {ckpt.tensors[name].shape},"
-                    f" expected {target.shape}"
-                )
+        _check_shapes(ckpt.tensors,
+                      {name: target.shape for name, target in own.items()})
         for name in ckpt.tensors:
             if name not in own:
                 raise ConfigMismatch(
@@ -399,9 +396,45 @@ class KwsModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: "Checkpoint") -> "KwsModel":
-        model = cls(ModelConfig.from_dict(ckpt.config))
+        """The model of ckpt's config block, with ckpt's tensors installed.
+
+        The block's architecture is checked against the tensors' shapes
+        before any weight is drawn, so an edited block cannot make the
+        model allocate more than the checkpoint already holds.
+        """
+        cfg = ModelConfig.from_dict(ckpt.config)
+        _check_shapes(ckpt.tensors, _arch_shapes(cfg))
+        model = cls(cfg)
         model.load_state(ckpt)
         return model
+
+
+def _arch_shapes(cfg: ModelConfig) -> dict:
+    """Shapes of the tensors that pin every dimension of cfg's model.
+
+    Each dimension of a KwsModel tensor is one of these shapes' sides
+    (or twice one, or 1), so a checkpoint matching them bounds the model.
+    """
+    ch, hidden = cfg.conv_filters, cfg.gru_hidden
+    return {
+        "audio.conv1.kernel": (ch, 1, cfg.kernel, cfg.kernel),
+        "audio.gru1.fwd.wz": (ch * cfg.feature_width, hidden),
+        "text.embed.table": (len(ALPHABET), cfg.char_embed_dim),
+        "extract.attn.q_proj.weight": (cfg.embed_dim, cfg.embed_dim),
+        "disc.gru.fwd.uz": (cfg.disc_hidden, cfg.disc_hidden),
+    }
+
+
+def _check_shapes(tensors: dict, shapes: dict):
+    """Raise ConfigMismatch unless tensors has each name at its shape."""
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise ConfigMismatch(f"checkpoint is missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ConfigMismatch(
+                f"tensor {name!r} has shape {tensors[name].shape},"
+                f" expected {shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -563,11 +596,24 @@ def evaluate(model: KwsModel, manifest, batch_size: int | None = None,
     return metrics.ScoredSet(np.array(scores), np.array(labels))
 
 
-def step_peak_bytes(cfg: ModelConfig, batch: int, frames: int) -> int:
-    """Estimated peak bytes of a training step on [batch, frames, D] features."""
-    cells = (batch * strided_length(frames, cfg.stride_t)
-             * cfg.conv_filters * cfg.feature_width)
-    return STEP_PEAK_COPIES * 4 * cells
+def step_peak_bytes(model: KwsModel, batch: int, frames: int,
+                    tokens: int) -> int:
+    """Estimated peak bytes of a training step of model on a batch.
+
+    The batch is [batch, frames, D] features with [batch, tokens] token
+    ids. The estimate is STEP_PEAK_COPIES copies of every per-example
+    activation, one example's conv2d backward columns, and the
+    parameters twice: their gradients, plus the scans' stacked weights
+    and Adam's scratch.
+    """
+    cfg = model.cfg
+    t_out = strided_length(frames, cfg.stride_t)
+    conv = t_out * cfg.conv_filters * cfg.feature_width
+    per_example = t_out * cfg.gru_hidden + tokens * cfg.char_embed_dim + conv
+    params = sum(p.data.size for p in model.named_params().values())
+    cells = (STEP_PEAK_COPIES * batch * per_example + cfg.kernel**2 * conv
+             + 2 * params)
+    return 4 * cells
 
 
 def available_memory() -> int | None:
@@ -582,15 +628,16 @@ def available_memory() -> int | None:
     return None
 
 
-def _check_memory(cfg: ModelConfig, shape, where: str):
-    """Raise InsufficientMemory if a step on features of shape will not fit."""
-    need = step_peak_bytes(cfg, shape[0], shape[1])
+def _check_memory(model: KwsModel, batch: Batch, where: str):
+    """Raise InsufficientMemory if a step of model on batch will not fit."""
+    shape, tokens = batch.features.shape, batch.tokens.shape
+    need = step_peak_bytes(model, shape[0], shape[1], tokens[1])
     available = available_memory()
     if available is not None and need > available:
         raise InsufficientMemory(
-            f"{where}: a training step on features {list(shape)} needs about"
-            f" {need / 2**20:.1f} MiB, but {available / 2**20:.1f} MiB is"
-            f" available")
+            f"{where}: a training step on features {list(shape)} and tokens"
+            f" {list(tokens)} needs about {need / 2**20:.1f} MiB, but"
+            f" {available / 2**20:.1f} MiB is available")
 
 
 def _mean_bce(scored: "metrics.ScoredSet") -> float:
@@ -637,7 +684,7 @@ def train(manifest, cfg: ModelConfig, epochs: int, log=None):
                                feature_cache=cache)
         for step, batch in enumerate(batches):
             where = f"epoch {epoch} step {step}"
-            _check_memory(cfg, batch.features.shape, where)
+            _check_memory(model, batch, where)
             _, logits = model.forward(batch, train=True, rng=dropout_rng)
             loss = ad.sigmoid_bce(logits, batch.labels)
             if not np.isfinite(loss.item()):

@@ -4,6 +4,7 @@ Every gradient check runs in float64 with step 1e-5 and a fixed random
 probe on the output so no direction is accidentally stationary.
 """
 
+import gc
 import inspect
 import tracemalloc
 import weakref
@@ -58,6 +59,24 @@ def numeric_grad(fn, tensor):
             down = fn()
         flat[i] = keep
         grad_flat[i] = (up - down) / (2.0 * H)
+    return out
+
+
+def im2col_conv(x, k, stride):
+    """Literal conv2d forward: one whole-example column matrix per GEMM."""
+    batch, ch_in, t_in, f_in = x.shape
+    ch_out, _, kh, kw = k.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+    t_out = (t_in - 1) // stride + 1
+    out = np.empty((batch, ch_out, t_out, f_in), dtype=x.dtype)
+    for i in range(batch):
+        cols = np.empty((ch_in, kh, kw, t_out, f_in), dtype=x.dtype)
+        for dt in range(kh):
+            for df in range(kw):
+                cols[:, dt, df] = padded[i, :, dt : dt + stride * t_out : stride,
+                                         df : df + f_in]
+        out[i] = (k.reshape(ch_out, -1) @ cols.reshape(ch_in * kh * kw, -1)
+                  ).reshape(ch_out, t_out, f_in)
     return out
 
 
@@ -454,6 +473,59 @@ class TestConv2d:
                 row.backward(probe[i : i + 1])
                 assert np.array_equal(row.data[0], out.data[i])
                 assert np.array_equal(alone.grad[0], whole.grad[i])
+
+    def test_batch_rows_match_single_examples_across_row_blocks(
+            self, monkeypatch):
+        # 8 channels at width 360 in blocks of 5 output rows: 7 rows at
+        # stride 1 are 5 + 2 and 6 rows at stride 2 are 5 + 1, so both
+        # end in a partial block.
+        row_bytes = 8 * 3 * 3 * 360 * 4
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 5 * row_bytes + 7)
+        rng = np.random.default_rng(41)
+        k = Tensor(rng.normal(size=(4, 8, 3, 3)).astype(np.float32))
+        b = Tensor(rng.normal(size=(4,)).astype(np.float32))
+        for t_in, stride in ((7, 1), (11, 2)):
+            x = rng.normal(size=(3, 8, t_in, 360)).astype(np.float32)
+            whole = Tensor(x, requires_grad=True)
+            out = ad.conv2d(whole, k, b, stride_t=stride)
+            want = im2col_conv(x, k.data, stride) + b.data[:, None, None]
+            np.testing.assert_allclose(out.data, want, rtol=0,
+                                       atol=1e-6 * np.abs(want).max())
+            probe = rng.normal(size=out.shape).astype(np.float32)
+            out.backward(probe)
+            for i in range(3):
+                alone = Tensor(x[i : i + 1], requires_grad=True)
+                row = ad.conv2d(alone, k, b, stride_t=stride)
+                row.backward(probe[i : i + 1])
+                assert np.array_equal(row.data[0], out.data[i])
+                assert np.array_equal(alone.grad[0], whole.grad[i])
+
+    @pytest.mark.parametrize("width", [13, 40, 360])
+    def test_row_blocks_match_whole_example_im2col(self, width):
+        # At the default block budget: 34, 11 and 1 rows per block.
+        rng = np.random.default_rng(42)
+        k = rng.normal(size=(32, 32, 3, 3)).astype(np.float32)
+        for t_in, stride in ((40, 1), (41, 2)):
+            x = rng.normal(size=(2, 32, t_in, width)).astype(np.float32)
+            out = ad.conv2d(Tensor(x), Tensor(k), stride_t=stride).data
+            np.testing.assert_allclose(out, im2col_conv(x, k, stride), rtol=0,
+                                       atol=1e-6 * np.abs(out).max())
+
+    def test_forward_memory_is_one_row_block(self):
+        # [4, 32, 49, 360] is conv2 on 1 s sdc clips; one example's whole
+        # columns would be [288, 49 * 360] float32, 20 MB.
+        x = Tensor(np.ones((4, 32, 49, 360), dtype=np.float32))
+        k = Tensor(np.ones((32, 32, 3, 3), dtype=np.float32))
+        padded_bytes = 4 * 32 * 51 * 362 * 4
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = ad.conv2d(x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.data.nbytes - padded_bytes < 2 * 2**20
 
     def test_gradients_without_bias(self):
         rng = np.random.default_rng(37)

@@ -319,8 +319,8 @@ class TestTrain:
         assert len(errors) == 1
         assert re.fullmatch(
             r"ERROR sdckws: epoch 0 step 0: a training step on features"
-            r" \[\d+, \d+, 12\] needs about [\d.]+ MiB, but 0\.0 MiB is"
-            r" available", errors[0]), errors[0]
+            r" \[\d+, \d+, 12\] and tokens \[\d+, \d+\] needs about [\d.]+ MiB,"
+            r" but 0\.0 MiB is available", errors[0]), errors[0]
         assert "Traceback" not in result.stderr
         assert not out.exists()
         assert not (tmp_path / "big_history.csv").exists()

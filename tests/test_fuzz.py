@@ -116,12 +116,9 @@ def test_kwsm_edits_raise_only_typed_errors(files, kwsm_layout, data):
     edits = data.draw(byte_edits(size, hot=(0, block_end)))
     path = edited_copy(files, "edited.kwsm", edits)
     try:
-        ckpt = load_checkpoint(path)
-        ModelConfig.from_dict(ckpt.config)
-        # An edited block can ask for any model size, so only edits that
-        # leave the block as written build a model.
-        if all(at >= block_end for _, at, _ in edits):
-            KwsModel.from_checkpoint(ckpt)
+        # An edited block can ask for any model size; from_checkpoint
+        # checks it against the tensors before drawing a weight.
+        KwsModel.from_checkpoint(load_checkpoint(path))
     except KwsError:
         pass
 

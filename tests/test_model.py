@@ -489,6 +489,28 @@ class TestCheckpointFile:
             other = restored.named_params()[name]
             assert param.data.tobytes() == other.data.tobytes(), name
 
+    @pytest.mark.parametrize("key, value, tensor", [
+        ("conv_filters", "5", "audio.conv1.kernel"),
+        ("kernel", "5", "audio.conv1.kernel"),
+        ("num_mel", "13", "audio.gru1.fwd.wz"),
+        ("gru_hidden", "7", "audio.gru1.fwd.wz"),
+        ("char_embed_dim", "17", "text.embed.table"),
+        ("embed_dim", "12899", "extract.attn.q_proj.weight"),
+        ("disc_hidden", "6", "disc.gru.fwd.uz"),
+    ])
+    def test_block_checked_against_tensors_before_weights_are_drawn(
+            self, monkeypatch, key, value, tensor):
+        ckpt = KwsModel(small_cfg()).to_checkpoint()
+        edited = Checkpoint(ckpt.tensors, dict(ckpt.config, **{key: value}),
+                            ckpt.step)
+
+        def no_model(*args):
+            raise AssertionError("KwsModel built before the shape check")
+
+        monkeypatch.setattr(KwsModel, "__init__", no_model)
+        with pytest.raises(ConfigMismatch, match=re.escape(repr(tensor))):
+            KwsModel.from_checkpoint(edited)
+
     def test_decoded_arch_mismatch_names_the_key(self):
         model = KwsModel(small_cfg())
         ckpt = model.to_checkpoint()
@@ -641,34 +663,48 @@ class TestTrainingMemory:
 
     def test_one_second_step_fits_its_budget(self):
         # Default architecture, 1 s clips (98 frames) at batch 8, dropout on.
-        cfg = ModelConfig(seed=1)
-        model = KwsModel(cfg)
-        batch = random_batch(np.random.default_rng(12), cfg.feature_width,
-                             sizes=(98,) * 8, token_counts=(5,) * 8)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            _, logits = model.forward(batch, train=True,
-                                      rng=np.random.default_rng(13))
-            loss = ad.sigmoid_bce(logits, batch.labels)
-            retained = tracemalloc.get_traced_memory()[0] - base
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        for feature in (FeatureKind.MFCC, FeatureKind.MEL_SPEC,
+                        FeatureKind.SDC):
+            model = KwsModel(ModelConfig(feature=feature, seed=1))
+            batch = random_batch(np.random.default_rng(12),
+                                 model.cfg.feature_width, sizes=(98,) * 8,
+                                 token_counts=(5,) * 8)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                _, logits = model.forward(batch, train=True,
+                                          rng=np.random.default_rng(13))
+                loss = ad.sigmoid_bce(logits, batch.labels)
+                retained = tracemalloc.get_traced_memory()[0] - base
+                loss.backward()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            # The guard's estimate must not undercount on any front-end.
+            estimate = step_peak_bytes(model, 8, 98, 5)
+            assert peak <= estimate, feature
+        # sdc, the last and widest front-end, keeps its per-example budget.
         mib_per_example = 8 * 2**20
         assert retained <= 14 * mib_per_example
         assert peak <= 20 * mib_per_example
-        # The guard's estimate is calibrated here: it must not undercount.
-        assert peak <= step_peak_bytes(cfg, 8, 98)
+        # Nor overcount so far on sdc that the guard refuses steps that fit.
+        assert estimate <= 1.5 * peak
 
     def test_estimate_scales_with_post_conv_frames_and_width(self):
-        cfg = ModelConfig()
-        assert step_peak_bytes(cfg, 8, 98) == (
-            model_module.STEP_PEAK_COPIES * 4 * 8 * 49 * 32 * 360)
-        assert step_peak_bytes(cfg, 8, 97) == step_peak_bytes(cfg, 8, 98)
-        assert step_peak_bytes(cfg, 16, 98) == 2 * step_peak_bytes(cfg, 8, 98)
+        model = KwsModel(ModelConfig())
+        params = sum(p.data.size for p in model.named_params().values())
+        per_example = 49 * 64 + 5 * 512 + 49 * 32 * 360
+        assert step_peak_bytes(model, 8, 98, 5) == 4 * (
+            model_module.STEP_PEAK_COPIES * 8 * per_example
+            + 9 * 49 * 32 * 360 + 2 * params)
+        assert step_peak_bytes(model, 8, 97, 5) == step_peak_bytes(
+            model, 8, 98, 5)
+        fixed = step_peak_bytes(model, 0, 98, 5)
+        assert step_peak_bytes(model, 16, 98, 5) - fixed == 2 * (
+            step_peak_bytes(model, 8, 98, 5) - fixed)
+        assert step_peak_bytes(model, 8, 98, 6) - step_peak_bytes(
+            model, 8, 98, 5) == 4 * model_module.STEP_PEAK_COPIES * 8 * 512
 
     def test_guard_stops_training_before_the_first_forward(self, tmp_path,
                                                            monkeypatch):
@@ -684,11 +720,12 @@ class TestTrainingMemory:
         assert calls == []
         found = re.fullmatch(
             r"epoch 0 step 0: a training step on features \[4, (\d+), 360\]"
-            r" needs about ([\d.]+) MiB, but 10\.0 MiB is available",
+            r" and tokens \[4, (\d+)\] needs about ([\d.]+) MiB, but 10\.0"
+            r" MiB is available",
             str(info.value))
         assert found is not None, str(info.value)
-        need = step_peak_bytes(cfg, 4, int(found[1]))
-        assert found[2] == f"{need / 2**20:.1f}"
+        need = step_peak_bytes(KwsModel(cfg), 4, int(found[1]), int(found[2]))
+        assert found[3] == f"{need / 2**20:.1f}"
 
     def test_meminfo_is_read_for_mem_available(self, tmp_path, monkeypatch):
         meminfo = tmp_path / "meminfo"
