@@ -560,11 +560,12 @@ def _rowwise(h, u):
     return np.matmul(h[:, None, :], u)[:, 0]
 
 
-def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
+def gru_scan(x: Tensor, w: Tensor, u_zr: Tensor, u_h: Tensor, b: Tensor,
+             mask=None, reverse: bool = False) -> Tensor:
     """Masked GRU over x [B, T, in]; returns the state sequence [B, T, H].
 
-    w = (wz, wr, wh) are [in, H], u = (uz, ur, uh) are [H, H] and
-    b = (bz, br, bh) are [H]; the state starts at zero and
+    w [in, 3H] = [Wz | Wr | Wh], u_zr [H, 2H] = [Uz | Ur], u_h [H, H] = Uh
+    and b [3H] = [bz | br | bh]; the state starts at zero and
     z_t = sigmoid(x_t Wz + h_{t-1} Uz + bz), r_t likewise with Wr, Ur, br,
     c_t = tanh(x_t Wh + (r_t * h_{t-1}) Uh + bh),
     h_t = z_t * h_{t-1} + (1 - z_t) * c_t.
@@ -572,13 +573,13 @@ def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
     scans from the last frame to the first.
 
     The whole scan is one graph node. The three gates' input projections
-    are one [B*T, in] @ [in, 3H] GEMM. When the op is tracked it keeps
+    are one [B*T, in] @ w GEMM. When the op is tracked it keeps
     the input as x_2d, the state sequence, and z, r and c per step
     (h_{t-1} is the previous output), and backward
     runs backpropagation through time over them into one [B, T, 3H]
-    pre-activation gradient dP; the input, input-weight and bias
-    gradients are then one GEMM or sum each over dP, and the recurrent
-    weight gradients are summed per step.
+    pre-activation gradient dP; the input, w and b gradients are then
+    one GEMM or sum each over dP, and the u_zr and u_h gradients are
+    summed per step.
     """
     if x.ndim != 3:
         raise ShapeError(f"gru expects [B, T, in], got {x.data.shape}")
@@ -590,19 +591,15 @@ def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
         if valid.shape != (batch, steps):
             raise ShapeError(
                 f"gru mask {valid.shape} does not match input {x.data.shape}")
-    params = (*w, *u, *b)
-    hidden = u[0].data.shape[0]
-    dtype = np.result_type(x.data, *(p.data for p in params))
-    w_all = np.concatenate([p.data for p in w], axis=1)
-    u_zr = np.concatenate([u[0].data, u[1].data], axis=1)
-    u_h = u[2].data
+    nodes = [_grad_node(t) for t in (x, w, u_zr, u_h, b)]
+    nx, nw, nzr, nh, nb = nodes
+    tracked = _tracked(nodes)
+    dtype = np.result_type(x.data, w.data, u_zr.data, u_h.data, b.data)
+    w, u_zr, u_h = w.data, u_zr.data, u_h.data
+    hidden = u_h.shape[0]
     x_2d = x.data.reshape(batch * steps, width)
-    pre = (x_2d @ w_all + np.concatenate([p.data for p in b])).reshape(
-        batch, steps, 3 * hidden)
+    pre = (x_2d @ w + b.data).reshape(batch, steps, 3 * hidden)
     seq = np.empty((batch, steps, hidden), dtype=dtype)
-    nx = _grad_node(x)
-    nw, nu, nb = ([_grad_node(p) for p in group] for group in (w, u, b))
-    tracked = _tracked((nx, *nw, *nu, *nb))
     # gates[t] is [z | r | c] at frame t; untracked, one step's buffer.
     gates = np.empty((steps if tracked else 1, batch, 3 * hidden), dtype=dtype)
     sz, sr, sc = (slice(k * hidden, (k + 1) * hidden) for k in range(3))
@@ -645,23 +642,18 @@ def gru_scan(x: Tensor, w, u, b, mask=None, reverse: bool = False) -> Tensor:
             d_uzr += h_prev.T @ dp[:, szr]
             dh = dh + dh_new * z + d_rh * r + dp[:, szr] @ u_zr.T
         d_2d = d_pre.reshape(batch * steps, 3 * hidden)
-        if any(n is not None for n in nw):
-            _split_grads(nw, x_2d.T @ d_2d)
         if nx is not None:
-            _add_grad(nx, (d_2d @ w_all.T).reshape(nx.shape), fresh=True)
-        if any(n is not None for n in nb):
-            _split_grads(nb, d_2d.sum(axis=0))
-        _split_grads(nu[:2], d_uzr)
-        _split_grads(nu[2:], d_uh)
+            _add_grad(nx, (d_2d @ w.T).reshape(nx.shape), fresh=True)
+        if nw is not None:
+            _add_grad(nw, x_2d.T @ d_2d, fresh=True)
+        if nzr is not None:
+            _add_grad(nzr, d_uzr, fresh=True)
+        if nh is not None:
+            _add_grad(nh, d_uh, fresh=True)
+        if nb is not None:
+            _add_grad(nb, d_2d.sum(axis=0), fresh=True)
 
-    return _from_op(seq, (nx, *nw, *nu, *nb), _backward)
-
-
-def _split_grads(nodes, grad):
-    """Hand each node its equal slice of grad's last axis; None takes none."""
-    for node, piece in zip(nodes, np.split(grad, len(nodes), axis=-1)):
-        if node is not None:
-            _add_grad(node, piece, fresh=True)
+    return _from_op(seq, nodes, _backward)
 
 
 def dropout(x: Tensor, rate: float, train: bool,

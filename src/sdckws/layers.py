@@ -129,29 +129,30 @@ class Gru(Layer):
     c_t = tanh(x_t Wh + (r_t * h_{t-1}) Uh + bh)
     h_t = z_t * h_{t-1} + (1 - z_t) * c_t
     Frames with mask 0 hold the previous state. The scan is one
-    autodiff.gru_scan node.
+    autodiff.gru_scan node, and the weights are its operands: w [in, 3H]
+    = [Wz | Wr | Wh], u_zr [H, 2H] = [Uz | Ur], u_h [H, H] = Uh and
+    b [3H] = [bz | br | bh]. Each gate block is its own Glorot draw with
+    fan_out H, drawn in the order Wz, Wr, Wh, Uz, Ur, Uh.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
                  dtype=np.float32):
         if hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {hidden}")
-        make_w = lambda: parameter(glorot_uniform(rng, (in_dim, hidden),
-                                                  in_dim, hidden, dtype))
-        make_u = lambda: parameter(glorot_uniform(rng, (hidden, hidden),
-                                                  hidden, hidden, dtype))
-        self.wz, self.wr, self.wh = make_w(), make_w(), make_w()
-        self.uz, self.ur, self.uh = make_u(), make_u(), make_u()
-        self.bz = parameter(np.zeros(hidden, dtype=dtype))
-        self.br = parameter(np.zeros(hidden, dtype=dtype))
-        self.bh = parameter(np.zeros(hidden, dtype=dtype))
+        w = [glorot_uniform(rng, (in_dim, hidden), in_dim, hidden, dtype)
+             for _ in range(3)]
+        u = [glorot_uniform(rng, (hidden, hidden), hidden, hidden, dtype)
+             for _ in range(3)]
+        self.w = parameter(np.concatenate(w, axis=1))
+        self.u_zr = parameter(np.concatenate(u[:2], axis=1))
+        self.u_h = parameter(u[2])
+        self.b = parameter(np.zeros(3 * hidden, dtype=dtype))
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  reverse: bool = False):
         """Scan x [B, T, in]; returns (outputs [B, T, hidden], final [B, hidden])."""
-        seq = ad.gru_scan(x, (self.wz, self.wr, self.wh),
-                          (self.uz, self.ur, self.uh),
-                          (self.bz, self.br, self.bh), mask=mask, reverse=reverse)
+        seq = ad.gru_scan(x, self.w, self.u_zr, self.u_h, self.b, mask=mask,
+                          reverse=reverse)
         return seq, seq[:, 0 if reverse else -1]
 
 

@@ -61,12 +61,13 @@ KIND_NAMES = {kind: name for name, kind in FEATURE_NAMES.items()}
 VAL_FRACTION = 0.1  # share of each class that train() holds out
 # Float32 copies of each per-example activation a training step holds at
 # its peak, counted per frame after the strided conv (the conv activation,
-# conv_filters x feature_width, plus the recurrent stack's gru_hidden)
-# and per token (char_embed_dim). With conv2d's backward columns and two
-# copies of the parameters, the estimate is 1.38-1.46 times the measured
-# peak of mfcc, mel and sdc on 1 s clips at batch 8 (1.25-1.81 over
-# batches of 1-32); a test holds the step under it.
-STEP_PEAK_COPIES = 8
+# conv_filters x feature_width, plus the recurrent stack's 4 x gru_hidden:
+# a gru_scan direction keeps z, r, c and its state) and per token
+# (char_embed_dim). With conv2d's backward columns and two copies of the
+# parameters, the estimate is 1.45-1.73 times the measured peak of mfcc,
+# mel and sdc on 1 s clips at batch 8 (1.18-1.98 over batches of 1-32,
+# 1.23-1.26 for mfcc and mel at 128); a test holds the step under it.
+STEP_PEAK_COPIES = 7
 MEMINFO_PATH = "/proc/meminfo"  # read for MemAvailable only
 
 
@@ -412,16 +413,16 @@ class KwsModel:
 def _arch_shapes(cfg: ModelConfig) -> dict:
     """Shapes of the tensors that pin every dimension of cfg's model.
 
-    Each dimension of a KwsModel tensor is one of these shapes' sides
-    (or twice one, or 1), so a checkpoint matching them bounds the model.
+    Each dimension of a KwsModel tensor is one of these shapes' sides,
+    or 1, 2 or 3 times one, so a checkpoint matching them bounds the model.
     """
     ch, hidden = cfg.conv_filters, cfg.gru_hidden
     return {
         "audio.conv1.kernel": (ch, 1, cfg.kernel, cfg.kernel),
-        "audio.gru1.fwd.wz": (ch * cfg.feature_width, hidden),
+        "audio.gru1.fwd.w": (ch * cfg.feature_width, 3 * hidden),
         "text.embed.table": (len(ALPHABET), cfg.char_embed_dim),
         "extract.attn.q_proj.weight": (cfg.embed_dim, cfg.embed_dim),
-        "disc.gru.fwd.uz": (cfg.disc_hidden, cfg.disc_hidden),
+        "disc.gru.fwd.u_h": (cfg.disc_hidden, cfg.disc_hidden),
     }
 
 
@@ -447,7 +448,7 @@ class Checkpoint:
 
 
 KWSM_MAGIC = b"KWSM"
-KWSM_VERSION = 1
+KWSM_VERSION = 2
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -603,13 +604,13 @@ def step_peak_bytes(model: KwsModel, batch: int, frames: int,
     The batch is [batch, frames, D] features with [batch, tokens] token
     ids. The estimate is STEP_PEAK_COPIES copies of every per-example
     activation, one example's conv2d backward columns, and the
-    parameters twice: their gradients, plus the scans' stacked weights
-    and Adam's scratch.
+    parameters twice: their gradients and Adam's scratch.
     """
     cfg = model.cfg
     t_out = strided_length(frames, cfg.stride_t)
     conv = t_out * cfg.conv_filters * cfg.feature_width
-    per_example = t_out * cfg.gru_hidden + tokens * cfg.char_embed_dim + conv
+    per_example = (t_out * 4 * cfg.gru_hidden + tokens * cfg.char_embed_dim
+                   + conv)
     params = sum(p.data.size for p in model.named_params().values())
     cells = (STEP_PEAK_COPIES * batch * per_example + cfg.kernel**2 * conv
              + 2 * params)

@@ -126,20 +126,29 @@ def check_gradients(forward, leaves, seed):
     """Seeded backward against central differences of the same contraction.
 
     A scalar output is differentiated as it is; any other is contracted
-    with a normal probe fixed by seed.
+    with a normal probe fixed by seed. A leaf is a Tensor, scored
+    against its own largest gradient, or a (Tensor, width) pair whose
+    width-wide column blocks (a GRU tensor's gates) are each scored
+    against their own.
     """
-    for leaf in leaves:
+    leaves = [leaf if isinstance(leaf, tuple) else (leaf, None)
+              for leaf in leaves]
+    for leaf, _ in leaves:
         leaf.grad = None
     out = forward()
     probe = (None if out.shape == ()
              else np.random.default_rng(seed).normal(size=out.shape))
     out.backward(probe)
     worst = 0.0
-    for leaf in leaves:
+    for leaf, width in leaves:
         assert leaf.grad is not None
         numeric = numeric_grad(forward, leaf, probe)
-        scale = max(np.abs(leaf.grad).max(), np.abs(numeric).max(), 1e-6)
-        worst = max(worst, np.abs(leaf.grad - numeric).max() / scale)
+        step = width or leaf.grad.shape[-1]
+        for k in range(0, leaf.grad.shape[-1], step):
+            block = (..., slice(k, k + step))
+            analytic, approx = leaf.grad[block], numeric[block]
+            scale = max(np.abs(analytic).max(), np.abs(approx).max(), 1e-6)
+            worst = max(worst, np.abs(analytic - approx).max() / scale)
     assert worst < REL_TOL, worst
     return worst
 
@@ -189,7 +198,8 @@ def test_criterion_2_gradients_match_central_differences(capsys):
                 seq, final = layer(x, mask=mask)
                 return ad.concat([seq.reshape(-1), final.reshape(-1)])
 
-            params = [x] + list(layer.named_params("g").values())
+            params = [x] + [(p, hidden) for p in
+                            layer.named_params("g").values()]
             worst = max(worst, check_gradients(fwd, params, 330 + i))
 
         for i, (dim, queries, keys) in enumerate(

@@ -44,6 +44,13 @@ def rel_error(analytic, numeric):
     return np.abs(analytic - numeric).max() / scale
 
 
+def column_blocks(array, width):
+    """array's width-wide blocks along its last axis; all of it for None."""
+    if width is None:
+        return [array]
+    return [array[..., k : k + width] for k in range(0, array.shape[-1], width)]
+
+
 def numeric_grad(fn, tensor):
     """Central differences of a scalar-valued fn wrt one leaf tensor."""
     out = np.zeros_like(tensor.data)
@@ -86,9 +93,14 @@ def check_grads(fn, leaves, seed=None):
     fn builds a tensor. With seed=None it must be a scalar and is
     differentiated as it is; otherwise it is contracted with a normal
     probe fixed by seed: a seeded backward on the analytic side and a
-    numpy dot on the numeric side.
+    numpy dot on the numeric side. A leaf is a Tensor, scored against
+    its own largest gradient, or a (Tensor, width) pair, whose
+    width-wide column blocks (a GRU tensor's gates) are each scored
+    against their own.
     """
-    for t in leaves:
+    leaves = [leaf if isinstance(leaf, tuple) else (leaf, None)
+              for leaf in leaves]
+    for t, _ in leaves:
         t.zero_grad()
     out = fn()
     probe = None if seed is None else np.random.default_rng(seed).normal(
@@ -99,9 +111,11 @@ def check_grads(fn, leaves, seed=None):
         data = fn().data
         return float(data if probe is None else (data * probe).sum())
 
-    for t in leaves:
+    for t, width in leaves:
         assert t.grad is not None, "gradient did not reach a leaf"
-        err = rel_error(t.grad, numeric_grad(contracted, t))
+        numeric = numeric_grad(contracted, t)
+        err = max(rel_error(a, n) for a, n in zip(
+            column_blocks(t.grad, width), column_blocks(numeric, width)))
         assert err < REL_TOL, f"gradient mismatch: rel error {err:.3e}"
 
 
@@ -167,8 +181,8 @@ OP_CALLS = {
     "batch_norm": lambda make: ad.batch_norm(make((2, 2, 3, 2)), make((2,)),
                                              make((2,)))[0],
     "gru_scan": lambda make: ad.gru_scan(
-        make((2, 3, 2)), [make((2, 4)) for _ in range(3)],
-        [make((4, 4)) for _ in range(3)], [make((4,)) for _ in range(3)]),
+        make((2, 3, 2)), make((2, 12)), make((4, 8)), make((4, 4)),
+        make((12,))),
     "dropout": lambda make: ad.dropout(make((2, 3)), 0.5, True,
                                        np.random.default_rng(0)),
     "sigmoid_bce": lambda make: ad.sigmoid_bce(make((4,)),
@@ -824,10 +838,11 @@ class TestGru:
         rng = np.random.default_rng(14)
         gru = Gru(3, 4, rng, dtype=np.float64)
         x = rng.normal(size=(2, 1, 3))
+        gru.b.data[:] = rng.normal(size=12)  # so the bias blocks' order shows
         outputs, final = gru(Tensor(x))
         # With h0 = 0: z = sig(xWz + bz), c = tanh(xWh + bh), h = (1 - z) c.
-        z = 1.0 / (1.0 + np.exp(-(x[:, 0] @ gru.wz.data + gru.bz.data)))
-        c = np.tanh(x[:, 0] @ gru.wh.data + gru.bh.data)
+        z = 1.0 / (1.0 + np.exp(-(x[:, 0] @ gru.w.data[:, :4] + gru.b.data[:4])))
+        c = np.tanh(x[:, 0] @ gru.w.data[:, 8:] + gru.b.data[8:])
         np.testing.assert_allclose(final.data, (1.0 - z) * c, atol=1e-12)
         np.testing.assert_allclose(outputs.data[:, 0], final.data, atol=1e-12)
 
@@ -874,8 +889,23 @@ class TestGru:
         gru = Gru(2, 3, rng, dtype=np.float64)
         x = leaf(np.random.default_rng(20), (2, 4, 2))
         probe = 21
-        leaves = [x] + list(gru.named_params("g").values())
+        leaves = [x] + [(p, 3) for p in gru.named_params("g").values()]
         check_grads(lambda: gru(x)[0], leaves, probe)
+
+    @pytest.mark.parametrize("seed", [30, 31])
+    def test_each_gate_block_is_its_own_glorot_draw(self, seed):
+        # fan_out is H per gate: a [in, 3H] draw with fan_out 3H has a
+        # smaller limit and other values.
+        gru = Gru(5, 4, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        w = [glorot_uniform(rng, (5, 4), 5, 4) for _ in range(3)]
+        u = [glorot_uniform(rng, (4, 4), 4, 4) for _ in range(3)]
+        blocks = column_blocks(gru.w.data, 4) + column_blocks(gru.u_zr.data, 4)
+        for got, want in zip(blocks + [gru.u_h.data], w + u):
+            np.testing.assert_array_equal(got, want)
+        assert [p.shape for p in gru.named_params("g").values()] == [
+            (5, 12), (4, 8), (4, 4), (12,)]
+        np.testing.assert_array_equal(gru.b.data, 0.0)
 
     def test_rejects_2d_input(self):
         gru = Gru(2, 3, np.random.default_rng(22))
@@ -884,12 +914,17 @@ class TestGru:
 
 
 def scan_inputs(rng, shape, hidden, x_grad=True, param_grad=True):
-    """x [B, T, in] and the (w, u, b) triples of a float64 gru_scan."""
+    """x [B, T, in] and the float64 operands (w, u_zr, u_h, b) of gru_scan.
+
+    Each H-wide gate block is its own normal draw, in the order of the
+    gates' weights, recurrent weights and biases.
+    """
     x = Tensor(rng.normal(size=shape), requires_grad=x_grad)
-    triple = lambda *s: tuple(
-        Tensor(0.5 * rng.normal(size=s), requires_grad=param_grad)
-        for _ in range(3))
-    return x, triple(shape[2], hidden), triple(hidden, hidden), triple(hidden)
+    gates = lambda *s: [0.5 * rng.normal(size=s) for _ in range(3)]
+    w, u, b = gates(shape[2], hidden), gates(hidden, hidden), gates(hidden)
+    operands = (np.concatenate(w, axis=1), np.concatenate(u[:2], axis=1),
+                u[2], np.concatenate(b))
+    return (x, *(Tensor(a, requires_grad=param_grad) for a in operands))
 
 
 class TestGruScan:
@@ -898,21 +933,21 @@ class TestGruScan:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_with_partial_mask(self, reverse):
-        x, w, u, b = scan_inputs(np.random.default_rng(60), (2, 5, 3), 4)
-        check_grads(lambda: ad.gru_scan(x, w, u, b, self.MASK, reverse),
-                    [x, *w, *u, *b], 61)
+        x, *params = scan_inputs(np.random.default_rng(60), (2, 5, 3), 4)
+        check_grads(lambda: ad.gru_scan(x, *params, self.MASK, reverse),
+                    [x, *((p, 4) for p in params)], 61)
 
     def test_gradient_to_input_only(self):
-        x, w, u, b = scan_inputs(np.random.default_rng(62), (2, 5, 3), 4,
+        x, *params = scan_inputs(np.random.default_rng(62), (2, 5, 3), 4,
                                  param_grad=False)
-        check_grads(lambda: ad.gru_scan(x, w, u, b, self.MASK), [x], 63)
-        assert all(p.grad is None for p in (*w, *u, *b))
+        check_grads(lambda: ad.gru_scan(x, *params, self.MASK), [x], 63)
+        assert all(p.grad is None for p in params)
 
     def test_gradient_to_params_only(self):
-        x, w, u, b = scan_inputs(np.random.default_rng(64), (2, 5, 3), 4,
+        x, *params = scan_inputs(np.random.default_rng(64), (2, 5, 3), 4,
                                  x_grad=False)
-        check_grads(lambda: ad.gru_scan(x, w, u, b, self.MASK, True),
-                    [*w, *u, *b], 65)
+        check_grads(lambda: ad.gru_scan(x, *params, self.MASK, True),
+                    [(p, 4) for p in params], 65)
         assert x.grad is None
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -920,38 +955,38 @@ class TestGruScan:
         # A width of 64 is where numpy's one-row (gemv) and batched (gemm)
         # products round differently.
         rng = np.random.default_rng(66)
-        x, w, u, b = scan_inputs(rng, (3, 6, 5), 64)
+        x, *params = scan_inputs(rng, (3, 6, 5), 64)
         x.data = x.data.astype(np.float32)
-        for p in (*w, *u, *b):
+        for p in params:
             p.data = p.data.astype(np.float32)
         mask = np.ones((3, 6))
         mask[1, 4:] = 0.0
-        together = ad.gru_scan(x, w, u, b, mask, reverse).data
+        together = ad.gru_scan(x, *params, mask, reverse).data
         for i in range(3):
-            alone = ad.gru_scan(Tensor(x.data[i : i + 1]), w, u, b,
+            alone = ad.gru_scan(Tensor(x.data[i : i + 1]), *params,
                                 mask[i : i + 1], reverse).data
             np.testing.assert_array_equal(together[i], alone[0])
 
     def test_no_grad_records_no_backward(self):
-        x, w, u, b = scan_inputs(np.random.default_rng(67), (2, 5, 3), 4)
+        x, *params = scan_inputs(np.random.default_rng(67), (2, 5, 3), 4)
         with no_grad():
-            out = ad.gru_scan(x, w, u, b, self.MASK)
+            out = ad.gru_scan(x, *params, self.MASK)
         assert not out.requires_grad
         assert out._backward_fn is None
         assert out._parents == ()
 
     def test_grads_share_no_memory(self):
-        x, w, u, b = scan_inputs(np.random.default_rng(68), (2, 5, 3), 4)
-        ad.gru_scan(x, w, u, b).backward(np.ones((2, 5, 4)))
-        grads = [t.grad for t in (x, *w, *u, *b)]
+        x, *params = scan_inputs(np.random.default_rng(68), (2, 5, 3), 4)
+        ad.gru_scan(x, *params).backward(np.ones((2, 5, 4)))
+        grads = [t.grad for t in (x, *params)]
         for i, first in enumerate(grads):
             for second in grads[i + 1:]:
                 assert not np.shares_memory(first, second)
 
     def test_rejects_mask_of_wrong_shape(self):
-        x, w, u, b = scan_inputs(np.random.default_rng(69), (2, 5, 3), 4)
+        x, *params = scan_inputs(np.random.default_rng(69), (2, 5, 3), 4)
         with pytest.raises(ShapeError):
-            ad.gru_scan(x, w, u, b, np.ones((2, 4)))
+            ad.gru_scan(x, *params, np.ones((2, 4)))
 
 
 class TestBiGru:
@@ -976,7 +1011,7 @@ class TestBiGru:
     def test_single_step_directions_agree_with_shared_params(self):
         rng = np.random.default_rng(25)
         bigru = BiGru(3, 4, rng, dtype=np.float64)
-        for name in ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh"):
+        for name in ("w", "u_zr", "u_h", "b"):
             getattr(bigru.bwd, name).data[:] = getattr(bigru.fwd, name).data
         x = Tensor(rng.normal(size=(2, 1, 3)))
         outputs, _ = bigru(x)
@@ -988,7 +1023,7 @@ class TestBiGru:
         bigru = BiGru(2, 2, rng, dtype=np.float64)
         x = leaf(np.random.default_rng(27), (1, 3, 2))
         probe = 28
-        leaves = [x] + list(bigru.named_params("b").values())
+        leaves = [x] + [(p, 2) for p in bigru.named_params("b").values()]
         check_grads(lambda: bigru(x)[0], leaves, probe)
 
 

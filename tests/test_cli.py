@@ -445,6 +445,20 @@ class TestEval:
         assert result.returncode == 1
         assert "truncated" in result.stderr
 
+    def test_version_1_checkpoint_is_runtime_error(self, workspace, tmp_path):
+        # Version 1 held each GRU gate's weights as a tensor of its own;
+        # such a file stops at the header, not at a missing tensor.
+        blob = bytearray(workspace["ckpt"].read_bytes())
+        assert blob[4:6] == struct.pack("<H", 2)
+        blob[4:6] = struct.pack("<H", 1)
+        old = tmp_path / "v1.kwsm"
+        old.write_bytes(bytes(blob))
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", old)
+        assert result.returncode == 1
+        assert "v1.kwsm: unsupported version 1" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_overflowing_tensor_shape_is_runtime_error(self, workspace,
                                                        tmp_path):
         # 65536 ** 4 elements wrap to 0 in int64; the header must still be
