@@ -29,8 +29,8 @@ from .errors import ShapeError
 
 _grad_enabled = True
 BN_EPS = 1e-5  # added to batch norm's variance
-# Bytes of conv2d's forward column block: it holds as many output rows'
-# windows as fit, so the copy and the GEMM run from L2 (sweep in CHANGES.md).
+# Bytes of conv2d's column block: it holds as many output rows' windows
+# as fit, so the copy and the GEMM run from L2 (sweep in CHANGES.md).
 CONV_BLOCK_BYTES = 512 * 1024
 
 
@@ -107,12 +107,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.item())
-
-    def zero_grad(self):
-        self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self, grad=None):
         """Accumulate d(self)/d(leaf) into .grad over the whole graph.
@@ -349,6 +343,39 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(probs, (na,), _backward)
 
 
+def _row_blocks(padded, kh, kw, stride_t, t_out):
+    """im2col of padded [B, C, T, F] in blocks of output rows.
+
+    For each example i and each block of output rows, copies the kh x kw
+    windows of those rows into one reused [C * kh * kw, n * f_out] block
+    (rows ordered channel, then kernel row, then kernel column, matching
+    kernel.reshape(ch_out, -1); f_out = F - kw + 1) and yields
+    (i, rows, cols): rows is the slice of output rows, cols the block's
+    first n * f_out columns, valid until the next yield. A block holds as
+    many rows as fit CONV_BLOCK_BYTES, so the copy and the GEMM run from
+    cache, and its size depends only on the shapes, never on the batch.
+    """
+    batch, ch_in, _, f_pad = padded.shape
+    f_out = f_pad - kw + 1
+    sb, sc, st, sf = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(batch, ch_in, kh, kw, t_out, f_out),
+        strides=(sb, sc, st, sf, st * stride_t, sf),
+        writeable=False,
+    )
+    depth = ch_in * kh * kw
+    size = min(t_out, max(1, CONV_BLOCK_BYTES
+                          // (depth * f_out * padded.itemsize)))
+    block = np.empty((ch_in, kh, kw, size, f_out), dtype=padded.dtype)
+    block_2d = block.reshape(depth, -1)
+    for i in range(batch):
+        for t0 in range(0, t_out, size):
+            n = min(size, t_out - t0)
+            np.copyto(block[:, :, :, :n], windows[i, :, :, :, t0 : t0 + n])
+            yield i, slice(t0, t0 + n), block_2d[:, : n * f_out]
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            stride_t: int = 1) -> Tensor:
     """2-D convolution, stride along time only, fixed half-kernel padding.
@@ -357,23 +384,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     kh, kw. Output time length is floor((T - 1) / stride_t) + 1, which for
     the 3x3 kernel equals ceil(T / stride_t); frequency length is F.
 
-    The forward runs im2col in row blocks (Chellapilla et al. 2006): the
-    windows of R output rows of one example at a time are copied into one
-    reused [ch_in * kh * kw, R * f_out] column block (rows ordered
-    channel, then kernel row, then kernel column, matching
-    kernel.reshape(ch_out, -1)), and kernel @ block is written straight
-    into out[i, :, t0 : t0 + R] viewed as [ch_out, R * f_out], a view
-    because a block's rows are contiguous within each channel; a short
-    last block uses the block's first columns. R fills CONV_BLOCK_BYTES,
-    so the block stays in cache, and depends only on the layer's shape,
-    never on the batch. Backward rebuilds each example's whole columns
-    rather than keeping them, accumulates g_i @ cols_i^T into the kernel
-    gradient and scatters kernel^T @ g_i back onto the padded input with
-    kh * kw strided adds. No batch-wide patch tensor is built: past the
-    padded input, the output and their gradients, the forward holds one
-    column block and backward one example's columns, and no example's
-    result depends on the rest of the batch. The node keeps the padded
-    input, which backward reads, and not x.
+    All three products are GEMMs over _row_blocks, im2col in blocks of
+    output rows (Chellapilla et al. 2006). The output is kernel @ cols,
+    written straight into out[i, :, rows] viewed as [ch_out, n * f_out]
+    (a view: a block's rows are contiguous within each channel). The
+    kernel gradient sums grad[i, :, rows] @ cols^T over the same blocks.
+    The input gradient is the same stride-1 correlation with the
+    flipped, channel-transposed kernel, run one example at a time on the
+    output gradient dilated by stride_t into a zeroed padded frame, so
+    every stride takes one path. Past the padded input, the output and
+    their gradients, each pass holds one column block (and the input
+    gradient one example's frame), never one example's whole columns,
+    and no example's result depends on the rest of the batch. The node
+    keeps the padded input, which backward reads, and not x.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D, got {x.data.shape}")
@@ -391,30 +414,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     pad_t, pad_f = kh // 2, kw // 2
     padded = np.pad(x.data, ((0, 0), (0, 0), (pad_t, pad_t), (pad_f, pad_f)))
     t_out = (t_in + 2 * pad_t - kh) // stride_t + 1
-    f_out = f_in + 2 * pad_f - kw + 1
-    t_hi = stride_t * (t_out - 1) + 1
-    # [B, C, kh, kw, t_out, f_out] window view; windows[i] is example i's
-    # columns before the copy that makes them one GEMM operand.
-    sb, sc, st, sf = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(batch, ch_in, kh, kw, t_out, f_out),
-        strides=(sb, sc, st, sf, st * stride_t, sf),
-        writeable=False,
-    )
     weights = kernel.data.reshape(ch_out, -1)
-    rows = min(t_out, max(1, CONV_BLOCK_BYTES
-                          // (weights.shape[1] * f_out * padded.itemsize)))
-    block = np.empty((ch_in, kh, kw, rows, f_out), dtype=padded.dtype)
-    block_2d = block.reshape(weights.shape[1], -1)
-    data = np.empty((batch, ch_out, t_out, f_out),
+    data = np.empty((batch, ch_out, t_out, f_in),
                     dtype=np.result_type(x.data, kernel.data))
-    for i in range(batch):
-        for t0 in range(0, t_out, rows):
-            n = min(rows, t_out - t0)
-            np.copyto(block[:, :, :, :n], windows[i, :, :, :, t0 : t0 + n])
-            np.matmul(weights, block_2d[:, : n * f_out],
-                      out=data[i, :, t0 : t0 + n].reshape(ch_out, -1))
+    for i, rows, cols in _row_blocks(padded, kh, kw, stride_t, t_out):
+        np.matmul(weights, cols, out=data[i, :, rows].reshape(ch_out, -1))
     if bias is not None:
         data += bias.data[None, :, None, None]
     nx, nk = _grad_node(x), _grad_node(kernel)
@@ -423,38 +427,23 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     def _backward(grad):
         if nb is not None:
             _add_grad(nb, grad.sum(axis=(0, 2, 3)), fresh=True)
-        # One fresh buffer holds cols_i, then kernel^T @ g_i: the
-        # closure keeps no forward columns alive.
-        cols = np.empty(windows.shape[1:], dtype=padded.dtype)
-        cols_2d = cols.reshape(weights.shape[1], -1)
         if nk is not None:
             grad_w = np.zeros_like(weights)
-        if nx is not None:
-            grad_padded = np.zeros_like(padded)
-        for i in range(batch):
-            g_i = grad[i].reshape(ch_out, -1)
-            if nk is not None:
-                np.copyto(cols, windows[i])
-                grad_w += g_i @ cols_2d.T
-            if nx is not None:
-                np.matmul(weights.T, g_i, out=cols_2d)
-                gp = grad_padded[i]
-                for dt in range(kh):
-                    for df in range(kw):
-                        gp[:, dt : dt + t_hi : stride_t, df : df + f_out] += (
-                            cols[:, dt, df]
-                        )
-        if nk is not None:
+            for i, rows, cols in _row_blocks(padded, kh, kw, stride_t, t_out):
+                grad_w += grad[i, :, rows].reshape(ch_out, -1) @ cols.T
             _add_grad(nk, grad_w.reshape(nk.shape), fresh=True)
         if nx is not None:
-            # The interior view of a buffer this op allocated: no copy.
-            _add_grad(
-                nx,
-                grad_padded[
-                    :, :, pad_t : pad_t + t_in, pad_f : pad_f + f_in
-                ],
-                fresh=True,
-            )
+            flipped = weights.reshape(ch_out, ch_in, kh, kw)[:, :, ::-1, ::-1]
+            flipped = flipped.transpose(1, 0, 2, 3).reshape(ch_in, -1)
+            frame = np.zeros((1, ch_out) + padded.shape[2:], dtype=padded.dtype)
+            grad_x = np.empty((batch, ch_in, t_in, f_in), dtype=padded.dtype)
+            for i in range(batch):
+                frame[0, :, pad_t : pad_t + stride_t * t_out : stride_t,
+                      pad_f : pad_f + f_in] = grad[i]
+                for _, rows, cols in _row_blocks(frame, kh, kw, 1, t_in):
+                    np.matmul(flipped, cols,
+                              out=grad_x[i, :, rows].reshape(ch_in, -1))
+            _add_grad(nx, grad_x, fresh=True)
 
     return _from_op(data, (nx, nk, nb), _backward)
 

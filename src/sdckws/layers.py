@@ -1,6 +1,6 @@
 """Trainable layers built on the Tensor engine, plus the Adam update.
 
-Each layer holds its tensors as attributes, and the Layer base names
+Each layer holds its tensors as attributes, and named_tensors names
 them for the checkpoint by attribute: a Tensor is a parameter, an
 ndarray a buffer, and a nested layer extends the prefix. Recurrent
 layers take an optional per-frame validity mask; masked steps hold the
@@ -52,13 +52,7 @@ def named_tensors(value, prefix: str, kind: type) -> dict:
 
 
 class Layer:
-    """Names its Tensor attributes as parameters, its ndarrays as buffers."""
-
-    def named_params(self, prefix: str) -> dict:
-        return named_tensors(self, prefix, Tensor)
-
-    def named_buffers(self, prefix: str) -> dict:
-        return named_tensors(self, prefix, np.ndarray)
+    """A layer, whose attributes named_tensors names for the checkpoint."""
 
 
 class Dense(Layer):

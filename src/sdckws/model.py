@@ -63,10 +63,10 @@ VAL_FRACTION = 0.1  # share of each class that train() holds out
 # its peak, counted per frame after the strided conv (the conv activation,
 # conv_filters x feature_width, plus the recurrent stack's 4 x gru_hidden:
 # a gru_scan direction keeps z, r, c and its state) and per token
-# (char_embed_dim). With conv2d's backward columns and two copies of the
-# parameters, the estimate is 1.45-1.73 times the measured peak of mfcc,
-# mel and sdc on 1 s clips at batch 8 (1.18-1.98 over batches of 1-32,
-# 1.23-1.26 for mfcc and mel at 128); a test holds the step under it.
+# (char_embed_dim). With two copies of the parameters, the estimate is
+# 1.29-1.64 times the measured peak of mfcc, mel and sdc on 1 s clips at
+# batch 8 (1.14-1.76 over batches of 1-32, 1.23-1.25 for mfcc and mel at
+# 128); a test holds the step under it.
 STEP_PEAK_COPIES = 7
 MEMINFO_PATH = "/proc/meminfo"  # read for MemAvailable only
 
@@ -603,8 +603,8 @@ def step_peak_bytes(model: KwsModel, batch: int, frames: int,
 
     The batch is [batch, frames, D] features with [batch, tokens] token
     ids. The estimate is STEP_PEAK_COPIES copies of every per-example
-    activation, one example's conv2d backward columns, and the
-    parameters twice: their gradients and Adam's scratch.
+    activation and the parameters twice: their gradients and Adam's
+    scratch.
     """
     cfg = model.cfg
     t_out = strided_length(frames, cfg.stride_t)
@@ -612,8 +612,7 @@ def step_peak_bytes(model: KwsModel, batch: int, frames: int,
     per_example = (t_out * 4 * cfg.gru_hidden + tokens * cfg.char_embed_dim
                    + conv)
     params = sum(p.data.size for p in model.named_params().values())
-    cells = (STEP_PEAK_COPIES * batch * per_example + cfg.kernel**2 * conv
-             + 2 * params)
+    cells = STEP_PEAK_COPIES * batch * per_example + 2 * params
     return 4 * cells
 
 

@@ -26,7 +26,14 @@ from sdckws.features import (
     mfcc,
     sdc,
 )
-from sdckws.layers import BatchNorm, BiGru, Conv2d, CrossAttention, Dense
+from sdckws.layers import (
+    BatchNorm,
+    BiGru,
+    Conv2d,
+    CrossAttention,
+    Dense,
+    named_tensors,
+)
 from sdckws.metrics import ScoredSet, auc, eer
 from sdckws.model import (
     KwsModel,
@@ -199,7 +206,7 @@ def test_criterion_2_gradients_match_central_differences(capsys):
                 return ad.concat([seq.reshape(-1), final.reshape(-1)])
 
             params = [x] + [(p, hidden) for p in
-                            layer.named_params("g").values()]
+                            named_tensors(layer, "g", Tensor).values()]
             worst = max(worst, check_gradients(fwd, params, 330 + i))
 
         for i, (dim, queries, keys) in enumerate(
@@ -212,7 +219,8 @@ def test_criterion_2_gradients_match_central_differences(capsys):
                 key_mask[0, -1] = 0.0
             worst = max(worst, check_gradients(
                 lambda: layer(q, kv, key_mask=key_mask),
-                [q, kv] + list(layer.named_params("a").values()), 340 + i))
+                [q, kv] + list(named_tensors(layer, "a", Tensor).values()),
+                340 + i))
 
         for i, size in enumerate([4, 3, 6]):
             logits = tensor(size)

@@ -26,6 +26,7 @@ from sdckws.layers import (
     Gru,
     adam_step,
     glorot_uniform,
+    named_tensors,
     parameter,
 )
 
@@ -69,6 +70,18 @@ def numeric_grad(fn, tensor):
     return out
 
 
+def whole_columns(padded, stride, t_out, kh, kw):
+    """One example's [ch_in, kh, kw, t_out, f_out] columns, built at once."""
+    f_out = padded.shape[-1] - kw + 1
+    cols = np.empty(padded.shape[:1] + (kh, kw, t_out, f_out),
+                    dtype=padded.dtype)
+    for dt in range(kh):
+        for df in range(kw):
+            cols[:, dt, df] = padded[:, dt : dt + stride * t_out : stride,
+                                     df : df + f_out]
+    return cols
+
+
 def im2col_conv(x, k, stride):
     """Literal conv2d forward: one whole-example column matrix per GEMM."""
     batch, ch_in, t_in, f_in = x.shape
@@ -77,14 +90,38 @@ def im2col_conv(x, k, stride):
     t_out = (t_in - 1) // stride + 1
     out = np.empty((batch, ch_out, t_out, f_in), dtype=x.dtype)
     for i in range(batch):
-        cols = np.empty((ch_in, kh, kw, t_out, f_in), dtype=x.dtype)
-        for dt in range(kh):
-            for df in range(kw):
-                cols[:, dt, df] = padded[i, :, dt : dt + stride * t_out : stride,
-                                         df : df + f_in]
+        cols = whole_columns(padded[i], stride, t_out, kh, kw)
         out[i] = (k.reshape(ch_out, -1) @ cols.reshape(ch_in * kh * kw, -1)
                   ).reshape(ch_out, t_out, f_in)
     return out
+
+
+def im2col_conv_grads(x, k, stride, grad):
+    """Literal conv2d backward: (input gradient, kernel gradient).
+
+    The kernel gradient sums g_i @ cols_i^T over whole-example columns;
+    the input gradient scatters kernel^T @ g_i back onto the padded
+    input with kh * kw strided adds.
+    """
+    ch_in, t_in, f_in = x.shape[1:]
+    ch_out, _, kh, kw = k.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+    t_out = grad.shape[2]
+    weights = k.reshape(ch_out, -1)
+    grad_w = np.zeros_like(weights)
+    grad_padded = np.zeros_like(padded)
+    for i in range(x.shape[0]):
+        g_i = grad[i].reshape(ch_out, -1)
+        cols = whole_columns(padded[i], stride, t_out, kh, kw)
+        grad_w += g_i @ cols.reshape(ch_in * kh * kw, -1).T
+        back = (weights.T @ g_i).reshape(ch_in, kh, kw, t_out, f_in)
+        for dt in range(kh):
+            for df in range(kw):
+                grad_padded[i, :, dt : dt + stride * t_out : stride,
+                            df : df + f_in] += back[:, dt, df]
+    grad_x = grad_padded[:, :, kh // 2 : kh // 2 + t_in,
+                         kw // 2 : kw // 2 + f_in]
+    return grad_x, grad_w.reshape(k.shape)
 
 
 def check_grads(fn, leaves, seed=None):
@@ -101,7 +138,7 @@ def check_grads(fn, leaves, seed=None):
     leaves = [leaf if isinstance(leaf, tuple) else (leaf, None)
               for leaf in leaves]
     for t, _ in leaves:
-        t.zero_grad()
+        t.grad = None
     out = fn()
     probe = None if seed is None else np.random.default_rng(seed).normal(
         size=out.shape)
@@ -146,12 +183,6 @@ class TestTensorBasics:
         (t * 3.0).backward()
         (t * 4.0).backward()
         np.testing.assert_allclose(t.grad, [7.0])
-
-    def test_zero_grad(self):
-        t = Tensor(np.array([1.0]), requires_grad=True)
-        (t * 2.0).backward()
-        t.zero_grad()
-        assert t.grad is None
 
     def test_no_grad_blocks_tracking(self):
         t = Tensor(np.ones(3), requires_grad=True)
@@ -516,14 +547,26 @@ class TestConv2d:
 
     @pytest.mark.parametrize("width", [13, 40, 360])
     def test_row_blocks_match_whole_example_im2col(self, width):
-        # At the default block budget: 34, 11 and 1 rows per block.
+        # At the default block budget: 34, 11 and 1 rows per block, over
+        # t_out rows in the forward and the kernel gradient and over
+        # t_in rows in the input gradient (ch_out = ch_in).
         rng = np.random.default_rng(42)
+        probes = np.random.default_rng(43)
         k = rng.normal(size=(32, 32, 3, 3)).astype(np.float32)
         for t_in, stride in ((40, 1), (41, 2)):
             x = rng.normal(size=(2, 32, t_in, width)).astype(np.float32)
-            out = ad.conv2d(Tensor(x), Tensor(k), stride_t=stride).data
-            np.testing.assert_allclose(out, im2col_conv(x, k, stride), rtol=0,
-                                       atol=1e-6 * np.abs(out).max())
+            xt = Tensor(x, requires_grad=True)
+            kt = Tensor(k, requires_grad=True)
+            out = ad.conv2d(xt, kt, stride_t=stride)
+            np.testing.assert_allclose(out.data, im2col_conv(x, k, stride),
+                                       rtol=0,
+                                       atol=1e-6 * np.abs(out.data).max())
+            probe = probes.normal(size=out.shape).astype(np.float32)
+            out.backward(probe)
+            want_x, want_k = im2col_conv_grads(x, k, stride, probe)
+            for got, want in ((xt.grad, want_x), (kt.grad, want_k)):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-6 * np.abs(want).max())
 
     def test_forward_memory_is_one_row_block(self):
         # [4, 32, 49, 360] is conv2 on 1 s sdc clips; one example's whole
@@ -540,6 +583,27 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak - out.data.nbytes - padded_bytes < 2 * 2**20
+
+    def test_backward_memory_is_one_row_block(self):
+        # Past the input gradient, the seed's copy and the kernel
+        # gradient, backward holds one example's dilated frame and one
+        # column block, not one example's whole columns (20 MB).
+        x = Tensor(np.ones((4, 32, 49, 360), dtype=np.float32),
+                   requires_grad=True)
+        k = Tensor(np.ones((32, 32, 3, 3), dtype=np.float32),
+                   requires_grad=True)
+        out = ad.conv2d(x, k)
+        seed = np.ones(out.shape, dtype=np.float32)
+        frame_bytes = 32 * 51 * 362 * 4
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out.backward(seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = x.grad.nbytes + seed.nbytes + k.grad.nbytes
+        assert peak - held < frame_bytes + 2 * 2**20
 
     def test_gradients_without_bias(self):
         rng = np.random.default_rng(37)
@@ -827,7 +891,7 @@ class TestBatchNormOp:
 class TestGru:
     def test_zero_params_give_zero_outputs(self):
         gru = Gru(3, 4, np.random.default_rng(12), dtype=np.float64)
-        for p in gru.named_params("g").values():
+        for p in named_tensors(gru, "g", Tensor).values():
             p.data[:] = 0.0
         x = Tensor(np.random.default_rng(13).normal(size=(2, 6, 3)))
         outputs, final = gru(x)
@@ -889,7 +953,8 @@ class TestGru:
         gru = Gru(2, 3, rng, dtype=np.float64)
         x = leaf(np.random.default_rng(20), (2, 4, 2))
         probe = 21
-        leaves = [x] + [(p, 3) for p in gru.named_params("g").values()]
+        leaves = [x] + [(p, 3) for p in
+                        named_tensors(gru, "g", Tensor).values()]
         check_grads(lambda: gru(x)[0], leaves, probe)
 
     @pytest.mark.parametrize("seed", [30, 31])
@@ -903,7 +968,7 @@ class TestGru:
         blocks = column_blocks(gru.w.data, 4) + column_blocks(gru.u_zr.data, 4)
         for got, want in zip(blocks + [gru.u_h.data], w + u):
             np.testing.assert_array_equal(got, want)
-        assert [p.shape for p in gru.named_params("g").values()] == [
+        assert [p.shape for p in named_tensors(gru, "g", Tensor).values()] == [
             (5, 12), (4, 8), (4, 4), (12,)]
         np.testing.assert_array_equal(gru.b.data, 0.0)
 
@@ -1023,7 +1088,8 @@ class TestBiGru:
         bigru = BiGru(2, 2, rng, dtype=np.float64)
         x = leaf(np.random.default_rng(27), (1, 3, 2))
         probe = 28
-        leaves = [x] + [(p, 2) for p in bigru.named_params("b").values()]
+        leaves = [x] + [(p, 2) for p in
+                        named_tensors(bigru, "b", Tensor).values()]
         check_grads(lambda: bigru(x)[0], leaves, probe)
 
 
@@ -1091,7 +1157,7 @@ class TestCrossAttention:
         q = leaf(np.random.default_rng(36), (1, 2, 4))
         kv = leaf(np.random.default_rng(37), (1, 3, 4))
         probe = 38
-        leaves = [q, kv] + list(att.named_params("a").values())
+        leaves = [q, kv] + list(named_tensors(att, "a", Tensor).values())
         check_grads(lambda: att(q, kv), leaves, probe)
 
     def test_rejects_wrong_dim(self):
