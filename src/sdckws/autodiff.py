@@ -343,37 +343,43 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(probs, (na,), _backward)
 
 
-def _row_blocks(padded, kh, kw, stride_t, t_out):
-    """im2col of padded [B, C, T, F] in blocks of output rows.
+def _row_blocks(x, kh, kw, stride_t, t_out, dilate=1):
+    """im2col of unpadded x [B, C, T, F] in blocks of output rows.
 
-    For each example i and each block of output rows, copies the kh x kw
-    windows of those rows into one reused [C * kh * kw, n * f_out] block
-    (rows ordered channel, then kernel row, then kernel column, matching
-    kernel.reshape(ch_out, -1); f_out = F - kw + 1) and yields
-    (i, rows, cols): rows is the slice of output rows, cols the block's
-    first n * f_out columns, valid until the next yield. A block holds as
-    many rows as fit CONV_BLOCK_BYTES, so the copy and the GEMM run from
-    cache, and its size depends only on the shapes, never on the batch.
+    Each example is copied in turn into one reused zeroed frame, its
+    rows dilate apart (the input gradient's zero-stuffed output
+    gradient) after kh // 2 rows and kw // 2 columns of zeros. For each
+    block of output rows, every stride_t-th frame row, the kh x kw
+    windows are copied into one reused [C * kh * kw, n * F] block (rows
+    ordered channel, kernel row, kernel column, as kernel.reshape(ch_out,
+    -1)), and (i, rows, cols) is yielded: rows is the slice of output
+    rows, cols the block's first n * F columns, valid until the next
+    yield. A block holds as many rows as fit CONV_BLOCK_BYTES, so the
+    copy and the GEMM run from cache; neither it nor the frame grows
+    with the batch.
     """
-    batch, ch_in, _, f_pad = padded.shape
-    f_out = f_pad - kw + 1
-    sb, sc, st, sf = padded.strides
+    batch, ch_in, t_in, f_in = x.shape
+    pad_t, pad_f = kh // 2, kw // 2
+    height = max(dilate * (t_in - 1), stride_t * (t_out - 1)) + 1 + 2 * pad_t
+    frame = np.zeros((ch_in, height, f_in + 2 * pad_f), dtype=x.dtype)
+    inner = frame[:, pad_t : pad_t + dilate * t_in : dilate, pad_f : pad_f + f_in]
+    sc, st, sf = frame.strides
     windows = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(batch, ch_in, kh, kw, t_out, f_out),
-        strides=(sb, sc, st, sf, st * stride_t, sf),
+        frame,
+        shape=(ch_in, kh, kw, t_out, f_in),
+        strides=(sc, st, sf, st * stride_t, sf),
         writeable=False,
     )
     depth = ch_in * kh * kw
-    size = min(t_out, max(1, CONV_BLOCK_BYTES
-                          // (depth * f_out * padded.itemsize)))
-    block = np.empty((ch_in, kh, kw, size, f_out), dtype=padded.dtype)
+    size = min(t_out, max(1, CONV_BLOCK_BYTES // (depth * f_in * x.itemsize)))
+    block = np.empty((ch_in, kh, kw, size, f_in), dtype=x.dtype)
     block_2d = block.reshape(depth, -1)
     for i in range(batch):
+        inner[...] = x[i]
         for t0 in range(0, t_out, size):
             n = min(size, t_out - t0)
-            np.copyto(block[:, :, :, :n], windows[i, :, :, :, t0 : t0 + n])
-            yield i, slice(t0, t0 + n), block_2d[:, : n * f_out]
+            np.copyto(block[:, :, :, :n], windows[:, :, :, t0 : t0 + n])
+            yield i, slice(t0, t0 + n), block_2d[:, : n * f_in]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -385,18 +391,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     the 3x3 kernel equals ceil(T / stride_t); frequency length is F.
 
     All three products are GEMMs over _row_blocks, im2col in blocks of
-    output rows (Chellapilla et al. 2006). The output is kernel @ cols,
-    written straight into out[i, :, rows] viewed as [ch_out, n * f_out]
-    (a view: a block's rows are contiguous within each channel). The
-    kernel gradient sums grad[i, :, rows] @ cols^T over the same blocks.
-    The input gradient is the same stride-1 correlation with the
-    flipped, channel-transposed kernel, run one example at a time on the
-    output gradient dilated by stride_t into a zeroed padded frame, so
-    every stride takes one path. Past the padded input, the output and
-    their gradients, each pass holds one column block (and the input
-    gradient one example's frame), never one example's whole columns,
-    and no example's result depends on the rest of the batch. The node
-    keeps the padded input, which backward reads, and not x.
+    output rows (Chellapilla et al. 2006), which pads one example at a
+    time. The output is kernel @ cols, written straight into
+    out[i, :, rows] viewed as [ch_out, n * F] (a view: a block's rows
+    are contiguous within each channel). The kernel gradient sums
+    grad[i, :, rows] @ cols^T over the same blocks. The input gradient
+    is the same stride-1 correlation with the flipped, channel-transposed
+    kernel over the output gradient, which _row_blocks dilates by
+    stride_t into its frame, so every stride takes one path. Past the
+    input, the output and their gradients, each pass holds one
+    example's padded frame and one column block, never a padded batch or
+    one example's whole columns, and no example's result depends on the
+    rest of the batch. The node keeps x's array, which backward reads.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D, got {x.data.shape}")
@@ -409,15 +415,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"kernel sides must be odd, got {kh}x{kw}")
     if stride_t < 1:
         raise ShapeError(f"stride_t must be >= 1, got {stride_t}")
-    batch, ch_in, t_in, f_in = x.data.shape
+    x_data = x.data
+    batch, ch_in, t_in, f_in = x_data.shape
     ch_out = kernel.data.shape[0]
-    pad_t, pad_f = kh // 2, kw // 2
-    padded = np.pad(x.data, ((0, 0), (0, 0), (pad_t, pad_t), (pad_f, pad_f)))
-    t_out = (t_in + 2 * pad_t - kh) // stride_t + 1
+    t_out = (t_in - 1) // stride_t + 1
     weights = kernel.data.reshape(ch_out, -1)
     data = np.empty((batch, ch_out, t_out, f_in),
-                    dtype=np.result_type(x.data, kernel.data))
-    for i, rows, cols in _row_blocks(padded, kh, kw, stride_t, t_out):
+                    dtype=np.result_type(x_data, kernel.data))
+    for i, rows, cols in _row_blocks(x_data, kh, kw, stride_t, t_out):
         np.matmul(weights, cols, out=data[i, :, rows].reshape(ch_out, -1))
     if bias is not None:
         data += bias.data[None, :, None, None]
@@ -429,20 +434,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             _add_grad(nb, grad.sum(axis=(0, 2, 3)), fresh=True)
         if nk is not None:
             grad_w = np.zeros_like(weights)
-            for i, rows, cols in _row_blocks(padded, kh, kw, stride_t, t_out):
+            for i, rows, cols in _row_blocks(x_data, kh, kw, stride_t, t_out):
                 grad_w += grad[i, :, rows].reshape(ch_out, -1) @ cols.T
             _add_grad(nk, grad_w.reshape(nk.shape), fresh=True)
         if nx is not None:
             flipped = weights.reshape(ch_out, ch_in, kh, kw)[:, :, ::-1, ::-1]
             flipped = flipped.transpose(1, 0, 2, 3).reshape(ch_in, -1)
-            frame = np.zeros((1, ch_out) + padded.shape[2:], dtype=padded.dtype)
-            grad_x = np.empty((batch, ch_in, t_in, f_in), dtype=padded.dtype)
-            for i in range(batch):
-                frame[0, :, pad_t : pad_t + stride_t * t_out : stride_t,
-                      pad_f : pad_f + f_in] = grad[i]
-                for _, rows, cols in _row_blocks(frame, kh, kw, 1, t_in):
-                    np.matmul(flipped, cols,
-                              out=grad_x[i, :, rows].reshape(ch_in, -1))
+            grad_x = np.empty((batch, ch_in, t_in, f_in), dtype=nx.dtype)
+            blocks = _row_blocks(grad, kh, kw, 1, t_in, dilate=stride_t)
+            for i, rows, cols in blocks:
+                np.matmul(flipped, cols, out=grad_x[i, :, rows].reshape(ch_in, -1))
             _add_grad(nx, grad_x, fresh=True)
 
     return _from_op(data, (nx, nk, nb), _backward)

@@ -26,7 +26,9 @@ ADAM_EPS = 1e-8  # added to Adam's denominator
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
                    dtype=np.float32) -> np.ndarray:
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
+    """Uniform init in +-sqrt(6 / (fan_in + fan_out)); rng None only allocates."""
+    if rng is None:
+        return np.empty(shape, dtype=dtype)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
@@ -126,21 +128,23 @@ class Gru(Layer):
     autodiff.gru_scan node, and the weights are its operands: w [in, 3H]
     = [Wz | Wr | Wh], u_zr [H, 2H] = [Uz | Ur], u_h [H, H] = Uh and
     b [3H] = [bz | br | bh]. Each gate block is its own Glorot draw with
-    fan_out H, drawn in the order Wz, Wr, Wh, Uz, Ur, Uh.
+    fan_out H, drawn in the order Wz, Wr, Wh, Uz, Ur, Uh into its block
+    (with rng None, none is drawn).
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
                  dtype=np.float32):
         if hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {hidden}")
-        w = [glorot_uniform(rng, (in_dim, hidden), in_dim, hidden, dtype)
-             for _ in range(3)]
-        u = [glorot_uniform(rng, (hidden, hidden), hidden, hidden, dtype)
-             for _ in range(3)]
-        self.w = parameter(np.concatenate(w, axis=1))
-        self.u_zr = parameter(np.concatenate(u[:2], axis=1))
-        self.u_h = parameter(u[2])
+        self.w = parameter(np.empty((in_dim, 3 * hidden), dtype=dtype))
+        self.u_zr = parameter(np.empty((hidden, 2 * hidden), dtype=dtype))
+        self.u_h = parameter(np.empty((hidden, hidden), dtype=dtype))
         self.b = parameter(np.zeros(3 * hidden, dtype=dtype))
+        if rng is not None:
+            for block in (np.split(self.w.data, 3, axis=1)
+                          + np.split(self.u_zr.data, 2, axis=1) + [self.u_h.data]):
+                block[...] = glorot_uniform(rng, block.shape, block.shape[0],
+                                            hidden, dtype)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  reverse: bool = False):
@@ -186,24 +190,20 @@ class CrossAttention(Layer):
 
     def __call__(self, query: Tensor, memory: Tensor,
                  key_mask: np.ndarray | None = None) -> Tensor:
-        weights = self._softmax_weights(query, memory, key_mask)
-        return self.out_proj(weights @ self.v_proj(memory))
-
-    def _softmax_weights(self, query: Tensor, key: Tensor,
-                         key_mask: np.ndarray | None) -> Tensor:
-        if query.shape[-1] != self.dim or key.shape[-1] != self.dim:
+        if query.shape[-1] != self.dim or memory.shape[-1] != self.dim:
             raise ShapeError(
                 f"attention built for dim {self.dim}, got query {query.shape}"
-                f" and key {key.shape}"
+                f" and key {memory.shape}"
             )
         q = self.q_proj(query)
-        k = self.k_proj(key)
+        k = self.k_proj(memory)
         scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dim))
         if key_mask is not None:
             bias = np.where(np.asarray(key_mask) > 0, 0.0, self.MASK_BIAS)
             # Broadcast over the query axis: [.., m] -> [.., 1, m].
             scores = scores + Tensor(bias.astype(scores.dtype)[..., None, :])
-        return ad.softmax(scores, axis=-1)
+        weights = ad.softmax(scores, axis=-1)
+        return self.out_proj(weights @ self.v_proj(memory))
 
 
 @dataclass

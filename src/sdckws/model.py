@@ -250,7 +250,8 @@ class KwsModel:
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
+        undrawn = self.__dict__.pop("_undrawn", False)  # see from_checkpoint
+        rng = None if undrawn else np.random.default_rng(cfg.seed)
         width = cfg.feature_width
         ch = cfg.conv_filters
         hidden = cfg.gru_hidden
@@ -295,8 +296,9 @@ class KwsModel:
         cannot leak into real frames.
         """
         arr = np.asarray(features)
-        if arr.ndim != 3:
-            raise ShapeError(f"audio features must be [B, T, D], got {arr.shape}")
+        if arr.ndim != 3 or arr.shape[1] == 0:
+            raise ShapeError(
+                f"audio features must be [B, T, D] with T >= 1, got {arr.shape}")
         if arr.shape[-1] != self.cfg.feature_width:
             raise ConfigMismatch(
                 f"feature width {arr.shape[-1]} does not match the configured"
@@ -308,14 +310,14 @@ class KwsModel:
         t_out = strided_length(t_in, self.cfg.stride_t)
         frame_mask = (np.arange(t_out) < out_lengths[:, None]).astype(np.float32)
         conv_mask = frame_mask[:, None, :, None]
-        x = Tensor(arr.astype(np.float32, copy=False).reshape(
+        h = Tensor(arr.astype(np.float32, copy=False).reshape(
             batch, 1, t_in, width))
-        h = self.bn1(self.conv1(x), train, conv_mask)
-        if self.cfg.dropout_after_conv:
-            h = self._dropout(h, train, rng)
-        h = self.bn2(self.conv2(h), train, conv_mask)
-        if self.cfg.dropout_after_conv:
-            h = self._dropout(h, train, rng)
+        # Bound before the next layer runs, each output dies once consumed.
+        for conv, norm in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
+            h = conv(h)
+            h = norm(h, train, conv_mask)
+            if self.cfg.dropout_after_conv:
+                h = self._dropout(h, train, rng)
         h = h.transpose(0, 2, 1, 3).reshape(
             batch, t_out, self.cfg.conv_filters * width)
         seq, _ = self.gru_a1(h, mask=frame_mask)
@@ -360,6 +362,8 @@ class KwsModel:
         data = np.asarray(features.data if hasattr(features, "data") else features)
         if data.ndim != 2:
             raise ShapeError(f"features must be [T, D], got {data.shape}")
+        if not np.isfinite(data).all():
+            raise NonFiniteValue("features hold a non-finite value")
         with no_grad():
             probs, _ = self.forward(collate([data], [text], [0]))
         return float(probs.data[0])
@@ -400,12 +404,16 @@ class KwsModel:
         """The model of ckpt's config block, with ckpt's tensors installed.
 
         The block's architecture is checked against the tensors' shapes
-        before any weight is drawn, so an edited block cannot make the
-        model allocate more than the checkpoint already holds.
+        before any tensor is allocated, so an edited block cannot make the
+        model allocate more than the checkpoint already holds. No weight
+        is drawn: each tensor is allocated at its shape and filled once.
         """
         cfg = ModelConfig.from_dict(ckpt.config)
         _check_shapes(ckpt.tensors, _arch_shapes(cfg))
-        model = cls(cfg)
+        # Built by __init__, so what wraps it sees this model too, undrawn.
+        model = cls.__new__(cls)
+        model._undrawn = True
+        model.__init__(cfg)
         model.load_state(ckpt)
         return model
 
@@ -477,7 +485,7 @@ class _Reader:
         self.path = path
         self.offset = 0
 
-    def pull(self, count: int) -> bytes:
+    def pull(self, count: int) -> memoryview:
         if self.offset + count > len(self.blob):
             raise FormatError(f"{self.path}: truncated at byte {self.offset}")
         chunk = self.blob[self.offset : self.offset + count]
@@ -491,7 +499,8 @@ class _Reader:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as handle:
         blob = handle.read()
-    reader = _Reader(blob, path)
+    # Slices of the memoryview share the file's bytes: one copy per tensor.
+    reader = _Reader(memoryview(blob), path)
     if reader.pull(4) != KWSM_MAGIC:
         raise FormatError(f"{path}: bad magic")
     (version,) = reader.unpack("<H")
@@ -499,7 +508,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: unsupported version {version}")
     (config_len,) = reader.unpack("<I")
     try:
-        config_text = reader.pull(config_len).decode("utf-8")
+        config_text = str(reader.pull(config_len), "utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: config block is not UTF-8 ({exc})") from None
     config = {}
@@ -514,7 +523,7 @@ def load_checkpoint(path) -> Checkpoint:
         (name_len,) = reader.unpack("<H")
         raw_name = reader.pull(name_len)
         try:
-            name = raw_name.decode("utf-8")
+            name = str(raw_name, "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: tensor name is not UTF-8 ({exc})") from None
         if name in shapes:

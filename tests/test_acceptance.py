@@ -350,6 +350,7 @@ def desk_config(**overrides):
     return ModelConfig(**base)
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_end_to_end(capsys, desk_data):
     detail = ("100+100 train, 50+50 eval, sdc 40-1-3-8, <= 50 epochs:"
               " auc >= 0.95, eer <= 0.10, < 10 min; sdc auc >= mel auc - 0.02")
@@ -383,6 +384,7 @@ def test_criterion_5_desk_scale_end_to_end(capsys, desk_data):
         )
 
 
+@pytest.mark.slow
 def test_criterion_6_reproducibility(capsys, desk_data, tmp_path):
     detail = ("same seed twice: byte-identical history csv and checkpoint;"
               " save/load round trip bit-exact")
@@ -412,6 +414,7 @@ def test_criterion_6_reproducibility(capsys, desk_data, tmp_path):
 # --- criterion 7: shift and block-count ablation grids ----------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_grids(capsys, tmp_path):
     detail = "d grid {1..4} -> 4 rows, k grid {5..10} -> 6 rows; trend reported"
     with criterion(capsys, 7, "ablation grids", detail) as notes:

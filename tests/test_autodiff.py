@@ -228,6 +228,32 @@ def recording_ops():
                   and "_from_op" in fn.__code__.co_names)
 
 
+def closure_values(fn):
+    """What fn's closure holds, with lists and tuples flattened."""
+    held = []
+    for cell in fn.__closure__:
+        try:
+            value = cell.cell_contents
+        except ValueError:  # a name only the other mode assigns
+            continue
+        held.extend(value if isinstance(value, (list, tuple)) else [value])
+    return held
+
+
+def graph_arrays(out):
+    """Every ndarray a backward closure in out's graph holds."""
+    arrays, seen, stack = [], set(), [out._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward_fn is None:
+            continue
+        seen.add(id(node))
+        arrays.extend(v for v in closure_values(node._backward_fn)
+                      if isinstance(v, np.ndarray))
+        stack.extend(node._parents)
+    return arrays
+
+
 def call_op(name, needs_grad):
     """Run one op; needs_grad(i) says whether input i requires grad."""
     rng = np.random.default_rng(3)
@@ -284,20 +310,15 @@ class TestActivationLifetime:
         rng = np.random.default_rng(3)
         out = OP_CALLS[name](lambda shape: Tensor(
             rng.normal(size=shape), requires_grad=True) * 1.0)
-        held = []
-        for cell in out._backward_fn.__closure__:
-            try:
-                value = cell.cell_contents
-            except ValueError:  # a name only the other mode assigns
-                continue
-            held.extend(value if isinstance(value, (list, tuple)) else [value])
+        held = closure_values(out._backward_fn)
         assert not [v for v in held if isinstance(v, Tensor)]
 
     def test_audio_block_frees_what_backward_does_not_read(self):
         # conv -> batch norm -> dropout -> conv -> transpose -> reshape in
         # train mode, keeping only the last output: backward reads the
-        # normalized input, the keep mask and the padded conv input, so
-        # every watched array is freed before it runs.
+        # normalized input, the keep mask and conv2's input, which conv2
+        # keeps as the dropout output's own array, never a padded copy,
+        # so every other watched array is freed before it runs.
         rng = np.random.default_rng(40)
         conv1 = Conv2d(1, 3, rng, stride_t=2)
         conv2 = Conv2d(3, 3, rng)
@@ -318,6 +339,11 @@ class TestActivationLifetime:
         h = watch("transpose", h.transpose(0, 2, 1, 3))
         out = h.reshape(2, 5, 15)
         del h
+        kept = graph_arrays(out)
+        dropped = watched.pop("dropout")()
+        assert any(array is dropped for array in kept)
+        # A padded conv input would be 5 + 2 frequency bins wide.
+        assert [a.shape for a in kept if a.shape[-1:] == (7,)] == []
         assert [name for name, ref in watched.items() if ref() is not None] == []
         out.backward(np.ones_like(out.data))
         for param in (conv1.kernel, conv1.bias, norm.gamma, norm.beta,
@@ -570,10 +596,12 @@ class TestConv2d:
 
     def test_forward_memory_is_one_row_block(self):
         # [4, 32, 49, 360] is conv2 on 1 s sdc clips; one example's whole
-        # columns would be [288, 49 * 360] float32, 20 MB.
+        # columns would be [288, 49 * 360] float32, 20 MB, and the padded
+        # batch 9.5 MB. Past the output, the forward holds one example's
+        # padded frame and one column block.
         x = Tensor(np.ones((4, 32, 49, 360), dtype=np.float32))
         k = Tensor(np.ones((32, 32, 3, 3), dtype=np.float32))
-        padded_bytes = 4 * 32 * 51 * 362 * 4
+        frame_bytes = 32 * 51 * 362 * 4
         gc.collect()
         tracemalloc.start()
         try:
@@ -582,7 +610,7 @@ class TestConv2d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - out.data.nbytes - padded_bytes < 2 * 2**20
+        assert peak - out.data.nbytes - frame_bytes < 2 * 2**20
 
     def test_backward_memory_is_one_row_block(self):
         # Past the input gradient, the seed's copy and the kernel
@@ -1093,6 +1121,21 @@ class TestBiGru:
         check_grads(lambda: bigru(x)[0], leaves, probe)
 
 
+def attention_weights(monkeypatch, att, query, memory, key_mask=None):
+    """The softmax weights a call of att computes, caught at ad.softmax."""
+    caught = []
+    softmax = ad.softmax
+
+    def catch(scores, axis=-1):
+        caught.append(softmax(scores, axis=axis))
+        return caught[-1]
+
+    monkeypatch.setattr(ad, "softmax", catch)
+    att(query, memory, key_mask)
+    (weights,) = caught
+    return weights.data
+
+
 class TestCrossAttention:
     def test_output_shape(self):
         rng = np.random.default_rng(29)
@@ -1101,22 +1144,22 @@ class TestCrossAttention:
         kv = Tensor(rng.normal(size=(2, 7, 8)).astype(np.float32))
         assert att(q, kv).shape == (2, 5, 8)
 
-    def test_weights_row_stochastic(self):
+    def test_weights_row_stochastic(self, monkeypatch):
         rng = np.random.default_rng(30)
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(2, 5, 8)))
         kv = Tensor(rng.normal(size=(2, 7, 8)))
-        weights = att._softmax_weights(q, kv, None).data
+        weights = attention_weights(monkeypatch, att, q, kv)
         assert weights.shape == (2, 5, 7)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert (weights >= 0).all()
 
-    def test_identical_keys_give_uniform_weights(self):
+    def test_identical_keys_give_uniform_weights(self, monkeypatch):
         rng = np.random.default_rng(31)
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(1, 4, 8)))
         kv = Tensor(np.tile(rng.normal(size=(1, 1, 8)), (1, 6, 1)))
-        weights = att._softmax_weights(q, kv, None).data
+        weights = attention_weights(monkeypatch, att, q, kv)
         np.testing.assert_allclose(weights, 1.0 / 6.0, atol=1e-12)
 
     def test_single_key_passes_value_through_out_proj(self):
@@ -1128,13 +1171,13 @@ class TestCrossAttention:
         expect = att.out_proj(att.v_proj(kv)).data
         np.testing.assert_allclose(out.data, np.tile(expect, (1, 3, 1)), atol=1e-10)
 
-    def test_masked_keys_get_zero_weight(self):
+    def test_masked_keys_get_zero_weight(self, monkeypatch):
         rng = np.random.default_rng(33)
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(1, 4, 8)))
         kv = Tensor(rng.normal(size=(1, 6, 8)))
         mask = np.array([[1.0, 1.0, 0.0, 1.0, 0.0, 1.0]])
-        weights = att._softmax_weights(q, kv, mask).data
+        weights = attention_weights(monkeypatch, att, q, kv, mask)
         np.testing.assert_array_equal(weights[:, :, 2], 0.0)
         np.testing.assert_array_equal(weights[:, :, 4], 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)

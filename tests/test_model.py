@@ -232,6 +232,36 @@ class TestFullSizeShapes:
         with pytest.raises(ShapeError, match=r"\[T, D\]"):
             default_model.score(np.zeros(shape, dtype=np.float32), "able")
 
+    def test_zero_frame_features_are_a_shape_error(self, default_model):
+        with pytest.raises(ShapeError, match=re.escape("(1, 0, 360)")):
+            default_model.score(np.zeros((0, 360), dtype=np.float32), "ab")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_score_rejects_non_finite_features(self, default_model, value):
+        feats = np.zeros((10, 360), dtype=np.float32)
+        feats[4, 7] = value
+        with pytest.raises(NonFiniteValue):
+            default_model.score(feats, "able")
+
+    def test_eval_conv_stack_holds_two_activations(self, default_model):
+        # Eval audio_encode on 4 one-second sdc clips: each conv-stack
+        # output is freed once the next layer has consumed it, and conv2
+        # pads one example at a time, so the peak is two [4, 32, 49, 360]
+        # activations and one example's padded frame.
+        feats = np.random.default_rng(3).normal(
+            size=(4, 98, 360)).astype(np.float32)
+        activation = 4 * 32 * 49 * 360 * 4
+        frame = 32 * 51 * 362 * 4
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                default_model.audio_encode(feats, [98] * 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * activation + frame + 2 * 2**20
+
     def test_score_is_probability_and_reproducible(self, default_model):
         feats = np.random.default_rng(2).normal(size=(30, 360)).astype(np.float32)
         first = default_model.score(feats, "able")
@@ -536,6 +566,52 @@ class TestCheckpointFile:
         save_checkpoint(path, KwsModel(small_cfg()).to_checkpoint())
         other = KwsModel(small_cfg(lr=0.5, seed=99, batch_size=2))
         other.load_state(load_checkpoint(path))
+
+
+class TestCheckpointLoad:
+    """Loading copies each tensor once and draws no initialization."""
+
+    def test_from_checkpoint_draws_nothing(self, default_model, monkeypatch):
+        ckpt = default_model.to_checkpoint()
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("from_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        state = KwsModel.from_checkpoint(ckpt)._state()
+        assert list(state) == list(ckpt.tensors)
+        for name, array in state.items():
+            want = ckpt.tensors[name]
+            assert array.dtype == want.dtype and array.shape == want.shape
+            assert array.tobytes() == want.tobytes(), name
+
+    def test_from_checkpoint_allocates_one_copy(self, default_model):
+        ckpt = default_model.to_checkpoint()
+        tensor_bytes = sum(t.nbytes for t in ckpt.tensors.values())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            KwsModel.from_checkpoint(ckpt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tensor_bytes + 2**20
+
+    def test_load_checkpoint_copies_each_tensor_once(self, default_model,
+                                                     tmp_path):
+        # The file's bytes plus one copy of each tensor, and no slice of
+        # the file on top (gru1's w alone is 8.8 MB).
+        path = tmp_path / "m.kwsm"
+        save_checkpoint(path, default_model.to_checkpoint())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tensor_bytes = sum(t.nbytes for t in ckpt.tensors.values())
+        assert peak <= path.stat().st_size + tensor_bytes + 2**20
 
 
 class TestHistoryCsv:
