@@ -394,7 +394,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     output rows (Chellapilla et al. 2006), which pads one example at a
     time. The output is kernel @ cols, written straight into
     out[i, :, rows] viewed as [ch_out, n * F] (a view: a block's rows
-    are contiguous within each channel). The kernel gradient sums
+    are contiguous within each channel); the bias goes onto each
+    example's output after its last block (conv2's one-row blocks are too
+    small to pay for an add each). The kernel gradient sums
     grad[i, :, rows] @ cols^T over the same blocks. The input gradient
     is the same stride-1 correlation with the flipped, channel-transposed
     kernel over the output gradient, which _row_blocks dilates by
@@ -424,8 +426,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                     dtype=np.result_type(x_data, kernel.data))
     for i, rows, cols in _row_blocks(x_data, kh, kw, stride_t, t_out):
         np.matmul(weights, cols, out=data[i, :, rows].reshape(ch_out, -1))
-    if bias is not None:
-        data += bias.data[None, :, None, None]
+        if bias is not None and rows.stop == t_out:
+            data[i] += bias.data[:, None, None]
     nx, nk = _grad_node(x), _grad_node(kernel)
     nb = None if bias is None else _grad_node(bias)
 

@@ -287,13 +287,28 @@ class KwsModel:
     def _dropout(self, x, train, rng):
         return ad.dropout(x, self.cfg.dropout, train, rng)
 
-    def audio_encode(self, features, lengths, train: bool = False, rng=None):
-        """Features [B, T, D] to embeddings [B, m, embed_dim].
+    def _conv_stack(self, h, train, rng, mask=None):
+        """conv1 -> bn1 -> conv2 -> bn2 (each with its dropout) on [B, 1, T, D]."""
+        # Bound before the next layer runs, each output dies once consumed.
+        for conv, norm in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
+            h = conv(h)
+            h = norm(h, train, mask)
+            if self.cfg.dropout_after_conv:
+                h = self._dropout(h, train, rng)
+        return h
 
-        Returns (embeddings, frame mask [B, m]). Each batch norm takes
-        the frame mask: it leaves padded frames out of its training
-        statistics and zeroes them in its output, so trailing padding
-        cannot leak into real frames.
+    def audio_encode(self, features, lengths, train: bool = False, rng=None):
+        """Features [B, T, D] with B lengths in [1, T] to embeddings [B, m, embed_dim].
+
+        Returns (embeddings, frame mask [B, m]). A conv stack recorded for
+        backward (train mode, or grad enabled) runs on the padded batch,
+        each batch norm taking the frame mask: it leaves padded frames out
+        of its training statistics and zeroes them in its output, so
+        trailing padding cannot leak into real frames. In eval under
+        no_grad batch norm uses running moments, so the stack runs one
+        example at a time on its valid frames into gru_a1's input, whose
+        padded rows are zeroed: no batch-wide conv activation, no conv
+        work on padding.
         """
         arr = np.asarray(features)
         if arr.ndim != 3 or arr.shape[1] == 0:
@@ -305,21 +320,29 @@ class KwsModel:
                 f" {KIND_NAMES[self.cfg.feature]} width {self.cfg.feature_width}"
             )
         batch, t_in, width = arr.shape
-        out_lengths = strided_length(np.asarray(lengths, dtype=np.int64),
-                                     self.cfg.stride_t)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (batch,) or not np.all((lengths >= 1) & (lengths <= t_in)):
+            raise ShapeError(f"lengths {lengths.tolist()} must be {batch}"
+                             f" frame counts in [1, T={t_in}]")
+        out_lengths = strided_length(lengths, self.cfg.stride_t)
         t_out = strided_length(t_in, self.cfg.stride_t)
         frame_mask = (np.arange(t_out) < out_lengths[:, None]).astype(np.float32)
-        conv_mask = frame_mask[:, None, :, None]
-        h = Tensor(arr.astype(np.float32, copy=False).reshape(
-            batch, 1, t_in, width))
-        # Bound before the next layer runs, each output dies once consumed.
-        for conv, norm in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
-            h = conv(h)
-            h = norm(h, train, conv_mask)
-            if self.cfg.dropout_after_conv:
-                h = self._dropout(h, train, rng)
-        h = h.transpose(0, 2, 1, 3).reshape(
-            batch, t_out, self.cfg.conv_filters * width)
+        x = arr.astype(np.float32, copy=False)[:, None]
+        if train or ad._grad_enabled:
+            h = self._conv_stack(Tensor(x), train, rng, frame_mask[:, None, :, None])
+            h = h.transpose(0, 2, 1, 3).reshape(
+                batch, t_out, self.cfg.conv_filters * width)
+        else:
+            h = None
+            for i, (n_in, n_out) in enumerate(zip(lengths, out_lengths)):
+                one = self._conv_stack(Tensor(x[i : i + 1, :, :n_in]), False, None)
+                if h is None:  # after one stack, so it reuses what that freed
+                    h = np.empty((batch, t_out, self.cfg.conv_filters, width),
+                                 np.float32)
+                h[i, :n_out] = one.data[0].transpose(1, 0, 2)
+                h[i, n_out:] = 0.0
+                del one  # freed before the next example's stack runs
+            h = Tensor(h.reshape(batch, t_out, -1))
         seq, _ = self.gru_a1(h, mask=frame_mask)
         seq = self._dropout(seq, train, rng)
         seq, _ = self.gru_a2(seq, mask=frame_mask)

@@ -262,6 +262,59 @@ class TestFullSizeShapes:
             tracemalloc.stop()
         assert peak <= 2 * activation + frame + 2 * 2**20
 
+    def test_eval_conv_stack_runs_one_example_at_a_time(self, default_model):
+        # Under no_grad the conv stack runs per example into gru_a1's
+        # [8, 49, 32 * 360] input, so the peak is that array, two
+        # one-example activations and one padded frame: less than the
+        # two batch activations a batch-wide stack holds.
+        feats = np.random.default_rng(4).normal(
+            size=(8, 98, 360)).astype(np.float32)
+        gru_input = 8 * 49 * 32 * 360 * 4
+        activation = 32 * 49 * 360 * 4
+        frame = 32 * 51 * 362 * 4
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                default_model.audio_encode(feats, [98] * 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= gru_input + 2 * activation + frame + 2 * 2**20
+
+    def test_eval_conv_stack_is_exact_per_example(self, default_model,
+                                                  monkeypatch):
+        # gru_a1's input for a padded batch holds, row for row, what each
+        # example gives alone, and exact zeros past its length.
+        captured = []
+        gru_a1 = default_model.gru_a1
+
+        def capture(h, mask):
+            captured.append(h.data.copy())
+            return gru_a1(h, mask=mask)
+
+        monkeypatch.setattr(default_model, "gru_a1", capture)
+        rng = np.random.default_rng(5)
+        lengths = [98, 37, 5, 60, 1]
+        feats = np.zeros((len(lengths), 98, 360), dtype=np.float32)
+        for i, n in enumerate(lengths):
+            feats[i, :n] = rng.normal(size=(n, 360))
+        with ad.no_grad():
+            default_model.audio_encode(feats, lengths)
+            for i, n in enumerate(lengths):
+                default_model.audio_encode(feats[i : i + 1, :n], [n])
+        together, alone = captured[0], captured[1:]
+        for i, n in enumerate(lengths):
+            rows = strided_length(n, 2)
+            assert np.array_equal(together[i, :rows], alone[i][0]), i
+            assert not together[i, rows:].any(), i
+
+    @pytest.mark.parametrize("lengths", [[25, 20], [20, 0], [20]])
+    def test_bad_lengths_are_a_shape_error(self, default_model, lengths):
+        feats = np.zeros((2, 20, 360), dtype=np.float32)
+        with pytest.raises(ShapeError, match=re.escape(f"{lengths}") + ".*T=20"):
+            default_model.audio_encode(feats, lengths)
+
     def test_score_is_probability_and_reproducible(self, default_model):
         feats = np.random.default_rng(2).normal(size=(30, 360)).astype(np.float32)
         first = default_model.score(feats, "able")

@@ -6,7 +6,9 @@ only surface as a failed `perfbench/run.py --trace 1`. These run its
 `instrument` in a fresh process, then each of the six front-ends or one
 tiny training run, and check what the traced run reads from it. A short
 untraced run of each workload checks the benchmark's own correctness
-checks and the end-to-end metric names it reports.
+checks and the end-to-end metric names it reports, and a short traced
+score-1s run checks that it reports every declared score-1s per-layer
+metric.
 """
 
 import json
@@ -83,19 +85,37 @@ def test_replay_times_every_layer_backward(tmp_path):
     run_probe(REPLAY_PROBE, tmp_path)
 
 
-@pytest.mark.parametrize("workload", ["extract-1s", "score-1s", "train-short"])
-def test_workload_smoke_run(workload, tmp_path):
+def run_workload(workload, trace, workdir):
+    """The workload's JSON report after a 0.5 s run; it must exit 0 with no failure."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     result = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "workloads.py"),
          "--workload", workload, "--seed", "1", "--seconds", "0.5",
-         "--trace", "0", "--workdir", str(tmp_path)],
+         "--trace", str(trace), "--workdir", str(workdir)],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["failed"] == 0, report["failures"]
+    return report
+
+
+@pytest.mark.parametrize("workload", ["extract-1s", "score-1s", "train-short"])
+def test_workload_smoke_run(workload, tmp_path):
+    report = run_workload(workload, 0, tmp_path)
     assert report["attempted"] > 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert sorted(report["e2e"]) == sorted(m["name"] for m in declared)
+
+
+def test_traced_score_run_reports_every_layer(tmp_path):
+    # A layer the eval path no longer calls through its __call__ would
+    # leave its per-layer metric unreported.
+    report = run_workload("score-1s", 1, tmp_path)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = [m["name"].removeprefix("score-1s.") for m in declared
+             if m["name"].startswith("score-1s.")]
+    assert names
+    missing = [name for name in names if name not in report["layers"]]
+    assert missing == []
