@@ -115,8 +115,12 @@ def _log_config(cfg):
 
 def _atomic(path, write_fn):
     tmp = f"{path}.tmp.{os.getpid()}"
-    write_fn(tmp)
-    os.replace(tmp, path)
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def cmd_extract(args) -> int:

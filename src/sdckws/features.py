@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
-import scipy.signal
 
 from .dsp import (
     Waveform,
@@ -421,12 +420,18 @@ _RASTA_NUMERATOR_SHAPE = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 
 
 def _rasta_coefficients():
-    """Band-pass coefficients with the peak gain normalized to one."""
+    """Band-pass coefficients with the peak gain normalized to one.
+
+    The gain is max |B/A| on scipy.signal.freqz's 8192-point grid, each
+    polynomial taken by Horner's rule in 1/z as freqz does.
+    """
     denominator = np.array([1.0, -RASTA_POLE])
-    _, response = scipy.signal.freqz(
-        _RASTA_NUMERATOR_SHAPE, denominator, worN=8192
-    )
-    return _RASTA_NUMERATOR_SHAPE / np.abs(response).max(), denominator
+    z = np.exp(-1j * np.linspace(0.0, np.pi, 8192, endpoint=False))
+    def horner(coeffs):
+        return functools.reduce(lambda acc, c: c + acc * z, coeffs[-2::-1],
+                                np.full_like(z, coeffs[-1]))
+    gain = np.abs(horner(_RASTA_NUMERATOR_SHAPE) / horner(denominator)).max()
+    return _RASTA_NUMERATOR_SHAPE / gain, denominator
 
 
 _RASTA_NUM, _RASTA_DEN = _rasta_coefficients()
@@ -439,18 +444,33 @@ def rasta_filter(trajectories: np.ndarray) -> np.ndarray:
     real pole at 0.94, scaled for unit peak gain. The first four frames
     prime the filter state FIR-only and emit zeros, which pins the
     steady-state response to a constant input at exactly zero.
+
+    The arithmetic is scipy.signal.lfilter's, bit for bit: the warm-up is
+    np.convolve per column, whose tail is the state, and the rest is
+    direct form II transposed, z_k = (z_{k+1} + x * b_{k+1}) - y * a_{k+1}.
     """
     x = np.asarray(trajectories, dtype=np.float64)
-    out = np.zeros_like(x)
-    warm = min(4, x.shape[0])
-    _, state = scipy.signal.lfilter(
-        _RASTA_NUM, [1.0], x[:warm], axis=0,
-        zi=np.zeros((len(_RASTA_NUM) - 1,) + x.shape[1:]),
-    )
-    if x.shape[0] > warm:
-        out[warm:], _ = scipy.signal.lfilter(
-            _RASTA_NUM, _RASTA_DEN, x[warm:], axis=0, zi=state
-        )
+    out = np.zeros(x.shape)
+    if x.shape[0] <= 4:
+        return out
+    frames = x.reshape(x.shape[0], -1)
+    b = _RASTA_NUM
+    state = np.stack([np.convolve(b, col) for col in frames[:4].T], axis=1)[4:]
+    x = frames[4:]
+    # Delays 1-3 face zero denominator taps, so they are FIR sums over the
+    # frames before: their "- y * 0" can only turn a -0.0 into 0.0, and
+    # lfilter agrees on every sign pattern of short inputs (see the tests).
+    z3 = np.concatenate([state[3:], x[:-1] * b[4]])
+    z2 = np.concatenate([state[2:3], z3[:-1] + x[:-1] * b[3]])
+    z1 = np.concatenate([state[1:2], z2[:-1] + x[:-1] * b[2]])
+    feed, lead = z1 + x * b[1], x * b[0]
+    y = out.reshape(frames.shape)[4:]
+    z0, pole_term = state[0], np.empty(frames.shape[1])
+    pole = np.full(frames.shape[1], _RASTA_DEN[1])
+    for y_n, lead_n, feed_n in zip(y, lead, feed):
+        np.add(z0, lead_n, y_n)
+        np.multiply(y_n, pole, pole_term)
+        np.subtract(feed_n, pole_term, z0)
     return out
 
 
@@ -503,9 +523,9 @@ def write_features(path, feat: FeatureMatrix) -> None:
     """Serialize a FeatureMatrix as little-endian float32, row-major."""
     rows, cols = feat.data.shape
     header = _KWSF_HEADER.pack(KWSF_MAGIC, KWSF_VERSION, int(feat.kind), rows, cols)
-    payload = feat.data.astype("<f4").tobytes(order="C")
     with open(path, "wb") as handle:
-        handle.write(header + payload)
+        handle.write(header)
+        handle.write(feat.data.astype("<f4", order="C"))
 
 
 def read_features(path) -> FeatureMatrix:

@@ -490,16 +490,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     parts = [KWSM_MAGIC, struct.pack("<H", KWSM_VERSION),
              struct.pack("<I", len(config_blob)), config_blob,
              struct.pack("<I", len(ckpt.tensors))]
-    payload = []
     for name, tensor in ckpt.tensors.items():
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
         parts.append(struct.pack("<B", tensor.ndim))
         parts.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        payload.append(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
     with open(path, "wb") as handle:
-        handle.write(b"".join(parts) + b"".join(payload))
+        handle.write(b"".join(parts))
+        # A little-endian float32 C-contiguous tensor is written in place.
+        for tensor in ckpt.tensors.values():
+            handle.write(np.ascontiguousarray(tensor, dtype="<f4"))
 
 
 class _Reader:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs in subprocesses: exit codes and artifacts."""
 
+import errno
 import os
 import re
 import shlex
@@ -210,6 +211,36 @@ class TestExtract:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert str(bad) in result.stderr
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_and_keeps_target(
+            self, second_wav, tmp_path, monkeypatch):
+        # A disk that fills up halfway through the feature file.
+        def partial_write(path, feat):
+            with open(path, "wb") as handle:
+                handle.write(b"KWSF\x01")
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        target = tmp_path / "f.kwsf"
+        target.write_bytes(b"previous")
+        monkeypatch.setattr(cli, "write_features", partial_write)
+        assert cli.main(["extract", str(second_wav), "-o", str(target)]) == 1
+        assert target.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.kwsf"]
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # A fresh interpreter: this test process has imported both for oracles.
+    script = ("import sys, sdckws, sdckws.cli\n"
+              "print(' '.join(sorted(sys.modules)))\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    modules = result.stdout.split()
+    assert "sdckws.cli" in modules and "scipy" in modules
+    assert [m for m in modules
+            if m.startswith(("scipy.signal", "scipy.stats"))] == []
 
 
 class TestSynth:

@@ -5,6 +5,7 @@ import pytest
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sdckws.dsp import Waveform
 from sdckws.errors import (
@@ -16,12 +17,17 @@ from sdckws.errors import (
 )
 from sdckws.features import (
     FEATURE_NAMES,
+    RASTA_POLE,
     FeatureKind,
     FeatureMatrix,
     FrontEndConfig,
     SdcConfig,
+    _RASTA_DEN,
+    _RASTA_NUM,
+    _RASTA_NUMERATOR_SHAPE,
     _bands_to_autocorr,
     _bands_to_cepstra,
+    _critical_bands,
     bark_filterbank,
     bark_scale,
     bark_to_hz,
@@ -603,6 +609,80 @@ class TestRastaFilter:
         assert np.abs(h).max() == pytest.approx(1.0, abs=1e-9)
 
 
+def lfilter_rasta(trajectories):
+    """rasta_filter as two scipy.signal.lfilter calls: FIR warm-up, then IIR."""
+    x = np.asarray(trajectories, dtype=np.float64)
+    out = np.zeros_like(x)
+    warm = min(4, x.shape[0])
+    _, state = scipy.signal.lfilter(
+        _RASTA_NUM, [1.0], x[:warm], axis=0,
+        zi=np.zeros((len(_RASTA_NUM) - 1,) + x.shape[1:]),
+    )
+    if x.shape[0] > warm:
+        out[warm:], _ = scipy.signal.lfilter(
+            _RASTA_NUM, _RASTA_DEN, x[warm:], axis=0, zi=state
+        )
+    return out
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRastaAgainstScipy:
+    """The numpy filter and its gain equal scipy's, byte for byte."""
+
+    def test_coefficients_match_freqz(self):
+        denominator = np.array([1.0, -RASTA_POLE])
+        _, h = scipy.signal.freqz(_RASTA_NUMERATOR_SHAPE, denominator, worN=8192)
+        assert _RASTA_NUM.tobytes() == (
+            _RASTA_NUMERATOR_SHAPE / np.abs(h).max()).tobytes()
+        assert _RASTA_DEN.tobytes() == denominator.tobytes()
+
+    @pytest.mark.parametrize("frames", [*range(1, 12), 50, 98, 300])
+    def test_matches_lfilter(self, frames):
+        rng = np.random.default_rng(frames)
+        inputs = [np.full((frames, 5), value) for value in (0.0, -0.0, 2.7, -3.1)]
+        for scale in (1e-3, 1.0, 1e3):
+            inputs += [scale * rng.normal(size=(frames, 17)),
+                       scale * rng.normal(size=frames)]
+        inputs.append(np.asfortranarray(inputs[-2]))
+        for x in inputs:
+            assert same_bits(rasta_filter(x), lfilter_rasta(x))
+
+    @pytest.mark.parametrize("values,frames", [
+        ((0.0, -0.0, 1.0, -1.0), 9),
+        ((0.0, -0.0, 5e-324, -1.0, 1e-300), 7),
+    ])
+    def test_every_sign_pattern_of_short_inputs(self, values, frames):
+        # Each column is one sequence: every way to place signed zeros,
+        # subnormals and ones in the warm-up and the first IIR frames.
+        grid = np.indices((len(values),) * frames).reshape(frames, -1)
+        x = np.array(values)[grid]
+        assert same_bits(rasta_filter(x), lfilter_rasta(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=40),
+        # Finite and far from overflow, as log band energies are.
+        elements=st.sampled_from([0.0, -0.0, 1.0])
+        | st.floats(min_value=-1e6, max_value=1e6),
+    ))
+    def test_property_matches_lfilter(self, x):
+        assert same_bits(rasta_filter(x), lfilter_rasta(x))
+
+    def test_rasta_plp_unchanged_on_noise(self):
+        cfg = FrontEndConfig()
+        for seed in range(20):
+            feat = rasta_plp(noise_wave(100 + seed), cfg)
+            bands, centers_hz = _critical_bands(noise_wave(100 + seed), cfg)
+            filtered = np.exp(lfilter_rasta(np.log(bands)))
+            want = _bands_to_cepstra(filtered, centers_hz, cfg.num_cepstra,
+                                     cfg.log_floor)
+            assert same_bits(feat.data, want)
+
+
 class TestRastaPlp:
     def test_shape(self):
         feat = rasta_plp(noise_wave(15), FrontEndConfig())
@@ -696,6 +776,17 @@ class TestFeatureFile:
         np.testing.assert_array_equal(
             back.data, feat.data.astype(np.float32).astype(np.float64)
         )
+
+    def test_bytes_are_header_then_c_order_float32(self, tmp_path):
+        import struct
+
+        data = np.random.default_rng(20).normal(size=(9, 5))
+        want = (struct.pack("<4sHHII", b"KWSF", 1, int(FeatureKind.MFCC), 9, 5)
+                + data.astype("<f4").tobytes())
+        for source in (data, np.asfortranarray(data)):
+            path = tmp_path / "f.kwsf"
+            write_features(path, FeatureMatrix(source, FeatureKind.MFCC))
+            assert path.read_bytes() == want
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "f.kwsf"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from sdckws.errors import DegenerateLabels, NonFiniteValue
 from sdckws.features import SdcConfig
@@ -35,6 +36,15 @@ def brute_auc(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (pos.shape[0] * neg.shape[0])
+
+
+def rank_auc(scores, labels):
+    """The tie-averaged rank-sum formula, ranks from scipy.stats.rankdata."""
+    ranks = rankdata(scores, method="average")
+    num_pos = int(np.sum(labels == 1))
+    num_neg = labels.shape[0] - num_pos
+    pos_rank_sum = float(ranks[labels == 1].sum())
+    return (pos_rank_sum - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg)
 
 
 def brute_eer(scores, labels):
@@ -109,6 +119,15 @@ class TestAuc:
             got = auc(ScoredSet(scores, labels))
             want = brute_auc(scores, labels)
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_matches_rank_formula_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            scores, labels = random_set(rng, int(rng.integers(2, 300)))
+            scores = np.round(scores, int(rng.integers(0, 3)))
+            got = auc(ScoredSet(scores, labels))
+            assert type(got) is float
+            assert got.hex() == rank_auc(scores, labels).hex()
 
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabels):

@@ -620,6 +620,35 @@ class TestCheckpointFile:
         other = KwsModel(small_cfg(lr=0.5, seed=99, batch_size=2))
         other.load_state(load_checkpoint(path))
 
+    def test_save_holds_no_copy_of_the_payload(self, default_model, tmp_path):
+        # Each tensor's buffer goes to the file as it is.
+        ckpt = default_model.to_checkpoint()
+        payload = sum(t.nbytes for t in ckpt.tensors.values())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "m.kwsm", ckpt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * payload
+
+    def test_file_is_header_table_then_payload(self, tmp_path):
+        import struct
+
+        ckpt = KwsModel(small_cfg(seed=3)).to_checkpoint()
+        config = dict(ckpt.config, training_step=str(ckpt.step))
+        blob = "\n".join(f"{k}={v}" for k, v in config.items()).encode()
+        want = [model_module.KWSM_MAGIC,
+                struct.pack("<HI", model_module.KWSM_VERSION, len(blob)), blob,
+                struct.pack("<I", len(ckpt.tensors))]
+        for name, tensor in ckpt.tensors.items():
+            want += [struct.pack("<H", len(name)), name.encode(),
+                     struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape)]
+        want += [t.astype("<f4").tobytes() for t in ckpt.tensors.values()]
+        save_checkpoint(tmp_path / "m.kwsm", ckpt)
+        assert (tmp_path / "m.kwsm").read_bytes() == b"".join(want)
+
 
 class TestCheckpointLoad:
     """Loading copies each tensor once and draws no initialization."""
