@@ -12,10 +12,10 @@ caller drops its Tensor. A leaf that requires grad is its own node, so
 its gradient lands in its .grad. The op set is exactly what the
 matcher's training loss reaches, and a test walks that loss's graph to
 keep it so: broadcasting add and mul, matmul, the shape moves reshape,
-transpose, take and concat, softmax, 2-D convolution, masked batch
-norm (one node, with the closed-form backward), the masked GRU scan
-(one node per direction, with hand-written backpropagation through
-time), dropout, and the fused sigmoid + mean binary cross-entropy loss.
+transpose and take, softmax, 2-D convolution, masked batch norm (one
+node, with the closed-form backward), the masked bidirectional GRU
+recurrence (one node, with hand-written backpropagation through time),
+dropout, and the fused sigmoid + mean binary cross-entropy loss.
 """
 
 from __future__ import annotations
@@ -305,29 +305,20 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def take(a: Tensor, key) -> Tensor:
+    """a[key]. A boolean-array key picks each entry at most once, so its
+    backward assigns where np.add.at, several times slower, adds."""
     na = _grad_node(a)
+    unique = isinstance(key, np.ndarray) and key.dtype == bool
 
     def _backward(grad):
         scattered = np.zeros(na.shape, dtype=na.dtype)
-        np.add.at(scattered, key, grad)
+        if unique:
+            scattered[key] = grad
+        else:
+            np.add.at(scattered, key, grad)
         _add_grad(na, scattered, fresh=True)
 
     return _from_op(a.data[key], (na,), _backward)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    nodes = [_grad_node(t) for t in tensors]
-    lengths = [t.data.shape[axis] for t in tensors]
-
-    def _backward(grad):
-        pieces = np.split(grad, np.cumsum(lengths)[:-1], axis=axis)
-        for node, piece in zip(nodes, pieces):
-            if node is not None:
-                _add_grad(node, piece)
-
-    return _from_op(data, nodes, _backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -382,8 +373,7 @@ def _row_blocks(x, kh, kw, stride_t, t_out, dilate=1):
             yield i, slice(t0, t0 + n), block_2d[:, : n * f_in]
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-           stride_t: int = 1) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, stride_t: int = 1) -> Tensor:
     """2-D convolution, stride along time only, fixed half-kernel padding.
 
     x is [batch, ch_in, T, F]; kernel is [ch_out, ch_in, kh, kw] with odd
@@ -394,9 +384,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     output rows (Chellapilla et al. 2006), which pads one example at a
     time. The output is kernel @ cols, written straight into
     out[i, :, rows] viewed as [ch_out, n * F] (a view: a block's rows
-    are contiguous within each channel); the bias goes onto each
-    example's output after its last block (conv2's one-row blocks are too
-    small to pay for an add each). The kernel gradient sums
+    are contiguous within each channel); there is no bias, as batch norm
+    follows each conv. The kernel gradient sums
     grad[i, :, rows] @ cols^T over the same blocks. The input gradient
     is the same stride-1 correlation with the flipped, channel-transposed
     kernel over the output gradient, which _row_blocks dilates by
@@ -426,14 +415,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                     dtype=np.result_type(x_data, kernel.data))
     for i, rows, cols in _row_blocks(x_data, kh, kw, stride_t, t_out):
         np.matmul(weights, cols, out=data[i, :, rows].reshape(ch_out, -1))
-        if bias is not None and rows.stop == t_out:
-            data[i] += bias.data[:, None, None]
     nx, nk = _grad_node(x), _grad_node(kernel)
-    nb = None if bias is None else _grad_node(bias)
 
     def _backward(grad):
-        if nb is not None:
-            _add_grad(nb, grad.sum(axis=(0, 2, 3)), fresh=True)
         if nk is not None:
             grad_w = np.zeros_like(weights)
             for i, rows, cols in _row_blocks(x_data, kh, kw, stride_t, t_out):
@@ -448,7 +432,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                 np.matmul(flipped, cols, out=grad_x[i, :, rows].reshape(ch_in, -1))
             _add_grad(nx, grad_x, fresh=True)
 
-    return _from_op(data, (nx, nk, nb), _backward)
+    return _from_op(data, (nx, nk), _backward)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
@@ -552,98 +536,97 @@ def _rowwise(h, u):
     return np.matmul(h[:, None, :], u)[:, 0]
 
 
-def gru_scan(x: Tensor, w: Tensor, u_zr: Tensor, u_h: Tensor, b: Tensor,
-             mask=None, reverse: bool = False) -> Tensor:
-    """Masked GRU over x [B, T, in]; returns the state sequence [B, T, H].
+def gru_scan(pre: Tensor, u_zr: Tensor, u_h: Tensor, mask=None) -> Tensor:
+    """Masked bidirectional GRU recurrence; returns the states [B, T, 2H].
 
-    w [in, 3H] = [Wz | Wr | Wh], u_zr [H, 2H] = [Uz | Ur], u_h [H, H] = Uh
-    and b [3H] = [bz | br | bh]; the state starts at zero and
-    z_t = sigmoid(x_t Wz + h_{t-1} Uz + bz), r_t likewise with Wr, Ur, br,
-    c_t = tanh(x_t Wh + (r_t * h_{t-1}) Uh + bh),
-    h_t = z_t * h_{t-1} + (1 - z_t) * c_t.
-    Frames where mask [B, T] is 0 carry h_{t-1} unchanged. reverse=True
-    scans from the last frame to the first.
-
-    The whole scan is one graph node. The three gates' input projections
-    are one [B*T, in] @ w GEMM. When the op is tracked it keeps
-    the input as x_2d, the state sequence, and z, r and c per step
-    (h_{t-1} is the previous output), and backward
-    runs backpropagation through time over them into one [B, T, 3H]
-    pre-activation gradient dP; the input, w and b gradients are then
-    one GEMM or sum each over dP, and the u_zr and u_h gradients are
-    summed per step.
+    pre [B, T, 6H] holds the input pre-activations x_t W + b, forward
+    [z | r | h] gate blocks then backward; with a mask [B, T], it may be
+    just the rows [N, 6H] of the frames where the mask is nonzero, in
+    (example, frame) order. u_zr [2, H, 2H] = [Uz | Ur] and u_h [2, H, H]
+    = Uh, forward then backward. From a zero state each direction runs
+    z_t = sigmoid(p_z + h_{t-1} Uz), r_t likewise with p_r and Ur,
+    c_t = tanh(p_h + (r_t * h_{t-1}) Uh), h_t = z_t * h_{t-1} + (1 - z_t) c_t,
+    forward from the first frame into out[..., :H], backward from the last
+    into out[..., H:], carrying h_{t-1} over frames where mask is 0. The
+    scan is one node; tracked, it keeps the states and z, r and c per
+    direction and step, and backward runs backpropagation through time
+    into a gradient shaped like pre and per-step sums for u_zr and u_h.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"gru expects [B, T, in], got {x.data.shape}")
-    batch, steps, width = x.data.shape
+    packed = pre.ndim == 2 and mask is not None
+    if pre.ndim != 3 and not packed:
+        raise ShapeError(f"gru expects [B, T, 6H] or masked rows, got {pre.data.shape}")
+    batch, steps = np.shape(mask) if packed else pre.data.shape[:2]
     if steps == 0:
         raise ShapeError("gru needs at least one frame")
     if mask is not None:
         valid = np.asarray(mask) > 0
-        if valid.shape != (batch, steps):
+        if valid.shape != (batch, steps) or (packed and valid.sum() != len(pre.data)):
             raise ShapeError(
-                f"gru mask {valid.shape} does not match input {x.data.shape}")
-    nodes = [_grad_node(t) for t in (x, w, u_zr, u_h, b)]
-    nx, nw, nzr, nh, nb = nodes
+                f"gru mask {valid.shape} does not match input {pre.data.shape}")
+    nodes = npre, nzr, nh = [_grad_node(t) for t in (pre, u_zr, u_h)]
     tracked = _tracked(nodes)
-    dtype = np.result_type(x.data, w.data, u_zr.data, u_h.data, b.data)
-    w, u_zr, u_h = w.data, u_zr.data, u_h.data
-    hidden = u_h.shape[0]
-    x_2d = x.data.reshape(batch * steps, width)
-    pre = (x_2d @ w + b.data).reshape(batch, steps, 3 * hidden)
-    seq = np.empty((batch, steps, hidden), dtype=dtype)
-    # gates[t] is [z | r | c] at frame t; untracked, one step's buffer.
-    gates = np.empty((steps if tracked else 1, batch, 3 * hidden), dtype=dtype)
+    dtype = np.result_type(pre.data, u_zr.data, u_h.data)
+    u_zr, u_h = u_zr.data, u_h.data
+    hidden = u_h.shape[1]
+    full = pre.data
+    if packed:
+        full = np.zeros((batch, steps, 6 * hidden), dtype=dtype)
+        full[valid] = pre.data
+    seq = np.empty((batch, steps, 2 * hidden), dtype=dtype)
+    # gates[d, t] is [z | r | c] of direction d at frame t; untracked,
+    # one step's buffer.
+    gates = np.empty((2, steps if tracked else 1, batch, 3 * hidden), dtype=dtype)
     sz, sr, sc = (slice(k * hidden, (k + 1) * hidden) for k in range(3))
     szr = slice(0, 2 * hidden)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    orders = (range(steps), range(steps - 1, -1, -1))
     h0 = np.zeros((batch, hidden), dtype=dtype)
-    h = h0
-    for t in order:
-        g = gates[t if tracked else 0]
-        np.add(pre[:, t, szr], _rowwise(h, u_zr), out=g[:, szr])
-        expit(g[:, szr], out=g[:, szr])
-        z, r, c = g[:, sz], g[:, sr], g[:, sc]
-        np.add(pre[:, t, sc], _rowwise(r * h, u_h), out=c)
-        np.tanh(c, out=c)
-        h_new = z * h + (1.0 - z) * c
-        h = h_new if mask is None else np.where(valid[:, t, None], h_new, h)
-        seq[:, t] = h
+    for d, order in enumerate(orders):
+        p = full[:, :, 3 * d * hidden : 3 * (d + 1) * hidden]
+        h = h0
+        for t in order:
+            g = gates[d, t if tracked else 0]
+            np.add(p[:, t, szr], _rowwise(h, u_zr[d]), out=g[:, szr])
+            expit(g[:, szr], out=g[:, szr])
+            z, r, c = g[:, sz], g[:, sr], g[:, sc]
+            np.add(p[:, t, sc], _rowwise(r * h, u_h[d]), out=c)
+            np.tanh(c, out=c)
+            h_new = z * h + (1.0 - z) * c
+            h = h_new if mask is None else np.where(valid[:, t, None], h_new, h)
+            seq[:, t, d * hidden : (d + 1) * hidden] = h
 
     def _backward(grad):
-        d_pre = np.empty((batch, steps, 3 * hidden), dtype=dtype)
+        d_pre = np.empty((batch, steps, 6 * hidden), dtype=dtype)
         d_uzr = np.zeros_like(u_zr)
         d_uh = np.zeros_like(u_h)
-        dh = h0
-        for i in range(steps - 1, -1, -1):
-            t = order[i]
-            h_prev = seq[:, order[i - 1]] if i else h0
-            z, r, c = gates[t, :, sz], gates[t, :, sr], gates[t, :, sc]
-            dh = dh + grad[:, t]
-            if mask is None:
-                dh_new, dh = dh, 0.0
-            else:
-                keep = valid[:, t, None]
-                dh_new, dh = np.where(keep, dh, 0.0), np.where(keep, 0.0, dh)
-            dp = d_pre[:, t]
-            np.multiply(dh_new * (1.0 - z), 1.0 - c * c, out=dp[:, sc])
-            d_rh = dp[:, sc] @ u_h.T
-            d_uh += (r * h_prev).T @ dp[:, sc]
-            np.multiply(dh_new * (h_prev - c), z * (1.0 - z), out=dp[:, sz])
-            np.multiply(d_rh * h_prev, r * (1.0 - r), out=dp[:, sr])
-            d_uzr += h_prev.T @ dp[:, szr]
-            dh = dh + dh_new * z + d_rh * r + dp[:, szr] @ u_zr.T
-        d_2d = d_pre.reshape(batch * steps, 3 * hidden)
-        if nx is not None:
-            _add_grad(nx, (d_2d @ w.T).reshape(nx.shape), fresh=True)
-        if nw is not None:
-            _add_grad(nw, x_2d.T @ d_2d, fresh=True)
+        for d, order in enumerate(orders):
+            states = seq[:, :, d * hidden : (d + 1) * hidden]
+            d_seq = grad[:, :, d * hidden : (d + 1) * hidden]
+            d_p = d_pre[:, :, 3 * d * hidden : 3 * (d + 1) * hidden]
+            dh = h0
+            for i in range(steps - 1, -1, -1):
+                t = order[i]
+                h_prev = states[:, order[i - 1]] if i else h0
+                z, r, c = gates[d, t, :, sz], gates[d, t, :, sr], gates[d, t, :, sc]
+                dh = dh + d_seq[:, t]
+                if mask is None:
+                    dh_new, dh = dh, 0.0
+                else:
+                    keep = valid[:, t, None]
+                    dh_new, dh = np.where(keep, dh, 0.0), np.where(keep, 0.0, dh)
+                dp = d_p[:, t]
+                np.multiply(dh_new * (1.0 - z), 1.0 - c * c, out=dp[:, sc])
+                d_rh = dp[:, sc] @ u_h[d].T
+                d_uh[d] += (r * h_prev).T @ dp[:, sc]
+                np.multiply(dh_new * (h_prev - c), z * (1.0 - z), out=dp[:, sz])
+                np.multiply(d_rh * h_prev, r * (1.0 - r), out=dp[:, sr])
+                d_uzr[d] += h_prev.T @ dp[:, szr]
+                dh = dh + dh_new * z + d_rh * r + dp[:, szr] @ u_zr[d].T
+        if npre is not None:
+            _add_grad(npre, d_pre[valid] if packed else d_pre, fresh=True)
         if nzr is not None:
             _add_grad(nzr, d_uzr, fresh=True)
         if nh is not None:
             _add_grad(nh, d_uh, fresh=True)
-        if nb is not None:
-            _add_grad(nb, d_2d.sum(axis=0), fresh=True)
 
     return _from_op(seq, nodes, _backward)
 

@@ -79,11 +79,10 @@ class Conv2d(Layer):
         fan_out = out_ch * kernel * kernel
         self.kernel = parameter(glorot_uniform(
             rng, (out_ch, in_ch, kernel, kernel), fan_in, fan_out, dtype))
-        self.bias = parameter(np.zeros(out_ch, dtype=dtype))
         self.stride_t = stride_t
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.kernel, self.bias, stride_t=self.stride_t)
+        return ad.conv2d(x, self.kernel, stride_t=self.stride_t)
 
 
 class BatchNorm(Layer):
@@ -117,58 +116,54 @@ class BatchNorm(Layer):
         return out
 
 
-class Gru(Layer):
-    """Single-direction gated recurrent unit with masked scan.
+class BiGru(Layer):
+    """Bidirectional GRU: one input GEMM, then autodiff.gru_scan's recurrence.
 
-    z_t = sigmoid(x_t Wz + h_{t-1} Uz + bz)
-    r_t = sigmoid(x_t Wr + h_{t-1} Ur + br)
-    c_t = tanh(x_t Wh + (r_t * h_{t-1}) Uh + bh)
-    h_t = z_t * h_{t-1} + (1 - z_t) * c_t
-    Frames with mask 0 hold the previous state. The scan is one
-    autodiff.gru_scan node, and the weights are its operands: w [in, 3H]
-    = [Wz | Wr | Wh], u_zr [H, 2H] = [Uz | Ur], u_h [H, H] = Uh and
-    b [3H] = [bz | br | bh]. Each gate block is its own Glorot draw with
-    fan_out H, drawn in the order Wz, Wr, Wh, Uz, Ur, Uh into its block
-    (with rng None, none is drawn).
+    Both directions' gate inputs are one x @ w + b (Appleyard et al. 2016
+    take an RNN's input GEMMs out of its time loop): w [in, 6H] =
+    [Wz | Wr | Wh] forward then backward, b [6H] likewise. u_zr [2, H, 2H]
+    = [Uz | Ur] and u_h [2, H, H] = Uh are the recurrent weights, forward
+    then backward. Each gate block is its own Glorot draw with fan_out H,
+    in the order Wz, Wr, Wh, Uz, Ur, Uh forward, then the same six
+    backward (with rng None, none is drawn).
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
                  dtype=np.float32):
         if hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {hidden}")
-        self.w = parameter(np.empty((in_dim, 3 * hidden), dtype=dtype))
-        self.u_zr = parameter(np.empty((hidden, 2 * hidden), dtype=dtype))
-        self.u_h = parameter(np.empty((hidden, hidden), dtype=dtype))
-        self.b = parameter(np.zeros(3 * hidden, dtype=dtype))
+        self.w = parameter(np.empty((in_dim, 6 * hidden), dtype=dtype))
+        self.b = parameter(np.zeros(6 * hidden, dtype=dtype))
+        self.u_zr = parameter(np.empty((2, hidden, 2 * hidden), dtype=dtype))
+        self.u_h = parameter(np.empty((2, hidden, hidden), dtype=dtype))
         if rng is not None:
-            for block in (np.split(self.w.data, 3, axis=1)
-                          + np.split(self.u_zr.data, 2, axis=1) + [self.u_h.data]):
-                block[...] = glorot_uniform(rng, block.shape, block.shape[0],
-                                            hidden, dtype)
+            for d in range(2):
+                w = self.w.data[:, 3 * d * hidden : 3 * (d + 1) * hidden]
+                for block in (np.split(w, 3, axis=1)
+                              + np.split(self.u_zr.data[d], 2, axis=1)
+                              + [self.u_h.data[d]]):
+                    block[...] = glorot_uniform(rng, block.shape,
+                                                block.shape[0], hidden, dtype)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 reverse: bool = False):
-        """Scan x [B, T, in]; returns (outputs [B, T, hidden], final [B, hidden])."""
-        seq = ad.gru_scan(x, self.w, self.u_zr, self.u_h, self.b, mask=mask,
-                          reverse=reverse)
-        return seq, seq[:, 0 if reverse else -1]
+                 projected: bool = False):
+        """Returns (outputs [B, T, 2H], final states [B, 2H]).
 
-
-class BiGru(Layer):
-    """Forward and backward GRU passes concatenated per time step."""
-
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.fwd = Gru(in_dim, hidden, rng, dtype)
-        self.bwd = Gru(in_dim, hidden, rng, dtype)
-
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None):
-        """Returns (outputs [B, T, 2*hidden], final states [B, 2*hidden])."""
-        out_f, last_f = self.fwd(x, mask=mask, reverse=False)
-        out_b, last_b = self.bwd(x, mask=mask, reverse=True)
-        seq = ad.concat([out_f, out_b], axis=2)
-        final = ad.concat([last_f, last_b], axis=1)
-        return seq, final
+        x is the input [B, T, in], or with a mask [B, T] just the rows
+        [N, in] of the frames where it is nonzero, in (example, frame)
+        order; with projected=True it is x @ w + b already. The final
+        states are the forward states at the last frame and the backward
+        ones at the first.
+        """
+        if not projected:
+            rows = x.reshape(-1, x.shape[-1]) @ self.w + self.b
+            x = rows.reshape(*x.shape[:-1], -1)
+        seq = ad.gru_scan(x, self.u_zr, self.u_h, mask)
+        batch, steps, width = seq.shape
+        # Indexed on every axis, so the result is C-ordered: a transposed
+        # layout would send the next product to another BLAS kernel.
+        ends = np.repeat([steps - 1, 0], width // 2)
+        return seq, seq[np.arange(batch)[:, None], ends, np.arange(width)]
 
 
 class CrossAttention(Layer):

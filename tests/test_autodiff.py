@@ -23,7 +23,6 @@ from sdckws.layers import (
     Conv2d,
     CrossAttention,
     Dense,
-    Gru,
     adam_step,
     glorot_uniform,
     named_tensors,
@@ -46,10 +45,16 @@ def rel_error(analytic, numeric):
 
 
 def column_blocks(array, width):
-    """array's width-wide blocks along its last axis; all of it for None."""
+    """array's width-wide blocks along its last axis; all of it for None.
+
+    A 3-D array is a BiGru's recurrent weights stacked per direction, and
+    each direction is split apart.
+    """
     if width is None:
         return [array]
-    return [array[..., k : k + width] for k in range(0, array.shape[-1], width)]
+    stacks = array if array.ndim == 3 else [array]
+    return [stack[..., k : k + width] for stack in stacks
+            for k in range(0, stack.shape[-1], width)]
 
 
 def numeric_grad(fn, tensor):
@@ -132,8 +137,8 @@ def check_grads(fn, leaves, seed=None):
     probe fixed by seed: a seeded backward on the analytic side and a
     numpy dot on the numeric side. A leaf is a Tensor, scored against
     its own largest gradient, or a (Tensor, width) pair, whose
-    width-wide column blocks (a GRU tensor's gates) are each scored
-    against their own.
+    width-wide column blocks (a GRU tensor's gates, per direction) are
+    each scored against their own.
     """
     leaves = [leaf if isinstance(leaf, tuple) else (leaf, None)
               for leaf in leaves]
@@ -205,15 +210,12 @@ OP_CALLS = {
     "reshape": lambda make: ad.reshape(make((2, 3)), (3, 2)),
     "transpose": lambda make: ad.transpose(make((2, 3)), (1, 0)),
     "take": lambda make: ad.take(make((4, 3)), np.array([0, 2, 2])),
-    "concat": lambda make: ad.concat([make((2, 3)), make((1, 3))]),
     "softmax": lambda make: ad.softmax(make((2, 3))),
-    "conv2d": lambda make: ad.conv2d(make((1, 1, 4, 3)), make((2, 1, 3, 3)),
-                                     make((2,))),
+    "conv2d": lambda make: ad.conv2d(make((1, 1, 4, 3)), make((2, 1, 3, 3))),
     "batch_norm": lambda make: ad.batch_norm(make((2, 2, 3, 2)), make((2,)),
                                              make((2,)))[0],
     "gru_scan": lambda make: ad.gru_scan(
-        make((2, 3, 2)), make((2, 12)), make((4, 8)), make((4, 4)),
-        make((12,))),
+        make((2, 3, 12)), make((2, 2, 4)), make((2, 2, 2))),
     "dropout": lambda make: ad.dropout(make((2, 3)), 0.5, True,
                                        np.random.default_rng(0)),
     "sigmoid_bce": lambda make: ad.sigmoid_bce(make((4,)),
@@ -346,8 +348,7 @@ class TestActivationLifetime:
         assert [a.shape for a in kept if a.shape[-1:] == (7,)] == []
         assert [name for name, ref in watched.items() if ref() is not None] == []
         out.backward(np.ones_like(out.data))
-        for param in (conv1.kernel, conv1.bias, norm.gamma, norm.beta,
-                      conv2.kernel, conv2.bias):
+        for param in (conv1.kernel, norm.gamma, norm.beta, conv2.kernel):
             assert param.grad is not None and np.abs(param.grad).max() > 0
 
 
@@ -456,11 +457,14 @@ class TestReductionsAndShapes:
         out.backward(np.ones_like(out.data))
         np.testing.assert_allclose(table.grad, [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
 
-    def test_concat(self):
+    def test_take_boolean_mask_rows(self):
+        # A boolean key picks each row once; its backward assigns.
         rng = np.random.default_rng(24)
-        a, b = leaf(rng, (2, 3)), leaf(rng, (2, 5))
+        a = leaf(rng, (2, 4, 3))
+        mask = np.array([[True, False, True, True], [False, True, False, False]])
         probe = 25
-        check_grads(lambda: ad.concat([a, b], axis=1), [a, b], probe)
+        check_grads(lambda: a[mask], [a], probe)
+        np.testing.assert_array_equal(a.grad[~mask], 0.0)
 
 
 class TestElementwiseGradients:
@@ -521,10 +525,8 @@ class TestConv2d:
         for stride in (1, 2):
             x = leaf(rng, (2, 3, 7, 5))
             k = leaf(rng, (4, 3, 3, 3))
-            b = leaf(rng, (4,))
             probe = 35
-            check_grads(
-                lambda: ad.conv2d(x, k, b, stride_t=stride), [x, k, b], probe)
+            check_grads(lambda: ad.conv2d(x, k, stride_t=stride), [x, k], probe)
 
     def test_batch_rows_match_single_examples_exactly(self):
         # Each example is its own GEMM, so batch composition cannot move
@@ -532,15 +534,14 @@ class TestConv2d:
         rng = np.random.default_rng(36)
         x = rng.normal(size=(5, 3, 9, 7)).astype(np.float32)
         k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
-        b = Tensor(rng.normal(size=(4,)).astype(np.float32))
         for stride in (1, 2):
             whole = Tensor(x, requires_grad=True)
-            out = ad.conv2d(whole, k, b, stride_t=stride)
+            out = ad.conv2d(whole, k, stride_t=stride)
             probe = rng.normal(size=out.shape).astype(np.float32)
             out.backward(probe)
             for i in range(5):
                 alone = Tensor(x[i : i + 1], requires_grad=True)
-                row = ad.conv2d(alone, k, b, stride_t=stride)
+                row = ad.conv2d(alone, k, stride_t=stride)
                 row.backward(probe[i : i + 1])
                 assert np.array_equal(row.data[0], out.data[i])
                 assert np.array_equal(alone.grad[0], whole.grad[i])
@@ -554,19 +555,18 @@ class TestConv2d:
         monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 5 * row_bytes + 7)
         rng = np.random.default_rng(41)
         k = Tensor(rng.normal(size=(4, 8, 3, 3)).astype(np.float32))
-        b = Tensor(rng.normal(size=(4,)).astype(np.float32))
         for t_in, stride in ((7, 1), (11, 2)):
             x = rng.normal(size=(3, 8, t_in, 360)).astype(np.float32)
             whole = Tensor(x, requires_grad=True)
-            out = ad.conv2d(whole, k, b, stride_t=stride)
-            want = im2col_conv(x, k.data, stride) + b.data[:, None, None]
+            out = ad.conv2d(whole, k, stride_t=stride)
+            want = im2col_conv(x, k.data, stride)
             np.testing.assert_allclose(out.data, want, rtol=0,
                                        atol=1e-6 * np.abs(want).max())
             probe = rng.normal(size=out.shape).astype(np.float32)
             out.backward(probe)
             for i in range(3):
                 alone = Tensor(x[i : i + 1], requires_grad=True)
-                row = ad.conv2d(alone, k, b, stride_t=stride)
+                row = ad.conv2d(alone, k, stride_t=stride)
                 row.backward(probe[i : i + 1])
                 assert np.array_equal(row.data[0], out.data[i])
                 assert np.array_equal(alone.grad[0], whole.grad[i])
@@ -916,9 +916,23 @@ class TestBatchNormOp:
                           np.zeros_like(self.mask))
 
 
+def swapped(gru):
+    """A BiGru whose forward direction is gru's backward one and vice versa."""
+    other = BiGru(*gru.w.shape[:1], gru.u_h.shape[1], None, dtype=gru.w.dtype)
+    half = gru.w.shape[1] // 2
+    for name in ("w", "b"):
+        getattr(other, name).data[:] = np.roll(getattr(gru, name).data, half,
+                                               axis=-1)
+    for name in ("u_zr", "u_h"):
+        getattr(other, name).data[:] = getattr(gru, name).data[::-1]
+    return other
+
+
 class TestGru:
+    """Each direction of a BiGru against the GRU equations."""
+
     def test_zero_params_give_zero_outputs(self):
-        gru = Gru(3, 4, np.random.default_rng(12), dtype=np.float64)
+        gru = BiGru(3, 4, np.random.default_rng(12), dtype=np.float64)
         for p in named_tensors(gru, "g", Tensor).values():
             p.data[:] = 0.0
         x = Tensor(np.random.default_rng(13).normal(size=(2, 6, 3)))
@@ -928,57 +942,67 @@ class TestGru:
 
     def test_single_step_matches_equations(self):
         rng = np.random.default_rng(14)
-        gru = Gru(3, 4, rng, dtype=np.float64)
+        gru = BiGru(3, 4, rng, dtype=np.float64)
         x = rng.normal(size=(2, 1, 3))
-        gru.b.data[:] = rng.normal(size=12)  # so the bias blocks' order shows
+        gru.b.data[:] = rng.normal(size=24)  # so the bias blocks' order shows
         outputs, final = gru(Tensor(x))
-        # With h0 = 0: z = sig(xWz + bz), c = tanh(xWh + bh), h = (1 - z) c.
-        z = 1.0 / (1.0 + np.exp(-(x[:, 0] @ gru.w.data[:, :4] + gru.b.data[:4])))
-        c = np.tanh(x[:, 0] @ gru.w.data[:, 8:] + gru.b.data[8:])
-        np.testing.assert_allclose(final.data, (1.0 - z) * c, atol=1e-12)
+        w, b = gru.w.data, gru.b.data
+        for d in (0, 1):
+            # With h0 = 0: z = sig(xWz + bz), c = tanh(xWh + bh), h = (1 - z) c.
+            zs, cs = slice(12 * d, 12 * d + 4), slice(12 * d + 8, 12 * d + 12)
+            z = 1.0 / (1.0 + np.exp(-(x[:, 0] @ w[:, zs] + b[zs])))
+            c = np.tanh(x[:, 0] @ w[:, cs] + b[cs])
+            np.testing.assert_allclose(final.data[:, 4 * d : 4 * d + 4],
+                                       (1.0 - z) * c, atol=1e-12)
         np.testing.assert_allclose(outputs.data[:, 0], final.data, atol=1e-12)
 
     def test_reverse_on_single_step_matches_forward(self):
         rng = np.random.default_rng(15)
-        gru = Gru(3, 4, rng, dtype=np.float64)
+        gru = BiGru(3, 4, rng, dtype=np.float64)
         x = Tensor(rng.normal(size=(2, 1, 3)))
-        fwd, _ = gru(x, reverse=False)
-        bwd, _ = gru(x, reverse=True)
-        np.testing.assert_allclose(fwd.data, bwd.data, atol=1e-12)
+        fwd, _ = swapped(gru)(x)
+        bwd, _ = gru(x)
+        np.testing.assert_allclose(fwd.data[..., :4], bwd.data[..., 4:],
+                                   atol=1e-12)
 
     def test_reverse_is_time_flip(self):
         rng = np.random.default_rng(16)
-        gru = Gru(3, 4, rng, dtype=np.float64)
+        gru = BiGru(3, 4, rng, dtype=np.float64)
         x = rng.normal(size=(2, 5, 3))
-        rev, _ = gru(Tensor(x), reverse=True)
-        flipped, _ = gru(Tensor(x[:, ::-1].copy()), reverse=False)
-        np.testing.assert_allclose(rev.data, flipped.data[:, ::-1], atol=1e-12)
+        rev, _ = gru(Tensor(x))
+        flipped, _ = swapped(gru)(Tensor(x[:, ::-1].copy()))
+        np.testing.assert_allclose(rev.data[..., 4:],
+                                   flipped.data[:, ::-1, :4], atol=1e-12)
 
     def test_masked_steps_hold_state(self):
         rng = np.random.default_rng(17)
-        gru = Gru(3, 4, rng, dtype=np.float64)
+        gru = BiGru(3, 4, rng, dtype=np.float64)
         x = Tensor(rng.normal(size=(1, 6, 3)))
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
         outputs, final = gru(x, mask=mask)
         for t in (3, 4, 5):
-            np.testing.assert_array_equal(outputs.data[:, t], outputs.data[:, 2])
-        np.testing.assert_array_equal(final.data, outputs.data[:, 2])
+            np.testing.assert_array_equal(outputs.data[:, t, :4],
+                                          outputs.data[:, 2, :4])
+        # The backward direction holds its zero start through the padding.
+        np.testing.assert_array_equal(outputs.data[:, 3:, 4:], 0.0)
+        np.testing.assert_array_equal(final.data[:, :4], outputs.data[:, 2, :4])
+        np.testing.assert_array_equal(final.data[:, 4:], outputs.data[:, 0, 4:])
 
     def test_padding_does_not_change_real_frames(self):
         rng = np.random.default_rng(18)
-        gru = Gru(3, 4, rng, dtype=np.float64)
+        gru = BiGru(3, 4, rng, dtype=np.float64)
         x = rng.normal(size=(1, 4, 3))
-        out_short, _ = gru(Tensor(x), mask=np.ones((1, 4)))
+        out_short, final_short = gru(Tensor(x), mask=np.ones((1, 4)))
         padded = np.concatenate([x, rng.normal(size=(1, 3, 3))], axis=1)
         mask = np.array([[1.0] * 4 + [0.0] * 3])
         out_padded, final = gru(Tensor(padded), mask=mask)
         np.testing.assert_allclose(out_padded.data[:, :4], out_short.data,
                                    atol=1e-12)
-        np.testing.assert_allclose(final.data, out_short.data[:, -1], atol=1e-12)
+        np.testing.assert_allclose(final.data, final_short.data, atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(19)
-        gru = Gru(2, 3, rng, dtype=np.float64)
+        gru = BiGru(2, 3, rng, dtype=np.float64)
         x = leaf(np.random.default_rng(20), (2, 4, 2))
         probe = 21
         leaves = [x] + [(p, 3) for p in
@@ -988,98 +1012,124 @@ class TestGru:
     @pytest.mark.parametrize("seed", [30, 31])
     def test_each_gate_block_is_its_own_glorot_draw(self, seed):
         # fan_out is H per gate: a [in, 3H] draw with fan_out 3H has a
-        # smaller limit and other values.
-        gru = Gru(5, 4, np.random.default_rng(seed))
+        # smaller limit and other values. Forward Wz, Wr, Wh, Uz, Ur, Uh
+        # are drawn first, then the backward six.
+        gru = BiGru(5, 4, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        w = [glorot_uniform(rng, (5, 4), 5, 4) for _ in range(3)]
-        u = [glorot_uniform(rng, (4, 4), 4, 4) for _ in range(3)]
-        blocks = column_blocks(gru.w.data, 4) + column_blocks(gru.u_zr.data, 4)
-        for got, want in zip(blocks + [gru.u_h.data], w + u):
-            np.testing.assert_array_equal(got, want)
+        w, u = [], []
+        for _ in range(2):
+            w += [glorot_uniform(rng, (5, 4), 5, 4) for _ in range(3)]
+            u += [glorot_uniform(rng, (4, 4), 4, 4) for _ in range(3)]
+        np.testing.assert_array_equal(gru.w.data, np.concatenate(w, axis=1))
+        for d in (0, 1):
+            np.testing.assert_array_equal(
+                gru.u_zr.data[d], np.concatenate(u[3 * d : 3 * d + 2], axis=1))
+            np.testing.assert_array_equal(gru.u_h.data[d], u[3 * d + 2])
         assert [p.shape for p in named_tensors(gru, "g", Tensor).values()] == [
-            (5, 12), (4, 8), (4, 4), (12,)]
+            (5, 24), (24,), (2, 4, 8), (2, 4, 4)]
         np.testing.assert_array_equal(gru.b.data, 0.0)
 
     def test_rejects_2d_input(self):
-        gru = Gru(2, 3, np.random.default_rng(22))
+        gru = BiGru(2, 3, np.random.default_rng(22))
         with pytest.raises(ShapeError):
             gru(Tensor(np.ones((4, 2))))
 
 
-def scan_inputs(rng, shape, hidden, x_grad=True, param_grad=True):
-    """x [B, T, in] and the float64 operands (w, u_zr, u_h, b) of gru_scan.
+def scan_inputs(rng, shape, hidden, pre_grad=True, param_grad=True):
+    """float64 operands (pre, u_zr, u_h) of gru_scan for pre [B, T, 6H].
 
-    Each H-wide gate block is its own normal draw, in the order of the
-    gates' weights, recurrent weights and biases.
+    pre is [B, T, 6H] for shape (B, T); the recurrent weights are normal
+    draws, each H-wide gate block scaled alike.
     """
-    x = Tensor(rng.normal(size=shape), requires_grad=x_grad)
-    gates = lambda *s: [0.5 * rng.normal(size=s) for _ in range(3)]
-    w, u, b = gates(shape[2], hidden), gates(hidden, hidden), gates(hidden)
-    operands = (np.concatenate(w, axis=1), np.concatenate(u[:2], axis=1),
-                u[2], np.concatenate(b))
-    return (x, *(Tensor(a, requires_grad=param_grad) for a in operands))
+    pre = Tensor(rng.normal(size=shape + (6 * hidden,)), requires_grad=pre_grad)
+    u_zr = 0.5 * rng.normal(size=(2, hidden, 2 * hidden))
+    u_h = 0.5 * rng.normal(size=(2, hidden, hidden))
+    return (pre, *(Tensor(a, requires_grad=param_grad) for a in (u_zr, u_h)))
 
 
 class TestGruScan:
     MASK = np.array([[1.0, 0.0, 1.0, 1.0, 0.0],
                      [1.0, 1.0, 1.0, 1.0, 1.0]])
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gradients_with_partial_mask(self, reverse):
-        x, *params = scan_inputs(np.random.default_rng(60), (2, 5, 3), 4)
-        check_grads(lambda: ad.gru_scan(x, *params, self.MASK, reverse),
-                    [x, *((p, 4) for p in params)], 61)
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_gradients_with_partial_mask(self, packed):
+        pre, *params = scan_inputs(np.random.default_rng(60), (2, 5), 4)
+        if packed:  # only the valid frames' rows
+            pre = Tensor(pre.data[self.MASK > 0], requires_grad=True)
+        check_grads(lambda: ad.gru_scan(pre, *params, self.MASK),
+                    [(pre, 4), *((p, 4) for p in params)], 61)
 
     def test_gradient_to_input_only(self):
-        x, *params = scan_inputs(np.random.default_rng(62), (2, 5, 3), 4,
-                                 param_grad=False)
-        check_grads(lambda: ad.gru_scan(x, *params, self.MASK), [x], 63)
+        pre, *params = scan_inputs(np.random.default_rng(62), (2, 5), 4,
+                                   param_grad=False)
+        check_grads(lambda: ad.gru_scan(pre, *params, self.MASK), [pre], 63)
         assert all(p.grad is None for p in params)
 
     def test_gradient_to_params_only(self):
-        x, *params = scan_inputs(np.random.default_rng(64), (2, 5, 3), 4,
-                                 x_grad=False)
-        check_grads(lambda: ad.gru_scan(x, *params, self.MASK, True),
+        pre, *params = scan_inputs(np.random.default_rng(64), (2, 5), 4,
+                                   pre_grad=False)
+        check_grads(lambda: ad.gru_scan(pre, *params, self.MASK),
                     [(p, 4) for p in params], 65)
-        assert x.grad is None
+        assert pre.grad is None
+
+    def test_valid_rows_match_the_padded_input(self):
+        # Rows of the valid frames only, or every frame with padded rows
+        # of any value: the states are the same, and the padded rows'
+        # gradient is exactly zero.
+        pre, *params = scan_inputs(np.random.default_rng(70), (2, 5), 4)
+        valid = self.MASK > 0
+        rows = Tensor(pre.data[valid], requires_grad=True)
+        full = ad.gru_scan(pre, *params, self.MASK)
+        packed = ad.gru_scan(rows, *params, self.MASK)
+        np.testing.assert_array_equal(full.data, packed.data)
+        probe = np.random.default_rng(71).normal(size=full.shape)
+        full.backward(probe)
+        packed.backward(probe)
+        np.testing.assert_array_equal(pre.grad[~valid], 0.0)
+        np.testing.assert_array_equal(pre.grad[valid], rows.grad)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_batch_rows_match_single_examples_exactly(self, reverse):
         # A width of 64 is where numpy's one-row (gemv) and batched (gemm)
-        # products round differently.
+        # products round differently. reverse pads the batch at the
+        # front of the backward direction's scan instead of the forward's.
         rng = np.random.default_rng(66)
-        x, *params = scan_inputs(rng, (3, 6, 5), 64)
-        x.data = x.data.astype(np.float32)
+        pre, *params = scan_inputs(rng, (3, 6), 64)
+        pre.data = pre.data.astype(np.float32)
         for p in params:
             p.data = p.data.astype(np.float32)
         mask = np.ones((3, 6))
         mask[1, 4:] = 0.0
-        together = ad.gru_scan(x, *params, mask, reverse).data
+        if reverse:
+            pre.data, mask = pre.data[:, ::-1].copy(), mask[:, ::-1].copy()
+        together = ad.gru_scan(pre, *params, mask).data
         for i in range(3):
-            alone = ad.gru_scan(Tensor(x.data[i : i + 1]), *params,
-                                mask[i : i + 1], reverse).data
+            alone = ad.gru_scan(Tensor(pre.data[i : i + 1]), *params,
+                                mask[i : i + 1]).data
             np.testing.assert_array_equal(together[i], alone[0])
 
     def test_no_grad_records_no_backward(self):
-        x, *params = scan_inputs(np.random.default_rng(67), (2, 5, 3), 4)
+        pre, *params = scan_inputs(np.random.default_rng(67), (2, 5), 4)
         with no_grad():
-            out = ad.gru_scan(x, *params, self.MASK)
+            out = ad.gru_scan(pre, *params, self.MASK)
         assert not out.requires_grad
         assert out._backward_fn is None
         assert out._parents == ()
 
     def test_grads_share_no_memory(self):
-        x, *params = scan_inputs(np.random.default_rng(68), (2, 5, 3), 4)
-        ad.gru_scan(x, *params).backward(np.ones((2, 5, 4)))
-        grads = [t.grad for t in (x, *params)]
+        pre, *params = scan_inputs(np.random.default_rng(68), (2, 5), 4)
+        ad.gru_scan(pre, *params).backward(np.ones((2, 5, 8)))
+        grads = [t.grad for t in (pre, *params)]
         for i, first in enumerate(grads):
             for second in grads[i + 1:]:
                 assert not np.shares_memory(first, second)
 
     def test_rejects_mask_of_wrong_shape(self):
-        x, *params = scan_inputs(np.random.default_rng(69), (2, 5, 3), 4)
+        pre, *params = scan_inputs(np.random.default_rng(69), (2, 5), 4)
         with pytest.raises(ShapeError):
-            ad.gru_scan(x, *params, np.ones((2, 4)))
+            ad.gru_scan(pre, *params, np.ones((2, 4)))
+        with pytest.raises(ShapeError):  # rows for a frame the mask drops
+            ad.gru_scan(Tensor(pre.data[0]), *params, self.MASK)
 
 
 class TestBiGru:
@@ -1100,12 +1150,18 @@ class TestBiGru:
                                    atol=1e-12)
         np.testing.assert_allclose(final.data[:, 4:], outputs.data[:, 0, 4:],
                                    atol=1e-12)
+        # A transposed layout would send the next GEMM (the discriminator's
+        # dense_out) to another BLAS kernel, which rounds differently.
+        assert final.data.flags.c_contiguous
 
     def test_single_step_directions_agree_with_shared_params(self):
         rng = np.random.default_rng(25)
         bigru = BiGru(3, 4, rng, dtype=np.float64)
-        for name in ("w", "u_zr", "u_h", "b"):
-            getattr(bigru.bwd, name).data[:] = getattr(bigru.fwd, name).data
+        bigru.w.data[:, 12:] = bigru.w.data[:, :12]
+        bigru.b.data[12:] = rng.normal(size=12)
+        bigru.b.data[:12] = bigru.b.data[12:]
+        bigru.u_zr.data[1] = bigru.u_zr.data[0]
+        bigru.u_h.data[1] = bigru.u_h.data[0]
         x = Tensor(rng.normal(size=(2, 1, 3)))
         outputs, _ = bigru(x)
         np.testing.assert_allclose(outputs.data[:, :, :4], outputs.data[:, :, 4:],
@@ -1119,6 +1175,30 @@ class TestBiGru:
         leaves = [x] + [(p, 2) for p in
                         named_tensors(bigru, "b", Tensor).values()]
         check_grads(lambda: bigru(x)[0], leaves, probe)
+
+    def test_valid_rows_are_all_it_projects(self):
+        # Given the valid frames' rows [N, in], the layer gives what the
+        # padded input [B, T, in] gives, and the padded frames' input
+        # gradient is exactly zero.
+        rng = np.random.default_rng(29)
+        bigru = BiGru(3, 4, rng, dtype=np.float64)
+        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        x = leaf(rng, (2, 4, 3))
+        rows = Tensor(x.data[mask > 0], requires_grad=True)
+        (seq, final), (seq_rows, final_rows) = bigru(x, mask), bigru(rows, mask)
+        np.testing.assert_allclose(seq_rows.data, seq.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final_rows.data, final.data, rtol=0,
+                                   atol=1e-12)
+        probe = rng.normal(size=seq.shape)
+        (seq * probe).backward(np.ones(seq.shape))
+        (seq_rows * probe).backward(np.ones(seq.shape))
+        np.testing.assert_array_equal(x.grad[1 - mask > 0], 0.0)
+        np.testing.assert_allclose(rows.grad, x.grad[mask > 0], rtol=0,
+                                   atol=1e-12)
+        probe = 30
+        leaves = [(rows, None)] + [(p, 4) for p in
+                                   named_tensors(bigru, "b", Tensor).values()]
+        check_grads(lambda: bigru(rows, mask)[0], leaves, probe)
 
 
 def attention_weights(monkeypatch, att, query, memory, key_mask=None):

@@ -15,6 +15,7 @@ import pytest
 from sdckws import cli
 from sdckws.data import SAMPLE_RATE, load_manifest, write_wav
 from sdckws.dsp import Waveform
+from sdckws.errors import FormatError
 from sdckws.features import read_features
 from sdckws.model import load_checkpoint, save_checkpoint
 from test_metrics import read_scores
@@ -480,7 +481,7 @@ class TestEval:
         # Version 1 held each GRU gate's weights as a tensor of its own;
         # such a file stops at the header, not at a missing tensor.
         blob = bytearray(workspace["ckpt"].read_bytes())
-        assert blob[4:6] == struct.pack("<H", 2)
+        assert blob[4:6] == struct.pack("<H", 3)
         blob[4:6] = struct.pack("<H", 1)
         old = tmp_path / "v1.kwsm"
         old.write_bytes(bytes(blob))
@@ -489,6 +490,21 @@ class TestEval:
         assert result.returncode == 1
         assert "v1.kwsm: unsupported version 1" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_version_2_checkpoint_is_runtime_error(self, workspace, tmp_path):
+        # Version 2 held each GRU direction as its own layer and the convs'
+        # biases; it stops at the header too.
+        blob = bytearray(workspace["ckpt"].read_bytes())
+        blob[4:6] = struct.pack("<H", 2)
+        old = tmp_path / "v2.kwsm"
+        old.write_bytes(bytes(blob))
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", old)
+        assert result.returncode == 1
+        assert "v2.kwsm: unsupported version 2" in result.stderr
+        assert "Traceback" not in result.stderr
+        with pytest.raises(FormatError, match="unsupported version 2"):
+            load_checkpoint(old)
 
     def test_overflowing_tensor_shape_is_runtime_error(self, workspace,
                                                        tmp_path):

@@ -31,7 +31,7 @@ from sdckws.errors import (
     ShapeError,
 )
 from sdckws.features import FeatureKind, FrontEndConfig, SdcConfig
-from sdckws.layers import Adam
+from sdckws.layers import Adam, BiGru, glorot_uniform
 from sdckws.model import (
     ARCH_KEYS,
     CONFIG_KEYS,
@@ -205,6 +205,31 @@ def default_model():
     return KwsModel(ModelConfig(seed=1))
 
 
+@pytest.fixture(scope="module")
+def alone_audio(default_model):
+    """40 one-second sdc clips and each one's eval audio embedding alone."""
+    feats = np.random.default_rng(9).normal(
+        size=(40, 98, 360)).astype(np.float32)
+    with ad.no_grad():
+        alone = [default_model.audio_encode(f[None], [98])[0].data[0]
+                 for f in feats]
+    return feats, alone
+
+
+def capture_projected(monkeypatch):
+    """What each BiGru call given its pre-activations receives, in order."""
+    captured = []
+    call = BiGru.__call__
+
+    def capture(layer, x, mask=None, projected=False):
+        if projected:
+            captured.append(x.data.copy())
+        return call(layer, x, mask, projected)
+
+    monkeypatch.setattr(BiGru, "__call__", capture)
+    return captured
+
+
 class TestFullSizeShapes:
     def test_audio_embedding(self, default_model):
         feats = np.random.default_rng(0).normal(size=(1, 98, 360)).astype(np.float32)
@@ -263,13 +288,16 @@ class TestFullSizeShapes:
         assert peak <= 2 * activation + frame + 2 * 2**20
 
     def test_eval_conv_stack_runs_one_example_at_a_time(self, default_model):
-        # Under no_grad the conv stack runs per example into gru_a1's
-        # [8, 49, 32 * 360] input, so the peak is that array, two
-        # one-example activations and one padded frame: less than the
-        # two batch activations a batch-wide stack holds.
+        # Under no_grad the conv stack runs per example, and its rows go
+        # through gru_a1's projection in chunks, so the peak is one chunk
+        # of gru_a1's input (all 392 rows here), the [8, 49, 6H]
+        # pre-activations, two one-example activations and one padded
+        # frame: less than the two batch activations a batch-wide stack
+        # holds.
         feats = np.random.default_rng(4).normal(
             size=(8, 98, 360)).astype(np.float32)
-        gru_input = 8 * 49 * 32 * 360 * 4
+        chunk = min(model_module.GRU_CHUNK_ROWS, 8 * 49) * 32 * 360 * 4
+        pre = 8 * 49 * 6 * 64 * 4
         activation = 32 * 49 * 360 * 4
         frame = 32 * 51 * 362 * 4
         gc.collect()
@@ -280,20 +308,34 @@ class TestFullSizeShapes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= gru_input + 2 * activation + frame + 2 * 2**20
+        assert peak <= chunk + pre + 2 * activation + frame + 2 * 2**20
+
+    def test_eval_peak_holds_one_chunk_of_gru_a1_input(self, default_model):
+        # At batch 32, gru_a1's [32, 49, 32 * 360] input would be 72 MB;
+        # eval holds one GRU_CHUNK_ROWS chunk of it, the [32, 49, 6H]
+        # pre-activations, and the conv stack's two one-example
+        # activations and padded frame.
+        feats = np.random.default_rng(6).normal(
+            size=(32, 98, 360)).astype(np.float32)
+        chunk = model_module.GRU_CHUNK_ROWS * 32 * 360 * 4
+        pre = 32 * 49 * 6 * 64 * 4
+        conv_stack = 2 * 32 * 49 * 360 * 4 + 32 * 51 * 362 * 4
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                default_model.audio_encode(feats, [98] * 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunk < 32 * 49 * 32 * 360 * 4 / 2
+        assert peak <= chunk + pre + conv_stack + 2 * 2**20
 
     def test_eval_conv_stack_is_exact_per_example(self, default_model,
                                                   monkeypatch):
-        # gru_a1's input for a padded batch holds, row for row, what each
-        # example gives alone, and exact zeros past its length.
-        captured = []
-        gru_a1 = default_model.gru_a1
-
-        def capture(h, mask):
-            captured.append(h.data.copy())
-            return gru_a1(h, mask=mask)
-
-        monkeypatch.setattr(default_model, "gru_a1", capture)
+        # gru_a1's pre-activations for a padded batch hold, row for row,
+        # what each example gives alone, and exact zeros past its length.
+        captured = capture_projected(monkeypatch)
         rng = np.random.default_rng(5)
         lengths = [98, 37, 5, 60, 1]
         feats = np.zeros((len(lengths), 98, 360), dtype=np.float32)
@@ -304,10 +346,44 @@ class TestFullSizeShapes:
             for i, n in enumerate(lengths):
                 default_model.audio_encode(feats[i : i + 1, :n], [n])
         together, alone = captured[0], captured[1:]
+        assert together.shape == (5, 49, 6 * 64)
         for i, n in enumerate(lengths):
             rows = strided_length(n, 2)
             assert np.array_equal(together[i, :rows], alone[i][0]), i
             assert not together[i, rows:].any(), i
+
+    def test_one_row_chunk_matches_one_whole_batch_gemm(self, default_model,
+                                                        monkeypatch):
+        # Full 1 s clips fill the first chunk, and a 1-frame clip is left
+        # as the last chunk's only row. A one-row GEMM would go to gemv and
+        # round that row unlike the batch projected as one chunk.
+        captured = capture_projected(monkeypatch)
+        full, rest = divmod(model_module.GRU_CHUNK_ROWS, 49)
+        lengths = [98] * full + ([2 * rest] if rest else []) + [1]
+        rng = np.random.default_rng(8)
+        feats = np.zeros((len(lengths), 98, 360), dtype=np.float32)
+        for i, n in enumerate(lengths):
+            feats[i, :n] = rng.normal(size=(n, 360))
+        with ad.no_grad():
+            default_model.audio_encode(feats, lengths)
+            monkeypatch.setattr(model_module, "GRU_CHUNK_ROWS", 10**6)
+            default_model.audio_encode(feats, lengths)
+        chunked, whole = captured
+        assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("size", [1, 3, 8, 9, 17, 32, 40])
+    def test_eval_audio_rows_match_single_examples(self, default_model,
+                                                   alone_audio, size):
+        # Batch sizes that put the gru_a1 chunk boundaries at different
+        # rows, and inside examples, leave every audio embedding as it is
+        # for the clip alone.
+        feats, want = alone_audio
+        with ad.no_grad():
+            for start in range(0, len(feats), size):
+                part = feats[start : start + size]
+                embed, _ = default_model.audio_encode(part, [98] * len(part))
+                for i, row in enumerate(embed.data, start):
+                    assert np.array_equal(row, want[i]), (size, i)
 
     @pytest.mark.parametrize("lengths", [[25, 20], [20, 0], [20]])
     def test_bad_lengths_are_a_shape_error(self, default_model, lengths):
@@ -323,13 +399,66 @@ class TestFullSizeShapes:
 
     def test_parameter_inventory(self, default_model):
         params = default_model.named_params()
-        assert len(params) == 55
+        assert len(params) == 37
         assert all(p.data.dtype == np.float32 for p in params.values())
         assert params["text.embed.table"].shape == (28, 512)
         assert set(default_model.named_buffers()) == {
             "audio.bn1.running_mean", "audio.bn1.running_var",
             "audio.bn2.running_mean", "audio.bn2.running_var",
         }
+
+    def test_fresh_weights_are_the_per_direction_draws(self, default_model):
+        # Each BiGru's fused w [in, 6H] and b [6H] hold, forward gates then
+        # backward ones, what separate per-direction layers drew from the
+        # same generator: conv kernels, then each GRU direction's Wz, Wr,
+        # Wh, Uz, Ur, Uh, then the dense and embedding weights, in
+        # construction order. Biases start at zero and draw nothing.
+        cfg = default_model.cfg
+        rng = np.random.default_rng(cfg.seed)
+        ch, hidden, width = cfg.conv_filters, cfg.gru_hidden, cfg.feature_width
+
+        def kernel(c_in):
+            return glorot_uniform(rng, (ch, c_in, 3, 3), c_in * 9, ch * 9)
+
+        def gru(in_dim, size):
+            w, u = [], []
+            for _ in range(2):
+                w += [glorot_uniform(rng, (in_dim, size), in_dim, size)
+                      for _ in range(3)]
+                u += [glorot_uniform(rng, (size, size), size, size)
+                      for _ in range(3)]
+            return {"w": np.concatenate(w, axis=1),
+                    "u_zr": np.stack([np.concatenate(u[:2], axis=1),
+                                      np.concatenate(u[3:5], axis=1)]),
+                    "u_h": np.stack([u[2], u[5]])}
+
+        def dense(in_dim, out_dim):
+            return {"weight": glorot_uniform(rng, (in_dim, out_dim), in_dim,
+                                             out_dim)}
+
+        want = {"audio.conv1": {"kernel": kernel(1)},
+                "audio.conv2": {"kernel": kernel(ch)},
+                "audio.gru1": gru(ch * width, hidden),
+                "audio.gru2": gru(2 * hidden, hidden),
+                "audio.dense": dense(2 * hidden, cfg.embed_dim)}
+        want["text.embed"] = {"table": glorot_uniform(
+            rng, (len(ALPHABET), cfg.char_embed_dim), len(ALPHABET),
+            cfg.char_embed_dim)}
+        want["text.gru"] = gru(cfg.char_embed_dim, hidden)
+        want["text.dense"] = dense(2 * hidden, cfg.embed_dim)
+        for proj in ("q_proj", "k_proj", "v_proj", "out_proj"):
+            want[f"extract.attn.{proj}"] = dense(cfg.embed_dim, cfg.embed_dim)
+        want["disc.gru"] = gru(cfg.embed_dim, cfg.disc_hidden)
+        want["disc.dense"] = dense(2 * cfg.disc_hidden, 1)
+        params = default_model.named_params()
+        drawn = {f"{prefix}.{name}": array for prefix, arrays in want.items()
+                 for name, array in arrays.items()}
+        for name, array in drawn.items():
+            assert np.array_equal(params[name].data, array), name
+        for name in set(params) - set(drawn):
+            assert not params[name].data.any() or name.endswith(".gamma"), name
+        for prefix in ("audio.gru1", "audio.gru2", "text.gru", "disc.gru"):
+            assert not params[f"{prefix}.b"].data.any()
 
 
 def random_batch(rng, width, sizes=(5, 9), token_counts=(3, 2)):
@@ -411,17 +540,18 @@ class TestSmallModel:
         # The attention key bias cancels inside softmax; everything else
         # must receive signal.
         assert len(flowing) >= len(params) - 1
-        # So must every gate block of each GRU tensor: a stacked tensor
-        # would otherwise hide a dead gate.
+        # So must every gate block of each GRU tensor, in each direction:
+        # a stacked tensor would otherwise hide a dead gate.
         dead_gates = []
         for name, p in params.items():
             gru = name.rpartition(".")[0]
             if f"{gru}.u_h" not in params:
                 continue
-            hidden = params[f"{gru}.u_h"].shape[0]
-            for k in range(0, p.shape[-1], hidden):
-                if not np.abs(p.grad[..., k : k + hidden]).max() > 0:
-                    dead_gates.append((name, k // hidden))
+            hidden = params[f"{gru}.u_h"].shape[-1]
+            for d, grad in enumerate(p.grad if p.ndim == 3 else [p.grad]):
+                for k in range(0, grad.shape[-1], hidden):
+                    if not np.abs(grad[..., k : k + hidden]).max() > 0:
+                        dead_gates.append((name, d, k // hidden))
         assert dead_gates == []
 
     def test_overfits_a_tiny_set(self):
@@ -587,11 +717,11 @@ class TestCheckpointFile:
     @pytest.mark.parametrize("key, value, tensor", [
         ("conv_filters", "5", "audio.conv1.kernel"),
         ("kernel", "5", "audio.conv1.kernel"),
-        ("num_mel", "13", "audio.gru1.fwd.w"),
-        ("gru_hidden", "7", "audio.gru1.fwd.w"),
+        ("num_mel", "13", "audio.gru1.w"),
+        ("gru_hidden", "7", "audio.gru1.w"),
         ("char_embed_dim", "17", "text.embed.table"),
         ("embed_dim", "12899", "extract.attn.q_proj.weight"),
-        ("disc_hidden", "6", "disc.gru.fwd.u_h"),
+        ("disc_hidden", "6", "disc.gru.u_h"),
     ])
     def test_block_checked_against_tensors_before_weights_are_drawn(
             self, monkeypatch, key, value, tensor):
