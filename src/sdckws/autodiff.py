@@ -12,8 +12,9 @@ caller drops its Tensor. A leaf that requires grad is its own node, so
 its gradient lands in its .grad. The op set is exactly what the
 matcher's training loss reaches, and a test walks that loss's graph to
 keep it so: broadcasting add and mul, matmul, the shape moves reshape,
-transpose and take, softmax, 2-D convolution, masked batch norm (one
-node, with the closed-form backward), the masked bidirectional GRU
+transpose and take, softmax, 2-D convolution and batch norm over the
+examples' packed valid frames (batch norm is one node, with the
+closed-form backward), the masked bidirectional GRU
 recurrence (one node, with hand-written backpropagation through time),
 dropout, and the fused sigmoid + mean binary cross-entropy loss.
 """
@@ -305,17 +306,13 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def take(a: Tensor, key) -> Tensor:
-    """a[key]. A boolean-array key picks each entry at most once, so its
-    backward assigns where np.add.at, several times slower, adds."""
+    """a[key]; backward adds the gradient back with np.add.at, so an entry
+    picked twice gets both gradients."""
     na = _grad_node(a)
-    unique = isinstance(key, np.ndarray) and key.dtype == bool
 
     def _backward(grad):
         scattered = np.zeros(na.shape, dtype=na.dtype)
-        if unique:
-            scattered[key] = grad
-        else:
-            np.add.at(scattered, key, grad)
+        np.add.at(scattered, key, grad)
         _add_grad(na, scattered, fresh=True)
 
     return _from_op(a.data[key], (na,), _backward)
@@ -334,26 +331,29 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(probs, (na,), _backward)
 
 
-def _row_blocks(x, kh, kw, stride_t, t_out, dilate=1):
-    """im2col of unpadded x [B, C, T, F] in blocks of output rows.
+def _row_blocks(x, lengths, out_lengths, kh, kw, stride_t, dilate=1):
+    """im2col of packed x [C, N, F] in blocks of output rows.
 
-    Each example is copied in turn into one reused zeroed frame, its
-    rows dilate apart (the input gradient's zero-stuffed output
-    gradient) after kh // 2 rows and kw // 2 columns of zeros. For each
-    block of output rows, every stride_t-th frame row, the kh x kw
-    windows are copied into one reused [C * kh * kw, n * F] block (rows
-    ordered channel, kernel row, kernel column, as kernel.reshape(ch_out,
-    -1)), and (i, rows, cols) is yielded: rows is the slice of output
+    x holds the examples' frames back to back, lengths[i] of them for
+    example i, which gives out_lengths[i] output rows. Each example is
+    copied in turn into one reused zeroed frame, its rows dilate apart
+    (the input gradient's zero-stuffed output gradient) after kh // 2
+    rows and kw // 2 columns of zeros; the rows past its end that an
+    earlier, longer example wrote are zeroed again. For each block of
+    output rows, every stride_t-th frame row, the kh x kw windows are
+    copied into one reused [C * kh * kw, n * F] block (rows ordered
+    channel, kernel row, kernel column, as kernel.reshape(ch_out, -1)),
+    and (rows, cols) is yielded: rows is the slice of the packed output
     rows, cols the block's first n * F columns, valid until the next
     yield. A block holds as many rows as fit CONV_BLOCK_BYTES, so the
     copy and the GEMM run from cache; neither it nor the frame grows
     with the batch.
     """
-    batch, ch_in, t_in, f_in = x.shape
+    ch_in, _, f_in = x.shape
     pad_t, pad_f = kh // 2, kw // 2
-    height = max(dilate * (t_in - 1), stride_t * (t_out - 1)) + 1 + 2 * pad_t
+    t_out = max(out_lengths)
+    height = max(dilate * (max(lengths) - 1), stride_t * (t_out - 1)) + 1 + 2 * pad_t
     frame = np.zeros((ch_in, height, f_in + 2 * pad_f), dtype=x.dtype)
-    inner = frame[:, pad_t : pad_t + dilate * t_in : dilate, pad_f : pad_f + f_in]
     sc, st, sf = frame.strides
     windows = np.lib.stride_tricks.as_strided(
         frame,
@@ -365,39 +365,44 @@ def _row_blocks(x, kh, kw, stride_t, t_out, dilate=1):
     size = min(t_out, max(1, CONV_BLOCK_BYTES // (depth * f_in * x.itemsize)))
     block = np.empty((ch_in, kh, kw, size, f_in), dtype=x.dtype)
     block_2d = block.reshape(depth, -1)
-    for i in range(batch):
-        inner[...] = x[i]
-        for t0 in range(0, t_out, size):
-            n = min(size, t_out - t0)
+    start = out_start = 0
+    for n_in, n_out in zip(lengths, out_lengths):
+        end = pad_t + dilate * (n_in - 1) + 1
+        frame[:, pad_t:end:dilate, pad_f : pad_f + f_in] = x[:, start : start + n_in]
+        frame[:, end : stride_t * (n_out - 1) + kh] = 0.0
+        for t0 in range(0, n_out, size):
+            n = min(size, n_out - t0)
             np.copyto(block[:, :, :, :n], windows[:, :, :, t0 : t0 + n])
-            yield i, slice(t0, t0 + n), block_2d[:, : n * f_in]
+            yield slice(out_start + t0, out_start + t0 + n), block_2d[:, : n * f_in]
+        start, out_start = start + n_in, out_start + n_out
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride_t: int = 1) -> Tensor:
-    """2-D convolution, stride along time only, fixed half-kernel padding.
+def conv2d(x: Tensor, kernel: Tensor, lengths, stride_t: int = 1) -> Tensor:
+    """2-D convolution of packed examples, stride along time only.
 
-    x is [batch, ch_in, T, F]; kernel is [ch_out, ch_in, kh, kw] with odd
-    kh, kw. Output time length is floor((T - 1) / stride_t) + 1, which for
-    the 3x3 kernel equals ceil(T / stride_t); frequency length is F.
+    x [ch_in, N, F] holds the examples' frames back to back, lengths[i]
+    of them for example i (each >= 1, summing to N); kernel is [ch_out,
+    ch_in, kh, kw] with odd kh, kw. Each example is zero-padded by half
+    the kernel at its own ends and gives ceil(lengths[i] / stride_t)
+    output rows of F columns, packed the same way into [ch_out, M, F].
 
     All three products are GEMMs over _row_blocks, im2col in blocks of
-    output rows (Chellapilla et al. 2006), which pads one example at a
-    time. The output is kernel @ cols, written straight into
-    out[i, :, rows] viewed as [ch_out, n * F] (a view: a block's rows
-    are contiguous within each channel); there is no bias, as batch norm
-    follows each conv. The kernel gradient sums
-    grad[i, :, rows] @ cols^T over the same blocks. The input gradient
-    is the same stride-1 correlation with the flipped, channel-transposed
+    output rows (Chellapilla et al. 2006). The output is kernel @ cols,
+    written straight into out[:, rows] viewed as [ch_out, n * F] (a view:
+    a block's rows are contiguous within each channel); there is no bias,
+    as batch norm follows each conv. The kernel gradient sums
+    grad[:, rows] @ cols^T over the same blocks. The input gradient is
+    the same stride-1 correlation with the flipped, channel-transposed
     kernel over the output gradient, which _row_blocks dilates by
     stride_t into its frame, so every stride takes one path. Past the
     input, the output and their gradients, each pass holds one
-    example's padded frame and one column block, never a padded batch or
-    one example's whole columns, and no example's result depends on the
-    rest of the batch. The node keeps x's array, which backward reads.
+    example's padded frame and one column block, and no example's result
+    depends on the rest of the batch. The node keeps x's array, which
+    backward reads.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be 4-D, got {x.data.shape}")
-    if kernel.ndim != 4 or kernel.data.shape[1] != x.data.shape[1]:
+    if x.ndim != 3:
+        raise ShapeError(f"conv2d input must be packed [C, N, F], got {x.data.shape}")
+    if kernel.ndim != 4 or kernel.data.shape[1] != x.data.shape[0]:
         raise ShapeError(
             f"kernel {kernel.data.shape} incompatible with input {x.data.shape}"
         )
@@ -407,104 +412,99 @@ def conv2d(x: Tensor, kernel: Tensor, stride_t: int = 1) -> Tensor:
     if stride_t < 1:
         raise ShapeError(f"stride_t must be >= 1, got {stride_t}")
     x_data = x.data
-    batch, ch_in, t_in, f_in = x_data.shape
+    ch_in, n_in, f_in = x_data.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths.ndim != 1 or not lengths.size or lengths.min() < 1
+            or lengths.sum() != n_in):
+        raise ShapeError(f"conv2d lengths {lengths.tolist()} must be frame"
+                         f" counts >= 1 that sum to N={n_in}")
+    out_lengths = (lengths - 1) // stride_t + 1
     ch_out = kernel.data.shape[0]
-    t_out = (t_in - 1) // stride_t + 1
     weights = kernel.data.reshape(ch_out, -1)
-    data = np.empty((batch, ch_out, t_out, f_in),
+    data = np.empty((ch_out, out_lengths.sum(), f_in),
                     dtype=np.result_type(x_data, kernel.data))
-    for i, rows, cols in _row_blocks(x_data, kh, kw, stride_t, t_out):
-        np.matmul(weights, cols, out=data[i, :, rows].reshape(ch_out, -1))
+    for rows, cols in _row_blocks(x_data, lengths, out_lengths, kh, kw, stride_t):
+        np.matmul(weights, cols, out=data[:, rows].reshape(ch_out, -1))
     nx, nk = _grad_node(x), _grad_node(kernel)
 
     def _backward(grad):
         if nk is not None:
             grad_w = np.zeros_like(weights)
-            for i, rows, cols in _row_blocks(x_data, kh, kw, stride_t, t_out):
-                grad_w += grad[i, :, rows].reshape(ch_out, -1) @ cols.T
+            blocks = _row_blocks(x_data, lengths, out_lengths, kh, kw, stride_t)
+            for rows, cols in blocks:
+                grad_w += grad[:, rows].reshape(ch_out, -1) @ cols.T
             _add_grad(nk, grad_w.reshape(nk.shape), fresh=True)
         if nx is not None:
             flipped = weights.reshape(ch_out, ch_in, kh, kw)[:, :, ::-1, ::-1]
             flipped = flipped.transpose(1, 0, 2, 3).reshape(ch_in, -1)
-            grad_x = np.empty((batch, ch_in, t_in, f_in), dtype=nx.dtype)
-            blocks = _row_blocks(grad, kh, kw, 1, t_in, dilate=stride_t)
-            for i, rows, cols in blocks:
-                np.matmul(flipped, cols, out=grad_x[i, :, rows].reshape(ch_in, -1))
+            grad_x = np.empty((ch_in, n_in, f_in), dtype=nx.dtype)
+            blocks = _row_blocks(grad, out_lengths, lengths, kh, kw, 1,
+                                 dilate=stride_t)
+            for rows, cols in blocks:
+                np.matmul(flipped, cols, out=grad_x[:, rows].reshape(ch_in, -1))
             _add_grad(nx, grad_x, fresh=True)
 
     return _from_op(data, (nx, nk), _backward)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
-               moments=None):
-    """Masked per-channel batch norm of x [B, C, T, F]; returns (out, (mean, var)).
+def _channel_dot(a, b):
+    """Per-channel sum of a * b over [C, N, F]: per frame, then over frames."""
+    return np.einsum("cnf,cnf->cn", a, b).sum(axis=1)
 
-    out = gamma * (x - mean) / sqrt(var + eps) + beta where mask
-    [B, 1, T, 1] is nonzero and 0 elsewhere, so padded positions leave
-    the op zeroed whatever they held. mask=None marks every position
-    valid, and eps is BN_EPS.
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None):
+    """Per-channel batch norm of packed frames x [C, N, F]; returns (out, (mean, var)).
+
+    out = gamma * (x - mean) / sqrt(var + eps) + beta, with eps BN_EPS.
+    x holds real frames only (conv2d's packed layout), so every position
+    counts.
 
     moments=None is train mode: mean and var are the biased per-channel
-    statistics of the valid positions only, returned so the caller can
+    statistics over the n = N * F positions, returned so the caller can
     fold them into running moments. The op keeps the normalized input
-    xhat (zero where masked) and the per-channel 1 / sqrt(var + eps), not
-    x, and its backward is the closed form of Ioffe & Szegedy (2015) over
-    the n valid positions, with g the masked output gradient:
-    dx = gamma / sqrt(var + eps) * (g - sum(g) / n - xhat * sum(g xhat) / n).
+    xhat and the per-channel 1 / sqrt(var + eps), not x, and its backward
+    is the closed form of Ioffe & Szegedy (2015), with g the output
+    gradient: dx = gamma / sqrt(var + eps) * (g - sum(g) / n - xhat *
+    sum(g xhat) / n).
 
     moments=(mean, var) is eval mode: they fold into one per-channel
     scale = gamma / sqrt(var + eps) and shift = beta - mean * scale that
     make the output in one pass, and are returned as given; a tracked
     eval-mode node keeps x, which gamma's gradient reads.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"batch norm expects [B, C, T, F], got {x.data.shape}")
-    batch, _, steps, width = x.data.shape
-    if batch == 0:
-        raise ShapeError("batch norm needs at least one example")
-    if mask is None:
-        valid = np.ones((batch, 1, steps, 1), dtype=x.data.dtype)
-    else:
-        valid = (np.asarray(mask) > 0).astype(x.data.dtype)
-        if valid.shape != (batch, 1, steps, 1):
-            raise ShapeError(
-                f"batch norm mask {valid.shape} does not match input"
-                f" {x.data.shape}")
-    shape = (1, -1, 1, 1)
-    valid_bt = valid[:, :, :, 0]
+    if x.ndim != 3:
+        raise ShapeError(
+            f"batch norm expects packed frames [C, N, F], got {x.data.shape}")
+    _, rows, width = x.data.shape
+    if rows == 0:
+        raise ShapeError("batch norm needs at least one frame")
+    shape = (-1, 1, 1)
     nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
     gamma_data = gamma.data
 
-    def valid_sum(rows):
-        """Per-channel total of a [B, C, T] array over valid frames."""
-        return (rows * valid_bt).sum(axis=(0, 2))
-
     if moments is None:
-        count = valid.sum() * width
-        if count == 0:
-            raise ShapeError("batch norm needs at least one valid frame")
-        mean = valid_sum(x.data.sum(axis=3)) / count
+        count = rows * width
+        mean = x.data.sum(axis=(1, 2)) / count
         xhat = x.data - mean.reshape(shape)
-        var = valid_sum(np.einsum("bctf,bctf->bct", xhat, xhat)) / count
+        var = _channel_dot(xhat, xhat) / count
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv.reshape(shape) * valid
+        xhat *= inv.reshape(shape)
         data = xhat * gamma_data.reshape(shape)
-        data += beta.data.reshape(shape) * valid
+        data += beta.data.reshape(shape)
     else:
         mean, var = moments
         inv = 1.0 / np.sqrt(var + BN_EPS)
         scale = gamma_data * inv
         x_data = x.data
-        data = x_data * (scale.reshape(shape) * valid)
-        data += (beta.data - mean * scale).reshape(shape) * valid
+        data = x_data * scale.reshape(shape)
+        data += (beta.data - mean * scale).reshape(shape)
 
     def _backward(grad):
-        d_beta = valid_sum(grad.sum(axis=3))
+        d_beta = grad.sum(axis=(1, 2))
         if nbeta is not None:
             _add_grad(nbeta, d_beta, fresh=True)
         if moments is None:
-            # xhat is zero where masked, so this sum needs no mask.
-            d_gamma = np.einsum("bctf,bctf->bct", grad, xhat).sum(axis=(0, 2))
+            d_gamma = _channel_dot(grad, xhat)
             if ngamma is not None:
                 _add_grad(ngamma, d_gamma, fresh=True)
             if nx is not None:
@@ -513,15 +513,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask=None,
                 dx *= (-d_gamma / count).reshape(shape)
                 dx += grad
                 dx -= (d_beta / count).reshape(shape)
-                dx *= (gamma_data * inv).reshape(shape) * valid
+                dx *= (gamma_data * inv).reshape(shape)
                 _add_grad(nx, dx, fresh=True)
         else:
             if ngamma is not None:
-                d_scale = valid_sum(np.einsum("bctf,bctf->bct", grad, x_data))
+                d_scale = _channel_dot(grad, x_data)
                 _add_grad(ngamma, (d_scale - mean * d_beta) * inv, fresh=True)
             if nx is not None:
-                _add_grad(nx, grad * (scale.reshape(shape) * valid),
-                          fresh=True)
+                _add_grad(nx, grad * scale.reshape(shape), fresh=True)
 
     return _from_op(data, (nx, ngamma, nbeta), _backward), (mean, var)
 

@@ -71,7 +71,7 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    """3x3 convolution over [batch, ch, T, F], strided along time only."""
+    """3x3 convolution over packed frames [ch, N, F], strided along time only."""
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator,
                  kernel: int = 3, stride_t: int = 1, dtype=np.float32):
@@ -81,19 +81,18 @@ class Conv2d(Layer):
             rng, (out_ch, in_ch, kernel, kernel), fan_in, fan_out, dtype))
         self.stride_t = stride_t
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.kernel, stride_t=self.stride_t)
+    def __call__(self, x: Tensor, lengths) -> Tensor:
+        """x holds lengths[i] frames of example i, back to back."""
+        return ad.conv2d(x, self.kernel, lengths, self.stride_t)
 
 
 class BatchNorm(Layer):
-    """Per-channel normalization over the batch and spatial axes.
+    """Per-channel normalization of packed frames [C, N, F].
 
-    Train mode normalizes by the statistics of the batch's valid
-    positions (mask [B, 1, T, 1] nonzero; all positions without a mask)
-    and folds them into running moments with momentum BN_MOMENTUM; eval
-    mode uses the running moments, so inference is a pure function of the
-    parameters. Masked positions come out zero in both modes. The whole
-    layer is one autodiff.batch_norm node.
+    Train mode normalizes by the statistics of the batch's frames and
+    folds them into running moments with momentum BN_MOMENTUM; eval mode
+    uses the running moments, so inference is a pure function of the
+    parameters. The whole layer is one autodiff.batch_norm node.
     """
 
     def __init__(self, channels: int, dtype=np.float32):
@@ -102,10 +101,9 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def __call__(self, x: Tensor, train: bool,
-                 mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, train: bool) -> Tensor:
         moments = None if train else (self.running_mean, self.running_var)
-        out, (mu, var) = ad.batch_norm(x, self.gamma, self.beta, mask, moments)
+        out, (mu, var) = ad.batch_norm(x, self.gamma, self.beta, moments)
         if train:
             self.running_mean = (
                 BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mu
@@ -171,7 +169,9 @@ class CrossAttention(Layer):
 
     Queries come from one stream and keys and values from one memory
     stream; memory positions with mask 0 receive a large negative score
-    bias, which zeroes their softmax weight.
+    bias, which zeroes their softmax weight. The key projection k_proj
+    has no bias: q . b_k adds the same amount to each of a query's
+    scores, which softmax cancels.
     """
 
     MASK_BIAS = -1e9
@@ -179,7 +179,7 @@ class CrossAttention(Layer):
     def __init__(self, dim: int, rng: np.random.Generator, dtype=np.float32):
         self.dim = dim
         self.q_proj = Dense(dim, dim, rng, dtype)
-        self.k_proj = Dense(dim, dim, rng, dtype)
+        self.k_proj = parameter(glorot_uniform(rng, (dim, dim), dim, dim, dtype))
         self.v_proj = Dense(dim, dim, rng, dtype)
         self.out_proj = Dense(dim, dim, rng, dtype)
 
@@ -191,7 +191,7 @@ class CrossAttention(Layer):
                 f" and key {memory.shape}"
             )
         q = self.q_proj(query)
-        k = self.k_proj(memory)
+        k = memory @ self.k_proj
         scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dim))
         if key_mask is not None:
             bias = np.where(np.asarray(key_mask) > 0, 0.0, self.MASK_BIAS)

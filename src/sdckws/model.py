@@ -78,8 +78,6 @@ def encode_value(value) -> str:
     """Spell one config value as the .kwsm block does."""
     if isinstance(value, FeatureKind):
         return KIND_NAMES[value]
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, SdcConfig):
         return str(value)
     return repr(value)
@@ -87,13 +85,6 @@ def encode_value(value) -> str:
 
 def decode_value(type_name: str, text: str):
     """Parse one config value given its field's annotation string."""
-    if type_name == "bool":
-        word = text.strip().lower()
-        if word in ("1", "true", "yes", "on"):
-            return True
-        if word in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
     if type_name == "FeatureKind":
         if text not in FEATURE_NAMES:
             raise ValueError(f"unknown feature {text!r}; expected one of"
@@ -133,7 +124,6 @@ class ModelConfig:
     lr: float = field(default=1e-4, metadata=_TRAINING_ONLY)
     batch_size: int = field(default=128, metadata=_TRAINING_ONLY)
     seed: int = field(default=0, metadata=_TRAINING_ONLY)
-    dropout_after_conv: bool = field(default=True, metadata=_TRAINING_ONLY)
 
     def __post_init__(self):
         positive = ("conv_filters", "kernel", "stride_t", "gru_hidden",
@@ -290,26 +280,28 @@ class KwsModel:
     def _dropout(self, x, train, rng):
         return ad.dropout(x, self.cfg.dropout, train, rng)
 
-    def _conv_stack(self, h, train, rng, mask=None):
-        """conv1 -> bn1 -> conv2 -> bn2 (each with its dropout) on [B, 1, T, D]."""
+    def _conv_stack(self, h, lengths, train, rng):
+        """conv1 -> bn1 -> conv2 -> bn2, each with its dropout, on packed frames.
+
+        h [1, N, D] holds lengths[i] frames of example i, back to back; the
+        result [conv_filters, M, D] holds their strided frames the same way.
+        """
         # Bound before the next layer runs, each output dies once consumed.
         for conv, norm in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
-            h = conv(h)
-            h = norm(h, train, mask)
-            if self.cfg.dropout_after_conv:
-                h = self._dropout(h, train, rng)
+            h = conv(h, lengths)
+            lengths = strided_length(lengths, conv.stride_t)
+            h = self._dropout(norm(h, train), train, rng)
         return h
 
     def audio_encode(self, features, lengths, train: bool = False, rng=None):
         """Features [B, T, D] with B lengths in [1, T] to embeddings [B, m, embed_dim].
 
         Returns (embeddings, frame mask [B, m]). A conv stack recorded for
-        backward (train mode, or grad enabled) runs on the padded batch,
-        each batch norm taking the frame mask: it leaves padded frames out
-        of its training statistics and zeroes them in its output, so
-        trailing padding cannot leak into real frames. gru_a1 then
-        projects the valid frames' rows only, gathered from the conv
-        output. In eval under no_grad, see _project_eval_rows.
+        backward (train mode, or grad enabled) runs on the examples' valid
+        frames, packed back to back, so padded frames never reach a
+        convolution or batch norm's statistics; its output, one row per
+        valid strided frame, is gru_a1's packed input. In eval under
+        no_grad, see _project_eval_rows.
         """
         arr = np.asarray(features)
         if arr.ndim != 3 or arr.shape[1] == 0:
@@ -328,10 +320,11 @@ class KwsModel:
         out_lengths = strided_length(lengths, self.cfg.stride_t)
         t_out = strided_length(t_in, self.cfg.stride_t)
         frame_mask = (np.arange(t_out) < out_lengths[:, None]).astype(np.float32)
-        x = arr.astype(np.float32, copy=False)[:, None]
+        x = arr.astype(np.float32, copy=False)
         if train or ad._grad_enabled:
-            h = self._conv_stack(Tensor(x), train, rng, frame_mask[:, None, :, None])
-            rows = h.transpose(0, 2, 1, 3)[frame_mask > 0]
+            packed = x[np.arange(t_in) < lengths[:, None]][None]
+            rows = self._conv_stack(Tensor(packed), lengths, train, rng)
+            rows = rows.transpose(1, 0, 2)
             seq, _ = self.gru_a1(rows.reshape(rows.shape[0], -1), mask=frame_mask)
         else:
             pre = self._project_eval_rows(x, lengths, frame_mask)
@@ -357,8 +350,9 @@ class KwsModel:
         chunk = np.empty((max(2, min(GRU_CHUNK_ROWS, len(at))), len(w)), np.float32)
         filled = 0
         for n_in, one in zip(lengths, x):
-            h = self._conv_stack(Tensor(one[None, :, :n_in]), False, None)
-            h = h.data[0].transpose(1, 0, 2)  # [n_out, conv_filters, width]
+            h = self._conv_stack(Tensor(one[None, :n_in]), np.array([n_in]),
+                                 False, None)
+            h = h.data.transpose(1, 0, 2)  # [n_out, conv_filters, width]
             while len(h):
                 count = min(len(h), len(chunk) - filled)
                 chunk[filled : filled + count].reshape(h[:count].shape)[...] = h[:count]
@@ -501,7 +495,7 @@ class Checkpoint:
 
 
 KWSM_MAGIC = b"KWSM"
-KWSM_VERSION = 3
+KWSM_VERSION = 4
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

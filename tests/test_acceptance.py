@@ -183,17 +183,19 @@ def test_criterion_2_gradients_match_central_differences(capsys):
             worst = max(worst, check_gradients(
                 lambda: layer(x), [x, layer.weight, layer.bias], 300 + i))
 
-        for i, (ch_in, ch_out, frames, width, stride) in enumerate(
-                [(1, 2, 5, 6, 1), (2, 3, 7, 5, 2), (1, 1, 4, 4, 1)]):
+        # Packed examples of ragged lengths, a 1-frame one included.
+        for i, (ch_in, ch_out, lengths, width, stride) in enumerate(
+                [(1, 2, [5, 1], 6, 1), (2, 3, [7, 1, 4], 5, 2),
+                 (1, 1, [4, 2], 4, 2)]):
             layer = Conv2d(ch_in, ch_out, rng, kernel=3, stride_t=stride,
                            dtype=np.float64)
-            x = tensor(2, ch_in, frames, width)
+            x = tensor(ch_in, sum(lengths), width)
             worst = max(worst, check_gradients(
-                lambda: layer(x), [x, layer.kernel], 310 + i))
+                lambda: layer(x, lengths), [x, layer.kernel], 310 + i))
 
         for i, channels in enumerate([2, 3, 4]):
             layer = BatchNorm(channels, dtype=np.float64)
-            x = tensor(3, channels, 4, 3 + i)
+            x = tensor(channels, 12, 3 + i)
             worst = max(worst, check_gradients(
                 lambda: layer(x, train=True), [x, layer.gamma, layer.beta],
                 320 + i))

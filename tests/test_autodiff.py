@@ -87,46 +87,52 @@ def whole_columns(padded, stride, t_out, kh, kw):
     return cols
 
 
-def im2col_conv(x, k, stride):
-    """Literal conv2d forward: one whole-example column matrix per GEMM."""
-    batch, ch_in, t_in, f_in = x.shape
-    ch_out, _, kh, kw = k.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
-    t_out = (t_in - 1) // stride + 1
-    out = np.empty((batch, ch_out, t_out, f_in), dtype=x.dtype)
-    for i in range(batch):
-        cols = whole_columns(padded[i], stride, t_out, kh, kw)
-        out[i] = (k.reshape(ch_out, -1) @ cols.reshape(ch_in * kh * kw, -1)
-                  ).reshape(ch_out, t_out, f_in)
-    return out
+def split_rows(array, lengths):
+    """A packed [C, N, F] array's examples, lengths[i] frames each."""
+    return np.split(array, np.cumsum(lengths)[:-1], axis=1)
 
 
-def im2col_conv_grads(x, k, stride, grad):
-    """Literal conv2d backward: (input gradient, kernel gradient).
+def im2col_conv(x, lengths, k, stride):
+    """Literal packed conv2d forward: one whole-example column matrix per GEMM."""
+    ch_out, ch_in, kh, kw = k.shape
+    outs = []
+    for example in split_rows(x, lengths):
+        padded = np.pad(example, ((0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+        t_out = (example.shape[1] - 1) // stride + 1
+        cols = whole_columns(padded, stride, t_out, kh, kw)
+        outs.append((k.reshape(ch_out, -1) @ cols.reshape(ch_in * kh * kw, -1)
+                     ).reshape(ch_out, t_out, -1))
+    return np.concatenate(outs, axis=1)
+
+
+def im2col_conv_grads(x, lengths, k, stride, grad):
+    """Literal packed conv2d backward: (input gradient, kernel gradient).
 
     The kernel gradient sums g_i @ cols_i^T over whole-example columns;
-    the input gradient scatters kernel^T @ g_i back onto the padded
-    input with kh * kw strided adds.
+    the input gradient scatters kernel^T @ g_i back onto each padded
+    example with kh * kw strided adds.
     """
-    ch_in, t_in, f_in = x.shape[1:]
-    ch_out, _, kh, kw = k.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
-    t_out = grad.shape[2]
+    ch_out, ch_in, kh, kw = k.shape
+    out_lengths = [(n - 1) // stride + 1 for n in lengths]
     weights = k.reshape(ch_out, -1)
     grad_w = np.zeros_like(weights)
-    grad_padded = np.zeros_like(padded)
-    for i in range(x.shape[0]):
-        g_i = grad[i].reshape(ch_out, -1)
-        cols = whole_columns(padded[i], stride, t_out, kh, kw)
-        grad_w += g_i @ cols.reshape(ch_in * kh * kw, -1).T
-        back = (weights.T @ g_i).reshape(ch_in, kh, kw, t_out, f_in)
+    grad_x = []
+    for example, g in zip(split_rows(x, lengths), split_rows(grad, out_lengths)):
+        padded = np.pad(example, ((0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+        t_in, f_in = example.shape[1:]
+        t_out = g.shape[1]
+        g = g.reshape(ch_out, -1)
+        cols = whole_columns(padded, stride, t_out, kh, kw)
+        grad_w += g @ cols.reshape(ch_in * kh * kw, -1).T
+        back = (weights.T @ g).reshape(ch_in, kh, kw, t_out, f_in)
+        grad_padded = np.zeros_like(padded)
         for dt in range(kh):
             for df in range(kw):
-                grad_padded[i, :, dt : dt + stride * t_out : stride,
+                grad_padded[:, dt : dt + stride * t_out : stride,
                             df : df + f_in] += back[:, dt, df]
-    grad_x = grad_padded[:, :, kh // 2 : kh // 2 + t_in,
-                         kw // 2 : kw // 2 + f_in]
-    return grad_x, grad_w.reshape(k.shape)
+        grad_x.append(grad_padded[:, kh // 2 : kh // 2 + t_in,
+                                  kw // 2 : kw // 2 + f_in])
+    return np.concatenate(grad_x, axis=1), grad_w.reshape(k.shape)
 
 
 def check_grads(fn, leaves, seed=None):
@@ -211,8 +217,9 @@ OP_CALLS = {
     "transpose": lambda make: ad.transpose(make((2, 3)), (1, 0)),
     "take": lambda make: ad.take(make((4, 3)), np.array([0, 2, 2])),
     "softmax": lambda make: ad.softmax(make((2, 3))),
-    "conv2d": lambda make: ad.conv2d(make((1, 1, 4, 3)), make((2, 1, 3, 3))),
-    "batch_norm": lambda make: ad.batch_norm(make((2, 2, 3, 2)), make((2,)),
+    "conv2d": lambda make: ad.conv2d(make((1, 6, 3)), make((2, 1, 3, 3)),
+                                     [4, 2]),
+    "batch_norm": lambda make: ad.batch_norm(make((2, 5, 2)), make((2,)),
                                              make((2,)))[0],
     "gru_scan": lambda make: ad.gru_scan(
         make((2, 3, 12)), make((2, 2, 4)), make((2, 2, 2))),
@@ -317,29 +324,28 @@ class TestActivationLifetime:
 
     def test_audio_block_frees_what_backward_does_not_read(self):
         # conv -> batch norm -> dropout -> conv -> transpose -> reshape in
-        # train mode, keeping only the last output: backward reads the
-        # normalized input, the keep mask and conv2's input, which conv2
-        # keeps as the dropout output's own array, never a padded copy,
-        # so every other watched array is freed before it runs.
+        # train mode on two packed examples, keeping only the last output:
+        # backward reads the normalized input, the keep mask and conv2's
+        # input, which conv2 keeps as the dropout output's own array, never
+        # a padded copy, so every other watched array is freed before it
+        # runs.
         rng = np.random.default_rng(40)
         conv1 = Conv2d(1, 3, rng, stride_t=2)
         conv2 = Conv2d(3, 3, rng)
         norm = BatchNorm(3)
-        mask = np.ones((2, 1, 5, 1), dtype=np.float32)
-        mask[1, :, 3:] = 0.0
-        x = Tensor(rng.normal(size=(2, 1, 9, 5)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 14, 5)).astype(np.float32))
         watched = {}
 
         def watch(name, tensor):
             watched[name] = weakref.ref(tensor.data)
             return tensor
 
-        h = watch("conv", conv1(x))
-        h = watch("batch norm", norm(h, True, mask))
+        h = watch("conv", conv1(x, [9, 5]))
+        h = watch("batch norm", norm(h, True))
         h = watch("dropout", ad.dropout(h, 0.5, True, rng))
-        h = watch("conv2", conv2(h))
-        h = watch("transpose", h.transpose(0, 2, 1, 3))
-        out = h.reshape(2, 5, 15)
+        h = watch("conv2", conv2(h, [5, 3]))
+        h = watch("transpose", h.transpose(1, 0, 2))
+        out = h.reshape(8, 15)
         del h
         kept = graph_arrays(out)
         dropped = watched.pop("dropout")()
@@ -458,7 +464,7 @@ class TestReductionsAndShapes:
         np.testing.assert_allclose(table.grad, [[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_take_boolean_mask_rows(self):
-        # A boolean key picks each row once; its backward assigns.
+        # A boolean key picks each row once; np.add.at scatters it back.
         rng = np.random.default_rng(24)
         a = leaf(rng, (2, 4, 3))
         mask = np.array([[True, False, True, True], [False, True, False, False]])
@@ -488,88 +494,129 @@ class TestElementwiseGradients:
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(31)
-        x = Tensor(rng.normal(size=(2, 1, 6, 5)))
+        x = Tensor(rng.normal(size=(1, 11, 5)))
         kernel = np.zeros((1, 1, 3, 3))
         kernel[0, 0, 1, 1] = 1.0
-        out = ad.conv2d(x, Tensor(kernel))
+        out = ad.conv2d(x, Tensor(kernel), [6, 5])
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
     def test_output_time_lengths(self):
+        # Each example gives ceil(T_i / stride) rows; a 1-frame one, 1.
         rng = np.random.default_rng(32)
         kernel = Tensor(np.zeros((4, 3, 3, 3)))
         for t_in, stride, t_out in [(98, 2, 49), (97, 2, 49), (11, 2, 6),
                                     (1, 2, 1), (10, 1, 10), (1, 1, 1)]:
-            x = Tensor(rng.normal(size=(2, 3, t_in, 5)))
-            assert ad.conv2d(x, kernel, stride_t=stride).shape == (2, 4, t_out, 5)
+            x = Tensor(rng.normal(size=(3, t_in + 1, 5)))
+            out = ad.conv2d(x, kernel, [t_in, 1], stride_t=stride)
+            assert out.shape == (4, t_out + 1, 5)
 
     def test_matches_scalar_convolution(self):
-        # Literal five-loop correlation with zero padding.
+        # Literal five-loop correlation, each example zero-padded at its
+        # own ends.
         rng = np.random.default_rng(33)
-        x = rng.normal(size=(1, 2, 5, 4))
+        lengths = [5, 1, 3]
+        x = rng.normal(size=(2, sum(lengths), 4))
         k = rng.normal(size=(3, 2, 3, 3))
-        out = ad.conv2d(Tensor(x), Tensor(k)).data
-        for co in range(3):
-            for t in range(5):
-                for f in range(4):
-                    acc = 0.0
-                    for c in range(2):
-                        for dt in range(3):
-                            for df in range(3):
-                                ti, fi = t + dt - 1, f + df - 1
-                                if 0 <= ti < 5 and 0 <= fi < 4:
-                                    acc += x[0, c, ti, fi] * k[co, c, dt, df]
-                    assert out[0, co, t, f] == pytest.approx(acc, abs=1e-9)
+        out = ad.conv2d(Tensor(x), Tensor(k), lengths).data
+        for start, n in zip(np.cumsum([0] + lengths[:-1]), lengths):
+            for co in range(3):
+                for t in range(n):
+                    for f in range(4):
+                        acc = 0.0
+                        for c in range(2):
+                            for dt in range(3):
+                                for df in range(3):
+                                    ti, fi = t + dt - 1, f + df - 1
+                                    if 0 <= ti < n and 0 <= fi < 4:
+                                        acc += (x[c, start + ti, fi]
+                                                * k[co, c, dt, df])
+                        assert out[co, start + t, f] == pytest.approx(
+                            acc, abs=1e-9)
 
     def test_gradients(self):
         rng = np.random.default_rng(34)
+        lengths = [7, 1, 4]
         for stride in (1, 2):
-            x = leaf(rng, (2, 3, 7, 5))
+            x = leaf(rng, (3, sum(lengths), 5))
             k = leaf(rng, (4, 3, 3, 3))
             probe = 35
-            check_grads(lambda: ad.conv2d(x, k, stride_t=stride), [x, k], probe)
+            check_grads(lambda: ad.conv2d(x, k, lengths, stride_t=stride),
+                        [x, k], probe)
 
     def test_batch_rows_match_single_examples_exactly(self):
         # Each example is its own GEMM, so batch composition cannot move
         # a bit of the output or of the input gradient.
         rng = np.random.default_rng(36)
-        x = rng.normal(size=(5, 3, 9, 7)).astype(np.float32)
+        lengths = [9, 1, 6, 9, 2]
+        x = rng.normal(size=(3, sum(lengths), 7)).astype(np.float32)
         k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
         for stride in (1, 2):
             whole = Tensor(x, requires_grad=True)
-            out = ad.conv2d(whole, k, stride_t=stride)
+            out = ad.conv2d(whole, k, lengths, stride_t=stride)
             probe = rng.normal(size=out.shape).astype(np.float32)
             out.backward(probe)
-            for i in range(5):
-                alone = Tensor(x[i : i + 1], requires_grad=True)
-                row = ad.conv2d(alone, k, stride_t=stride)
-                row.backward(probe[i : i + 1])
-                assert np.array_equal(row.data[0], out.data[i])
-                assert np.array_equal(alone.grad[0], whole.grad[i])
+            out_lengths = [(n - 1) // stride + 1 for n in lengths]
+            for n, example, rows, probe_rows, grad in zip(
+                    lengths, split_rows(x, lengths),
+                    split_rows(out.data, out_lengths),
+                    split_rows(probe, out_lengths),
+                    split_rows(whole.grad, lengths)):
+                alone = Tensor(example, requires_grad=True)
+                row = ad.conv2d(alone, k, [n], stride_t=stride)
+                row.backward(probe_rows)
+                assert np.array_equal(row.data, rows)
+                assert np.array_equal(alone.grad, grad)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_short_example_after_a_long_one_is_as_alone(self, stride):
+        # The long example leaves its frames in the reused padded frame
+        # past the short one's end; they must read as zero padding.
+        rng = np.random.default_rng(44)
+        lengths = [12, 3]
+        x = rng.normal(size=(2, 15, 6)).astype(np.float32) + 5.0
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
+        both = Tensor(x, requires_grad=True)
+        out = ad.conv2d(both, k, lengths, stride_t=stride)
+        short_out = out.data[:, (12 - 1) // stride + 1 :]
+        probe = rng.normal(size=out.shape).astype(np.float32) + 5.0
+        out.backward(probe)
+        alone = Tensor(x[:, 12:], requires_grad=True)
+        row = ad.conv2d(alone, k, [3], stride_t=stride)
+        row.backward(probe[:, (12 - 1) // stride + 1 :])
+        assert np.array_equal(row.data, short_out)
+        assert np.array_equal(alone.grad, both.grad[:, 12:])
 
     def test_batch_rows_match_single_examples_across_row_blocks(
             self, monkeypatch):
         # 8 channels at width 360 in blocks of 5 output rows: 7 rows at
         # stride 1 are 5 + 2 and 6 rows at stride 2 are 5 + 1, so both
-        # end in a partial block.
+        # end in a partial block, and the 2- and 1-row examples between
+        # them in a block of their own.
         row_bytes = 8 * 3 * 3 * 360 * 4
         monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 5 * row_bytes + 7)
         rng = np.random.default_rng(41)
         k = Tensor(rng.normal(size=(4, 8, 3, 3)).astype(np.float32))
         for t_in, stride in ((7, 1), (11, 2)):
-            x = rng.normal(size=(3, 8, t_in, 360)).astype(np.float32)
+            lengths = [t_in, 2, t_in, 1]
+            out_lengths = [(n - 1) // stride + 1 for n in lengths]
+            x = rng.normal(size=(8, sum(lengths), 360)).astype(np.float32)
             whole = Tensor(x, requires_grad=True)
-            out = ad.conv2d(whole, k, stride_t=stride)
-            want = im2col_conv(x, k.data, stride)
+            out = ad.conv2d(whole, k, lengths, stride_t=stride)
+            want = im2col_conv(x, lengths, k.data, stride)
             np.testing.assert_allclose(out.data, want, rtol=0,
                                        atol=1e-6 * np.abs(want).max())
             probe = rng.normal(size=out.shape).astype(np.float32)
             out.backward(probe)
-            for i in range(3):
-                alone = Tensor(x[i : i + 1], requires_grad=True)
-                row = ad.conv2d(alone, k, stride_t=stride)
-                row.backward(probe[i : i + 1])
-                assert np.array_equal(row.data[0], out.data[i])
-                assert np.array_equal(alone.grad[0], whole.grad[i])
+            for n, example, rows, probe_rows, grad in zip(
+                    lengths, split_rows(x, lengths),
+                    split_rows(out.data, out_lengths),
+                    split_rows(probe, out_lengths),
+                    split_rows(whole.grad, lengths)):
+                alone = Tensor(example, requires_grad=True)
+                row = ad.conv2d(alone, k, [n], stride_t=stride)
+                row.backward(probe_rows)
+                assert np.array_equal(row.data, rows)
+                assert np.array_equal(alone.grad, grad)
 
     @pytest.mark.parametrize("width", [13, 40, 360])
     def test_row_blocks_match_whole_example_im2col(self, width):
@@ -580,33 +627,35 @@ class TestConv2d:
         probes = np.random.default_rng(43)
         k = rng.normal(size=(32, 32, 3, 3)).astype(np.float32)
         for t_in, stride in ((40, 1), (41, 2)):
-            x = rng.normal(size=(2, 32, t_in, width)).astype(np.float32)
+            lengths = [t_in, t_in - 5]
+            x = rng.normal(size=(32, sum(lengths), width)).astype(np.float32)
             xt = Tensor(x, requires_grad=True)
             kt = Tensor(k, requires_grad=True)
-            out = ad.conv2d(xt, kt, stride_t=stride)
-            np.testing.assert_allclose(out.data, im2col_conv(x, k, stride),
+            out = ad.conv2d(xt, kt, lengths, stride_t=stride)
+            np.testing.assert_allclose(out.data,
+                                       im2col_conv(x, lengths, k, stride),
                                        rtol=0,
                                        atol=1e-6 * np.abs(out.data).max())
             probe = probes.normal(size=out.shape).astype(np.float32)
             out.backward(probe)
-            want_x, want_k = im2col_conv_grads(x, k, stride, probe)
+            want_x, want_k = im2col_conv_grads(x, lengths, k, stride, probe)
             for got, want in ((xt.grad, want_x), (kt.grad, want_k)):
                 np.testing.assert_allclose(got, want, rtol=0,
                                            atol=1e-6 * np.abs(want).max())
 
     def test_forward_memory_is_one_row_block(self):
-        # [4, 32, 49, 360] is conv2 on 1 s sdc clips; one example's whole
-        # columns would be [288, 49 * 360] float32, 20 MB, and the padded
-        # batch 9.5 MB. Past the output, the forward holds one example's
-        # padded frame and one column block.
-        x = Tensor(np.ones((4, 32, 49, 360), dtype=np.float32))
+        # Four packed [32, 49, 360] examples are conv2 on 1 s sdc clips;
+        # one example's whole columns would be [288, 49 * 360] float32,
+        # 20 MB, and a padded batch 9.5 MB. Past the output, the forward
+        # holds one example's padded frame and one column block.
+        x = Tensor(np.ones((32, 4 * 49, 360), dtype=np.float32))
         k = Tensor(np.ones((32, 32, 3, 3), dtype=np.float32))
         frame_bytes = 32 * 51 * 362 * 4
         gc.collect()
         tracemalloc.start()
         try:
             with no_grad():
-                out = ad.conv2d(x, k)
+                out = ad.conv2d(x, k, [49] * 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -616,11 +665,11 @@ class TestConv2d:
         # Past the input gradient, the seed's copy and the kernel
         # gradient, backward holds one example's dilated frame and one
         # column block, not one example's whole columns (20 MB).
-        x = Tensor(np.ones((4, 32, 49, 360), dtype=np.float32),
+        x = Tensor(np.ones((32, 4 * 49, 360), dtype=np.float32),
                    requires_grad=True)
         k = Tensor(np.ones((32, 32, 3, 3), dtype=np.float32),
                    requires_grad=True)
-        out = ad.conv2d(x, k)
+        out = ad.conv2d(x, k, [49] * 4)
         seed = np.ones(out.shape, dtype=np.float32)
         frame_bytes = 32 * 51 * 362 * 4
         gc.collect()
@@ -635,35 +684,49 @@ class TestConv2d:
 
     def test_gradients_without_bias(self):
         rng = np.random.default_rng(37)
+        lengths = [6, 2, 1]
         for stride in (1, 2):
-            x = leaf(rng, (3, 2, 6, 4))
+            x = leaf(rng, (2, sum(lengths), 4))
             k = leaf(rng, (3, 2, 3, 3))
             probe = 38
-            check_grads(lambda: ad.conv2d(x, k, stride_t=stride),
+            check_grads(lambda: ad.conv2d(x, k, lengths, stride_t=stride),
                         [x, k], probe)
 
     def test_gradient_to_one_operand_only(self):
         rng = np.random.default_rng(39)
         probe = 40
-        x_const = Tensor(rng.normal(size=(2, 2, 5, 4)))
+        lengths = [5, 3]
+        x_const = Tensor(rng.normal(size=(2, 8, 4)))
         k = leaf(rng, (3, 2, 3, 3))
-        check_grads(lambda: ad.conv2d(x_const, k, stride_t=2), [k], probe)
+        check_grads(lambda: ad.conv2d(x_const, k, lengths, stride_t=2), [k],
+                    probe)
         assert x_const.grad is None
-        x = leaf(rng, (2, 2, 5, 4))
+        x = leaf(rng, (2, 8, 4))
         k_const = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        check_grads(lambda: ad.conv2d(x, k_const, stride_t=2), [x], probe)
+        check_grads(lambda: ad.conv2d(x, k_const, lengths, stride_t=2), [x],
+                    probe)
         assert k_const.grad is None
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((1, 3, 3, 3))))
+            ad.conv2d(Tensor(np.ones((1, 3, 4, 4))),
+                      Tensor(np.ones((1, 3, 3, 3))), [4])
         with pytest.raises(ShapeError):
-            ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+            ad.conv2d(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))),
+                      [4])
         with pytest.raises(ShapeError):
-            ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 2, 2, 2))))
+            ad.conv2d(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 2, 2, 2))),
+                      [4])
         with pytest.raises(ShapeError):
-            ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 2, 3, 3))),
-                      stride_t=0)
+            ad.conv2d(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 2, 3, 3))),
+                      [4], stride_t=0)
+
+    @pytest.mark.parametrize("lengths", [[3], [4, 1], [6, 0], [7, -1], [],
+                                         [[3, 3]]])
+    def test_rejects_lengths_that_do_not_pack_the_input(self, lengths):
+        x = Tensor(np.ones((2, 6, 4)))
+        with pytest.raises(ShapeError, match="lengths"):
+            ad.conv2d(x, Tensor(np.ones((1, 2, 3, 3))), lengths)
 
 
 class TestDropout:
@@ -800,16 +863,16 @@ class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(6)
         bn = BatchNorm(3, dtype=np.float64)
-        x = Tensor(rng.normal(loc=5.0, scale=2.0, size=(4, 3, 6, 5)))
+        x = Tensor(rng.normal(loc=5.0, scale=2.0, size=(3, 24, 5)))
         out = bn(x, train=True).data
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
+        np.testing.assert_allclose(out.mean(axis=(1, 2)), 0.0, atol=1e-7)
+        np.testing.assert_allclose(out.std(axis=(1, 2)), 1.0, atol=1e-3)
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(7)
         bn = BatchNorm(2, dtype=np.float64)
-        x = Tensor(rng.normal(loc=3.0, size=(8, 2, 4, 4)))
-        batch_mean = x.data.mean(axis=(0, 2, 3))
+        x = Tensor(rng.normal(loc=3.0, size=(2, 32, 4)))
+        batch_mean = x.data.mean(axis=(1, 2))
         bn(x, train=True)
         np.testing.assert_allclose(
             bn.running_mean, 0.9 * 0.0 + 0.1 * batch_mean, atol=1e-12
@@ -819,7 +882,7 @@ class TestBatchNorm:
         bn = BatchNorm(2, dtype=np.float64)
         bn.running_mean = np.array([1.0, -1.0])
         bn.running_var = np.array([4.0, 0.25])
-        x = Tensor(np.ones((1, 2, 1, 1)))
+        x = Tensor(np.ones((2, 1, 1)))
         out = bn(x, train=False).data.reshape(-1)
         expect = (np.array([1.0, 1.0]) - bn.running_mean) / np.sqrt(
             bn.running_var + ad.BN_EPS
@@ -829,7 +892,7 @@ class TestBatchNorm:
     def test_eval_mode_is_deterministic_function(self):
         rng = np.random.default_rng(8)
         bn = BatchNorm(3)
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
+        x = Tensor(rng.normal(size=(3, 8, 4)).astype(np.float32))
         a = bn(x, train=False).data
         b = bn(x, train=False).data
         np.testing.assert_array_equal(a, b)
@@ -837,7 +900,7 @@ class TestBatchNorm:
     def test_gradients_through_batch_stats(self):
         rng = np.random.default_rng(9)
         bn = BatchNorm(2, dtype=np.float64)
-        x = leaf(np.random.default_rng(10), (3, 2, 4, 3))
+        x = leaf(np.random.default_rng(10), (2, 12, 3))
         probe = 11
 
         def fn():
@@ -849,71 +912,46 @@ class TestBatchNorm:
         check_grads(fn, [x, bn.gamma, bn.beta], probe)
 
     def test_rejects_wrong_rank(self):
-        with pytest.raises(ShapeError):
-            BatchNorm(2)(Tensor(np.ones((2, 2, 2))), train=True)
+        # Only packed frames [C, N, F] go in.
+        for shape in ((2, 2, 2, 2), (2, 2)):
+            with pytest.raises(ShapeError):
+                BatchNorm(2)(Tensor(np.ones(shape)), train=True)
 
 
 class TestBatchNormOp:
-    """autodiff.batch_norm with a frame mask that has trailing zero frames."""
-
-    LENGTHS = (5, 3, 2)
+    """autodiff.batch_norm on packed frames, called directly."""
 
     def setup_method(self):
         rng = np.random.default_rng(40)
-        self.x = leaf(rng, (3, 2, 5, 4))
+        self.x = leaf(rng, (2, 10, 4))
         self.gamma = leaf(rng, (2,))
         self.beta = leaf(rng, (2,))
-        self.mask = (np.arange(5)[None, :] < np.array(self.LENGTHS)[:, None])
-        self.mask = self.mask.astype(np.float64)[:, None, :, None]
 
-    def test_train_gradients_with_partial_mask(self):
-        check_grads(lambda: ad.batch_norm(
-            self.x, self.gamma, self.beta, self.mask)[0],
-            [self.x, self.gamma, self.beta], 41)
+    def test_train_gradients(self):
+        check_grads(lambda: ad.batch_norm(self.x, self.gamma, self.beta)[0],
+                    [self.x, self.gamma, self.beta], 41)
 
-    def test_eval_gradients_with_partial_mask(self):
+    def test_eval_gradients(self):
         moments = (np.array([0.3, -0.2]), np.array([1.7, 0.4]))
         check_grads(lambda: ad.batch_norm(
-            self.x, self.gamma, self.beta, self.mask, moments)[0],
+            self.x, self.gamma, self.beta, moments)[0],
             [self.x, self.gamma, self.beta], 42)
+
+    def test_running_moments_equal_batch_statistics(self):
+        bn = BatchNorm(2, dtype=np.float64)
+        bn(self.x, train=True)
+        rows = np.moveaxis(self.x.data, 0, -1).reshape(-1, 2)
+        np.testing.assert_allclose(bn.running_mean, 0.1 * rows.mean(axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(bn.running_var,
+                                   0.9 + 0.1 * rows.var(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("moments", [None, (np.zeros(2), np.ones(2))],
                              ids=["train", "eval"])
-    def test_masked_frames_are_zero_and_ignored(self, moments):
-        out, _ = ad.batch_norm(self.x, self.gamma, self.beta, self.mask,
-                               moments)
-        padded = np.broadcast_to(self.mask == 0, out.shape)
-        assert np.all(out.data[padded] == 0.0)
-        noisy = Tensor(np.where(self.mask > 0, self.x.data, 1e3))
-        again, _ = ad.batch_norm(noisy, self.gamma, self.beta, self.mask,
-                                 moments)
-        np.testing.assert_allclose(again.data, out.data, rtol=1e-12, atol=0)
-
-    def test_masked_frames_get_no_gradient(self):
-        out, _ = ad.batch_norm(self.x, self.gamma, self.beta, self.mask)
-        out.backward(np.random.default_rng(43).normal(size=out.shape))
-        padded = np.broadcast_to(self.mask == 0, out.shape)
-        assert np.all(self.x.grad[padded] == 0.0)
-
-    def test_running_moments_equal_masked_batch_statistics(self):
-        bn = BatchNorm(2, dtype=np.float64)
-        bn(self.x, train=True, mask=self.mask)
-        # [B, T, F, C] rows at valid frames, flattened to [n, C].
-        valid = np.moveaxis(self.x.data, 1, -1)[self.mask[:, 0, :, 0] > 0]
-        valid = valid.reshape(-1, 2)
-        np.testing.assert_allclose(bn.running_mean, 0.1 * valid.mean(axis=0),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(bn.running_var,
-                                   0.9 + 0.1 * valid.var(axis=0), rtol=1e-12)
-
-    def test_rejects_mask_of_wrong_shape(self):
-        with pytest.raises(ShapeError):
-            ad.batch_norm(self.x, self.gamma, self.beta, self.mask[:, :, :4])
-
-    def test_rejects_all_masked_batch_in_train_mode(self):
-        with pytest.raises(ShapeError):
-            ad.batch_norm(self.x, self.gamma, self.beta,
-                          np.zeros_like(self.mask))
+    def test_rejects_a_batch_without_frames(self, moments):
+        with pytest.raises(ShapeError, match="at least one frame"):
+            ad.batch_norm(Tensor(np.ones((2, 0, 4))), self.gamma, self.beta,
+                          moments)
 
 
 def swapped(gru):

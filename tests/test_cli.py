@@ -481,7 +481,7 @@ class TestEval:
         # Version 1 held each GRU gate's weights as a tensor of its own;
         # such a file stops at the header, not at a missing tensor.
         blob = bytearray(workspace["ckpt"].read_bytes())
-        assert blob[4:6] == struct.pack("<H", 3)
+        assert blob[4:6] == struct.pack("<H", 4)
         blob[4:6] = struct.pack("<H", 1)
         old = tmp_path / "v1.kwsm"
         old.write_bytes(bytes(blob))
@@ -505,6 +505,19 @@ class TestEval:
         assert "Traceback" not in result.stderr
         with pytest.raises(FormatError, match="unsupported version 2"):
             load_checkpoint(old)
+
+    def test_version_3_checkpoint_is_runtime_error(self, workspace, tmp_path):
+        # Version 3 held a bias for the attention's key projection; it
+        # stops at the header too.
+        blob = bytearray(workspace["ckpt"].read_bytes())
+        blob[4:6] = struct.pack("<H", 3)
+        old = tmp_path / "v3.kwsm"
+        old.write_bytes(bytes(blob))
+        result = run_cli("eval", "--manifest", workspace["manifest"],
+                         "--ckpt", old)
+        assert result.returncode == 1
+        assert result.stderr.rstrip().endswith("unsupported version 3")
+        assert "Traceback" not in result.stderr
 
     def test_overflowing_tensor_shape_is_runtime_error(self, workspace,
                                                        tmp_path):
@@ -537,7 +550,7 @@ class TestEval:
 
     @pytest.mark.parametrize("key,value", [
         ("conv_filters", "abc"), ("nfft", "512.0"), ("sdc", "40-1-3"),
-        ("dropout_after_conv", "maybe"), ("lr", "nan"), ("frame_ms", "nan"),
+        ("batch_size", "many"), ("lr", "nan"), ("frame_ms", "nan"),
         ("log_floor", "inf"), ("pre_emphasis", "1.5"),
     ])
     def test_bad_config_value_in_checkpoint_is_runtime_error(

@@ -97,8 +97,7 @@ class TestModelConfig:
             ModelConfig(feature=FeatureKind.SDC, sdc=SdcConfig(n=13))
 
     def test_dict_round_trip(self):
-        cfg = small_cfg(dropout=0.3, lr=2e-3, stride_t=3,
-                        dropout_after_conv=False)
+        cfg = small_cfg(dropout=0.3, lr=2e-3, stride_t=3)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_dict_round_trip_sdc(self):
@@ -111,7 +110,7 @@ class TestModelConfig:
             "num_mel", "num_cepstra", "log_floor", "delta_window",
             "conv_filters", "kernel", "stride_t", "gru_hidden", "embed_dim",
             "char_embed_dim", "disc_hidden", "dropout", "lr", "batch_size",
-            "seed", "dropout_after_conv",
+            "seed",
         ]
 
     def test_arch_keys_leave_out_training_fields(self):
@@ -121,14 +120,6 @@ class TestModelConfig:
             "conv_filters", "kernel", "stride_t", "gru_hidden", "embed_dim",
             "char_embed_dim", "disc_hidden",
         )
-
-    @pytest.mark.parametrize("word,want", [
-        ("1", True), ("true", True), ("Yes", True), ("on", True),
-        ("0", False), ("false", False), ("NO", False), ("off", False),
-    ])
-    def test_from_dict_bool_words(self, word, want):
-        cfg = ModelConfig.from_dict({"dropout_after_conv": word})
-        assert cfg.dropout_after_conv is want
 
     @pytest.mark.parametrize("key,value", [
         ("conv_filters", "0"), ("dropout", "1.5"), ("num_mel", "12"),
@@ -160,7 +151,7 @@ class TestConfigKeys:
             "pre_emphasis", "nfft", "num_mel", "num_cepstra", "log_floor",
             "delta_window", "conv_filters", "kernel", "stride_t",
             "gru_hidden", "embed_dim", "char_embed_dim", "disc_hidden",
-            "dropout", "lr", "batch_size", "seed", "dropout_after_conv",
+            "dropout", "lr", "batch_size", "seed",
         ]
         sections = {key: spec.section for key, spec in CONFIG_KEYS.items()}
         assert {k for k, s in sections.items() if s == "sdc"} == set("ndpk")
@@ -399,7 +390,7 @@ class TestFullSizeShapes:
 
     def test_parameter_inventory(self, default_model):
         params = default_model.named_params()
-        assert len(params) == 37
+        assert len(params) == 36
         assert all(p.data.dtype == np.float32 for p in params.values())
         assert params["text.embed.table"].shape == (28, 512)
         assert set(default_model.named_buffers()) == {
@@ -448,6 +439,9 @@ class TestFullSizeShapes:
         want["text.dense"] = dense(2 * hidden, cfg.embed_dim)
         for proj in ("q_proj", "k_proj", "v_proj", "out_proj"):
             want[f"extract.attn.{proj}"] = dense(cfg.embed_dim, cfg.embed_dim)
+        # The key projection draws as a dense layer does, but has no bias.
+        want["extract.attn"] = want.pop("extract.attn.k_proj")
+        want["extract.attn"]["k_proj"] = want["extract.attn"].pop("weight")
         want["disc.gru"] = gru(cfg.embed_dim, cfg.disc_hidden)
         want["disc.dense"] = dense(2 * cfg.disc_hidden, 1)
         params = default_model.named_params()
@@ -512,9 +506,9 @@ class TestSmallModel:
             assert abs(model.score(feats, text) - probs.data[i]) <= 1e-6
 
     def test_train_mode_padding_leaves_real_frames_unchanged(self):
-        # Batch norm's training statistics cover valid frames only, so
-        # appending padded frames moves real-frame embeddings by rounding
-        # alone (the GRU input GEMM has more rows), not by a changed mean.
+        # The train-mode conv stack and batch norm see the valid frames
+        # only, packed, so appending padded frames moves no bit of a
+        # real frame's embedding.
         model = KwsModel(small_cfg())
         batch = random_batch(np.random.default_rng(7), 12, sizes=(9, 14))
         padded = np.pad(batch.features, ((0, 0), (0, 8), (0, 0)))
@@ -523,8 +517,7 @@ class TestSmallModel:
         long, _ = model.audio_encode(padded, batch.feature_lengths,
                                      train=True)
         for i, n in enumerate(frame_mask.sum(axis=1).astype(int)):
-            np.testing.assert_allclose(long.data[i, :n], short.data[i, :n],
-                                       rtol=0, atol=1e-6)
+            assert np.array_equal(long.data[i, :n], short.data[i, :n]), i
 
     def test_gradient_reaches_every_parameter(self):
         model = KwsModel(small_cfg())
@@ -535,11 +528,10 @@ class TestSmallModel:
         params = model.named_params()
         missing = [name for name, p in params.items() if p.grad is None]
         assert missing == []
-        flowing = [name for name, p in params.items()
-                   if np.abs(p.grad).max() > 0]
-        # The attention key bias cancels inside softmax; everything else
-        # must receive signal.
-        assert len(flowing) >= len(params) - 1
+        # Every parameter must receive signal.
+        still = [name for name, p in params.items()
+                 if not np.abs(p.grad).max() > 0]
+        assert still == []
         # So must every gate block of each GRU tensor, in each direction:
         # a stacked tensor would otherwise hide a dead gate.
         dead_gates = []
