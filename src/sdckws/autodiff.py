@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError
 
@@ -33,6 +32,19 @@ BN_EPS = 1e-5  # added to batch norm's variance
 # Bytes of conv2d's column block: it holds as many output rows' windows
 # as fit, so the copy and the GEMM run from L2 (sweep in CHANGES.md).
 CONV_BLOCK_BYTES = 512 * 1024
+
+
+def _expit():
+    """scipy.special.expit, the logistic every model score goes through.
+
+    scipy.special is imported at the first call, not with the package:
+    it is about 26 MB resident, which a process that runs no model (the
+    front-ends, `sdckws extract`) never needs. No numpy expression
+    matches expit's float32 rounding bit for bit.
+    """
+    from scipy.special import expit
+
+    return expit
 
 
 @contextlib.contextmanager
@@ -391,7 +403,7 @@ def conv2d(x: Tensor, kernel: Tensor, lengths, stride_t: int = 1) -> Tensor:
     written straight into out[:, rows] viewed as [ch_out, n * F] (a view:
     a block's rows are contiguous within each channel); there is no bias,
     as batch norm follows each conv. The kernel gradient sums
-    grad[:, rows] @ cols^T over the same blocks. The input gradient is
+    (cols @ grad[:, rows]^T)^T over the same blocks. The input gradient is
     the same stride-1 correlation with the flipped, channel-transposed
     kernel over the output gradient, which _row_blocks dilates by
     stride_t into its frame, so every stride takes one path. Past the
@@ -429,11 +441,13 @@ def conv2d(x: Tensor, kernel: Tensor, lengths, stride_t: int = 1) -> Tensor:
 
     def _backward(grad):
         if nk is not None:
-            grad_w = np.zeros_like(weights)
+            # Summed transposed, as cols @ grad^T: a faster BLAS path than
+            # grad @ cols^T, with the same bits (a test compares the two).
+            grad_wt = np.zeros_like(weights.T)
             blocks = _row_blocks(x_data, lengths, out_lengths, kh, kw, stride_t)
             for rows, cols in blocks:
-                grad_w += grad[:, rows].reshape(ch_out, -1) @ cols.T
-            _add_grad(nk, grad_w.reshape(nk.shape), fresh=True)
+                grad_wt += cols @ grad[:, rows].reshape(ch_out, -1).T
+            _add_grad(nk, grad_wt.T.reshape(nk.shape), fresh=True)
         if nx is not None:
             flipped = weights.reshape(ch_out, ch_in, kh, kw)[:, :, ::-1, ::-1]
             flipped = flipped.transpose(1, 0, 2, 3).reshape(ch_in, -1)
@@ -579,6 +593,7 @@ def gru_scan(pre: Tensor, u_zr: Tensor, u_h: Tensor, mask=None) -> Tensor:
     szr = slice(0, 2 * hidden)
     orders = (range(steps), range(steps - 1, -1, -1))
     h0 = np.zeros((batch, hidden), dtype=dtype)
+    expit = _expit()
     for d, order in enumerate(orders):
         p = full[:, :, 3 * d * hidden : 3 * (d + 1) * hidden]
         h = h0
@@ -673,6 +688,6 @@ def sigmoid_bce(logits: Tensor, targets) -> Tensor:
     nx = _grad_node(logits)
 
     def _backward(grad):
-        _add_grad(nx, grad * (expit(x) - t) / x.size, fresh=True)
+        _add_grad(nx, grad * (_expit()(x) - t) / x.size, fresh=True)
 
     return _from_op(data, (nx,), _backward)

@@ -178,12 +178,16 @@ def cmd_train(args) -> int:
     _, checkpoint, history = model_module.train(
         manifest, cfg, args.epochs, log=log_row)
     _atomic(args.output, lambda tmp: model_module.save_checkpoint(tmp, checkpoint))
-    history_path = args.history or (os.path.splitext(args.output)[0]
-                                    + "_history.csv")
+    stem = os.path.splitext(args.output)[0]
+    history_path = args.history or stem + "_history.csv"
     _atomic(history_path, lambda tmp: Path(tmp).write_text(
         model_module.history_csv(history), encoding="utf-8"))
+    epochs_path = stem + "_epochs.jsonl"
+    _atomic(epochs_path, lambda tmp: Path(tmp).write_text(
+        model_module.epochs_jsonl(history), encoding="utf-8"))
     best_auc = max((row.val_auc for row in history), default=float("nan"))
-    LOG.info("checkpoint %s, history %s", args.output, history_path)
+    LOG.info("checkpoint %s, history %s, epoch records %s", args.output,
+             history_path, epochs_path)
     print(f"best_val_auc={best_auc!r}")
     return 0
 

@@ -15,13 +15,15 @@ here too.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
+import sys
+import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from . import metrics
@@ -385,7 +387,7 @@ class KwsModel:
         context = self.attn(e_t, e_a, key_mask=audio_mask)
         _, final = self.gru_d(context, mask=token_mask)
         logits = self.dense_out(final).reshape(-1)
-        return Tensor(expit(logits.data)), logits
+        return Tensor(ad._expit()(logits.data)), logits
 
     def forward(self, batch: Batch, train: bool = False, rng=None):
         """Score a padded batch; returns (probs, logits) tensors of shape [B]."""
@@ -587,13 +589,27 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass(frozen=True)
 class EpochStats:
-    """One history row."""
+    """One epoch: its history row, then what the epoch cost.
+
+    The cost fields are measured, so they vary from run to run; rows
+    compare equal on the history fields alone. A step runs from the
+    batch in hand to the optimizer update; examples_per_s counts the
+    epoch's training loop, batch building included, not validation.
+    max_grad_norm is the largest global L2 norm of the parameter
+    gradients over the epoch's steps, and peak_rss_mb this process's
+    peak resident set so far (None where it cannot be read).
+    """
 
     epoch: int
     train_loss: float
     val_loss: float
     val_auc: float
     val_eer: float
+    step_ms_p50: float | None = field(default=None, compare=False)
+    step_ms_p90: float | None = field(default=None, compare=False)
+    examples_per_s: float | None = field(default=None, compare=False)
+    max_grad_norm: float | None = field(default=None, compare=False)
+    peak_rss_mb: float | None = field(default=None, compare=False)
 
 
 HISTORY_HEADER = "epoch,train_loss,val_loss,val_auc,val_eer"
@@ -607,6 +623,28 @@ def history_csv(history) -> str:
             f"{row.val_auc!r},{row.val_eer!r}"
         )
     return "\n".join(lines) + "\n"
+
+
+def epochs_jsonl(history) -> str:
+    """One JSON object per epoch, every EpochStats field by name."""
+    return "".join(json.dumps(asdict(row)) + "\n" for row in history)
+
+
+def peak_rss_mb() -> float | None:
+    """Peak resident set of this process in MB (2**20 bytes), or None."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def _sum_of_squares(array) -> float:
+    """Sum of squares in float64: no finite float32 array overflows it,
+    so it is finite exactly when every entry is."""
+    flat = array.reshape(-1)
+    return float(np.einsum("i,i->", flat, flat, dtype=np.float64))
 
 
 def split_validation(manifest, seed):
@@ -699,13 +737,14 @@ def _mean_bce(scored: "metrics.ScoredSet") -> float:
 def train(manifest, cfg: ModelConfig, epochs: int, log=None):
     """Mini-batch BCE training with Adam and best-validation-AUC selection.
 
-    Returns (model, checkpoint, history). The returned model carries
-    the best-validation weights; with epochs=0 both equal the
-    initialization and the history is empty. A non-finite loss or
-    parameter gradient raises NonFiniteValue, naming the epoch and the
-    step within it, before the optimizer applies that step. Before each
-    step's forward, a step_peak_bytes estimate above MemAvailable raises
-    InsufficientMemory.
+    Returns (model, checkpoint, history), history holding one EpochStats
+    per epoch, which log (if given) also gets as each epoch ends. The
+    returned model carries the best-validation weights; with epochs=0
+    both equal the initialization and the history is empty. A non-finite
+    loss or parameter gradient raises NonFiniteValue, naming the epoch
+    and the step within it, before the optimizer applies that step.
+    Before each step's forward, a step_peak_bytes estimate above
+    MemAvailable raises InsufficientMemory.
     """
     manifest = list(manifest)
     if not manifest:
@@ -727,11 +766,14 @@ def train(manifest, cfg: ModelConfig, epochs: int, log=None):
     best = model.to_checkpoint()
     for epoch in range(epochs):
         dropout_rng = np.random.default_rng([cfg.seed, 7001, epoch])
-        loss_sum = 0.0
+        loss_sum = max_norm = 0.0
+        step_ms = []
+        started = time.perf_counter()
         batches = make_batches(train_set, front, cfg.batch_size,
                                seed=[cfg.seed, epoch], mode="train",
                                feature_cache=cache)
         for step, batch in enumerate(batches):
+            step_start = time.perf_counter()
             where = f"epoch {epoch} step {step}"
             _check_memory(model, batch, where)
             _, logits = model.forward(batch, train=True, rng=dropout_rng)
@@ -740,20 +782,33 @@ def train(manifest, cfg: ModelConfig, epochs: int, log=None):
                 raise NonFiniteValue(f"{where}: loss is {loss.item()}")
             optimizer.zero_grad()
             loss.backward()
+            norm_sq = 0.0
             for name, param in model.named_params().items():
-                if param.grad is not None and not np.isfinite(param.grad).all():
-                    raise NonFiniteValue(
-                        f"{where}: gradient of {name} is not finite")
+                if param.grad is not None:
+                    grad_sq = _sum_of_squares(param.grad)
+                    if not math.isfinite(grad_sq):
+                        raise NonFiniteValue(
+                            f"{where}: gradient of {name} is not finite")
+                    norm_sq += grad_sq
+            max_norm = max(max_norm, math.sqrt(norm_sq))
             optimizer.step()
             model.training_step += 1
             loss_sum += loss.item() * batch.size
+            step_ms.append(1e3 * (time.perf_counter() - step_start))
+        train_s = time.perf_counter() - started
         scored = evaluate(model, val_set, cfg.batch_size, cache)
+        p50, p90 = np.percentile(step_ms, [50, 90])
         stats = EpochStats(
             epoch=epoch,
             train_loss=loss_sum / len(train_set),
             val_loss=_mean_bce(scored),
             val_auc=metrics.auc(scored),
             val_eer=metrics.eer(scored),
+            step_ms_p50=float(p50),
+            step_ms_p90=float(p90),
+            examples_per_s=len(train_set) / train_s,
+            max_grad_norm=max_norm,
+            peak_rss_mb=peak_rss_mb(),
         )
         history.append(stats)
         if log is not None:

@@ -618,6 +618,29 @@ class TestConv2d:
                 assert np.array_equal(row.data, rows)
                 assert np.array_equal(alone.grad, grad)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ch_in, width", [(1, 360), (32, 360), (8, 40)])
+    def test_kernel_gradient_is_the_row_block_sum_exactly(self, ch_in,
+                                                           width, stride):
+        # conv2d sums the kernel gradient transposed, as cols @ grad^T;
+        # it must keep the bits of grad @ cols^T summed over the same
+        # blocks. (1, 360) and (32, 360) are conv1's and conv2's shapes at
+        # the default sdc width, one row per block at 32 channels; (8, 40)
+        # packs 22 rows per block. The lengths hold 1-frame examples.
+        rng = np.random.default_rng(45)
+        lengths = np.array([9, 1, 23, 1, 2, 17, 1])
+        x = rng.normal(size=(ch_in, lengths.sum(), width)).astype(np.float32)
+        k = Tensor(rng.normal(size=(32, ch_in, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        out = ad.conv2d(Tensor(x), k, lengths, stride_t=stride)
+        probe = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(probe)
+        out_lengths = (lengths - 1) // stride + 1
+        want = np.zeros((32, ch_in * 9), np.float32)
+        for rows, cols in ad._row_blocks(x, lengths, out_lengths, 3, 3, stride):
+            want += probe[:, rows].reshape(32, -1) @ cols.T
+        assert np.array_equal(k.grad, want.reshape(k.shape))
+
     @pytest.mark.parametrize("width", [13, 40, 360])
     def test_row_blocks_match_whole_example_im2col(self, width):
         # At the default block budget: 34, 11 and 1 rows per block, over

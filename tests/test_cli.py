@@ -1,6 +1,7 @@
 """End-to-end command-line runs in subprocesses: exit codes and artifacts."""
 
 import errno
+import json
 import os
 import re
 import shlex
@@ -16,7 +17,7 @@ from sdckws import cli
 from sdckws.data import SAMPLE_RATE, load_manifest, write_wav
 from sdckws.dsp import Waveform
 from sdckws.errors import FormatError
-from sdckws.features import read_features
+from sdckws.features import FEATURE_NAMES, read_features
 from sdckws.model import load_checkpoint, save_checkpoint
 from test_metrics import read_scores
 
@@ -244,6 +245,41 @@ def test_import_leaves_out_scipy_signal_and_stats():
             if m.startswith(("scipy.signal", "scipy.stats"))] == []
 
 
+LAZY_SCIPY_SCRIPT = """\
+import sys
+import sdckws, sdckws.cli
+from sdckws import cli, data
+from sdckws.features import (FEATURE_NAMES, FrontEndConfig, SdcConfig,
+                             make_front_end, write_features)
+from sdckws.model import KwsModel, ModelConfig
+
+wav, out = sys.argv[1:]
+assert cli.main(["extract", wav, "-o", out + "/cli.kwsf"]) == 0
+audio = data.read_wav(wav)
+for name, kind in FEATURE_NAMES.items():
+    front = make_front_end(kind, FrontEndConfig(), SdcConfig())
+    write_features(f"{out}/{name}.kwsf", front(audio))
+print("after front-ends:", "scipy.special" in sys.modules)
+cfg = ModelConfig(feature=FEATURE_NAMES["mel"], conv_filters=2, gru_hidden=4,
+                  embed_dim=6, char_embed_dim=8, disc_hidden=4)
+front = make_front_end(cfg.feature, cfg.front_end, cfg.sdc)
+prob = KwsModel(cfg).score(front(audio), "abc")
+print("after score:", "scipy.special" in sys.modules, 0.0 < prob < 1.0)
+"""
+
+
+def test_scipy_special_loads_at_the_first_model_score(second_wav, tmp_path):
+    # A fresh interpreter: extract and every front-end run no model, so
+    # they never load scipy.special; the first score does.
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(second_wav), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-2:] == ["after front-ends: False", "after score: True True"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["cli.kwsf"] + [f"{name}.kwsf" for name in FEATURE_NAMES])
+
 class TestSynth:
     def test_counts_and_layout(self, workspace):
         manifest = load_manifest(workspace["manifest"])
@@ -295,6 +331,19 @@ class TestTrain:
         assert len(lines) == 2
         assert lines[1].startswith("0,")
 
+    def test_epoch_records(self, workspace):
+        # One JSON object per epoch beside the history; its history
+        # fields spell the same floats as the CSV row.
+        path = workspace["root"] / "model_epochs.jsonl"
+        (line,) = path.read_text().splitlines()
+        record = json.loads(line)
+        row = workspace["history"].read_text().splitlines()[1]
+        assert row == ",".join(repr(record[key]) for key in (
+            "epoch", "train_loss", "val_loss", "val_auc", "val_eer"))
+        assert 0 < record["step_ms_p50"] <= record["step_ms_p90"]
+        for key in ("examples_per_s", "max_grad_norm", "peak_rss_mb"):
+            assert record[key] > 0, key
+
     def test_epochs_zero(self, workspace, tmp_path):
         result = run_cli("train", "--manifest", workspace["manifest"],
                          "--epochs", "0", "--config",
@@ -304,6 +353,7 @@ class TestTrain:
         assert "best_val_auc=nan" in result.stdout
         history = (tmp_path / "init_history.csv").read_text().strip()
         assert history == "epoch,train_loss,val_loss,val_auc,val_eer"
+        assert (tmp_path / "init_epochs.jsonl").read_text() == ""
         assert load_checkpoint(tmp_path / "init.kwsm").step == 0
 
     def test_non_finite_loss_exits_1_and_writes_nothing(self, workspace,
@@ -330,6 +380,7 @@ class TestTrain:
         assert "Traceback" not in result.stderr
         assert not out.exists()
         assert not (tmp_path / "nan_history.csv").exists()
+        assert not (tmp_path / "nan_epochs.jsonl").exists()
 
     def test_step_over_available_memory_exits_1(self, workspace, tmp_path):
         # The CLI in a process that reports 1 KiB of available memory.

@@ -1,8 +1,10 @@
 """Matcher architecture, checkpoints, and the training loop."""
 
 import argparse
+import dataclasses
 import gc
 import inspect
+import json
 import re
 import tracemalloc
 from pathlib import Path
@@ -40,6 +42,7 @@ from sdckws.model import (
     KwsModel,
     ModelConfig,
     config_with,
+    epochs_jsonl,
     evaluate,
     history_csv,
     load_checkpoint,
@@ -881,6 +884,40 @@ class TestTrain:
         seen = []
         train(manifest, small_cfg(batch_size=4), epochs=2, log=seen.append)
         assert [row.epoch for row in seen] == [0, 1]
+
+    def test_epoch_costs_beside_the_history_row(self, tmp_path, monkeypatch):
+        # The largest global gradient norm is the largest of the norms the
+        # optimizer saw; the measured fields do not enter row equality.
+        manifest = tiny_dataset(tmp_path)
+        step = Adam.step
+        norms = []
+
+        def record_norm(self):
+            norms.append(np.sqrt(sum(
+                np.sum(p.grad.astype(np.float64) ** 2)
+                for p in self.params if p.grad is not None)))
+            step(self)
+
+        monkeypatch.setattr(Adam, "step", record_norm)
+        _, _, first = train(manifest, small_cfg(batch_size=4), epochs=1)
+        (row,) = first
+        assert row.max_grad_norm == pytest.approx(max(norms), rel=1e-12)
+        assert 0 < row.step_ms_p50 <= row.step_ms_p90
+        assert row.examples_per_s > 0
+        assert row.peak_rss_mb > 1
+        _, _, second = train(manifest, small_cfg(batch_size=4), epochs=1)
+        assert second == first
+        record = json.loads(epochs_jsonl(first))
+        assert record == dataclasses.asdict(row)
+
+    def test_sum_of_squares_is_finite_exactly_for_finite_float32(self):
+        top = np.finfo(np.float32).max
+        assert np.isfinite(model_module._sum_of_squares(
+            np.full((64, 1024), top, np.float32)))
+        for bad in (np.inf, -np.inf, np.nan):
+            grad = np.full((3, 5), top, np.float32)
+            grad[2, 4] = bad
+            assert not np.isfinite(model_module._sum_of_squares(grad))
 
     def test_empty_manifest(self):
         with pytest.raises(EmptyDataset):
