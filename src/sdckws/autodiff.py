@@ -13,10 +13,13 @@ its gradient lands in its .grad. The op set is exactly what the
 matcher's training loss reaches, and a test walks that loss's graph to
 keep it so: broadcasting add and mul, matmul, the shape moves reshape,
 transpose and take, softmax, 2-D convolution and batch norm over the
-examples' packed valid frames (batch norm is one node, with the
-closed-form backward), the masked bidirectional GRU
+examples' packed valid frames (batch norm and the dropout after it are
+one node, with the closed-form backward), the masked bidirectional GRU
 recurrence (one node, with hand-written backpropagation through time),
-dropout, and the fused sigmoid + mean binary cross-entropy loss.
+dropout, and the fused sigmoid + mean binary cross-entropy loss. A
+backward frees a saved input it no longer reads before it allocates
+that input's gradient (matmul, conv2d), and the shape moves hand their
+gradient on as a view.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ BN_EPS = 1e-5  # added to batch norm's variance
 # Bytes of conv2d's column block: it holds as many output rows' windows
 # as fit, so the copy and the GEMM run from L2 (sweep in CHANGES.md).
 CONV_BLOCK_BYTES = 512 * 1024
+# Elements of one block of train-mode batch norm's output and dropout
+# draws: a channel's rows are written this many at a time, from cache.
+BN_BLOCK_ELEMS = 64 * 1024
 
 
 def _expit():
@@ -201,10 +207,12 @@ def _add_grad(node, grad, fresh: bool = False):
 
     node is a _Node or a leaf Tensor; only its grad, shape and dtype are
     read, never an activation. fresh=True means the op allocated grad
-    for this node alone, so a first gradient of the right shape becomes
-    .grad as it is. Any other first gradient may alias or broadcast
-    another node's buffer (the op's output gradient itself, a view of
-    it, or the backward seed) and is copied.
+    for this node alone, or that grad is a view of the op's own output
+    gradient, which backward drops right after (reshape, transpose), so
+    a first gradient of the right shape becomes .grad as it is. Any
+    other first gradient may alias or broadcast a buffer that something
+    else still reads (the op's output gradient, a view of it that
+    another parent also gets, or the backward seed) and is copied.
     """
     if node.grad is not None:
         node.grad += grad
@@ -288,12 +296,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     na, nb = _grad_node(a), _grad_node(b)
 
     def _backward(grad):
-        if na is not None:
-            grad_a = grad @ np.swapaxes(b_data, -1, -2)
-            _add_grad(na, _unbroadcast(grad_a, na.shape), fresh=True)
+        nonlocal a_data
         if nb is not None:
             grad_b = np.swapaxes(a_data, -1, -2) @ grad
             _add_grad(nb, _unbroadcast(grad_b, nb.shape), fresh=True)
+        a_data = None  # a backward runs once: free a before a's gradient
+        if na is not None:
+            grad_a = grad @ np.swapaxes(b_data, -1, -2)
+            _add_grad(na, _unbroadcast(grad_a, na.shape), fresh=True)
 
     return _from_op(data, (na, nb), _backward)
 
@@ -302,7 +312,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     na = _grad_node(a)
 
     def _backward(grad):
-        _add_grad(na, grad.reshape(na.shape))
+        _add_grad(na, grad.reshape(na.shape), fresh=True)
 
     return _from_op(a.data.reshape(shape), (na,), _backward)
 
@@ -312,7 +322,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     na = _grad_node(a)
 
     def _backward(grad):
-        _add_grad(na, grad.transpose(inverse))
+        _add_grad(na, grad.transpose(inverse), fresh=True)
 
     return _from_op(a.data.transpose(axes), (na,), _backward)
 
@@ -410,7 +420,8 @@ def conv2d(x: Tensor, kernel: Tensor, lengths, stride_t: int = 1) -> Tensor:
     input, the output and their gradients, each pass holds one
     example's padded frame and one column block, and no example's result
     depends on the rest of the batch. The node keeps x's array, which
-    backward reads.
+    backward reads for the kernel gradient and then frees, before it
+    allocates the input gradient.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv2d input must be packed [C, N, F], got {x.data.shape}")
@@ -440,6 +451,7 @@ def conv2d(x: Tensor, kernel: Tensor, lengths, stride_t: int = 1) -> Tensor:
     nx, nk = _grad_node(x), _grad_node(kernel)
 
     def _backward(grad):
+        nonlocal x_data
         if nk is not None:
             # Summed transposed, as cols @ grad^T: a faster BLAS path than
             # grad @ cols^T, with the same bits (a test compares the two).
@@ -448,6 +460,7 @@ def conv2d(x: Tensor, kernel: Tensor, lengths, stride_t: int = 1) -> Tensor:
             for rows, cols in blocks:
                 grad_wt += cols @ grad[:, rows].reshape(ch_out, -1).T
             _add_grad(nk, grad_wt.T.reshape(nk.shape), fresh=True)
+        x_data = blocks = None  # free x before x's gradient is allocated
         if nx is not None:
             flipped = weights.reshape(ch_out, ch_in, kh, kw)[:, :, ::-1, ::-1]
             flipped = flipped.transpose(1, 0, 2, 3).reshape(ch_in, -1)
@@ -466,7 +479,8 @@ def _channel_dot(a, b):
     return np.einsum("cnf,cnf->cn", a, b).sum(axis=1)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None):
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None,
+               rate: float = 0.0, rng: np.random.Generator | None = None):
     """Per-channel batch norm of packed frames x [C, N, F]; returns (out, (mean, var)).
 
     out = gamma * (x - mean) / sqrt(var + eps) + beta, with eps BN_EPS.
@@ -475,26 +489,41 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None):
 
     moments=None is train mode: mean and var are the biased per-channel
     statistics over the n = N * F positions, returned so the caller can
-    fold them into running moments. The op keeps the normalized input
-    xhat and the per-channel 1 / sqrt(var + eps), not x, and its backward
-    is the closed form of Ioffe & Szegedy (2015), with g the output
-    gradient: dx = gamma / sqrt(var + eps) * (g - sum(g) / n - xhat *
-    sum(g xhat) / n).
+    fold them into running moments. Dropout at rate follows, fused as in
+    Rota Bulo et al. (2018): it draws rng's float32 uniforms in C order
+    of [C, N, F], as dropout() would, but BN_BLOCK_ELEMS at a time, and
+    zeroes an entry whose draw is below rate, scaling the others by
+    1 / (1 - rate). The output is written per channel in blocks of rows
+    into a frame-major array, [N, C, F] in memory, so the [N, C * F]
+    rows gru_a1 reads are a view of it. The op keeps the normalized
+    input xhat, the per-channel 1 / sqrt(var + eps) and the boolean keep
+    mask, not x or the output, and its backward masks the output
+    gradient in place, then takes the closed form of Ioffe & Szegedy
+    (2015), with g the masked gradient: dx = gamma / sqrt(var + eps) *
+    (g - sum(g) / n - xhat * sum(g xhat) / n). Each element goes through
+    the arithmetic of batch norm then dropout() as separate ops, so the
+    bits are theirs.
 
-    moments=(mean, var) is eval mode: they fold into one per-channel
-    scale = gamma / sqrt(var + eps) and shift = beta - mean * scale that
-    make the output in one pass, and are returned as given; a tracked
-    eval-mode node keeps x, which gamma's gradient reads.
+    moments=(mean, var) is eval mode, where rate and rng are unused:
+    they fold into one per-channel scale = gamma / sqrt(var + eps) and
+    shift = beta - mean * scale that make the output in one pass, and
+    are returned as given; a tracked eval-mode node keeps x, which
+    gamma's gradient reads.
     """
     if x.ndim != 3:
         raise ShapeError(
             f"batch norm expects packed frames [C, N, F], got {x.data.shape}")
-    _, rows, width = x.data.shape
+    channels, rows, width = x.data.shape
     if rows == 0:
         raise ShapeError("batch norm needs at least one frame")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"rate must be in [0, 1), got {rate}")
+    if moments is None and rate and rng is None:
+        raise ValueError("train-mode dropout needs an explicit random generator")
     shape = (-1, 1, 1)
     nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
     gamma_data = gamma.data
+    keep = None
 
     if moments is None:
         count = rows * width
@@ -503,8 +532,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None):
         var = _channel_dot(xhat, xhat) / count
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv.reshape(shape)
-        data = xhat * gamma_data.reshape(shape)
-        data += beta.data.reshape(shape)
+        dtype = np.result_type(xhat, gamma_data)
+        data = np.empty((rows, channels, width), dtype).transpose(1, 0, 2)
+        block_rows = max(1, BN_BLOCK_ELEMS // width)
+        if rate:
+            drop_scale = 1.0 / (1.0 - rate)
+            keep = np.empty(xhat.shape, dtype=bool)
+            draws = np.empty((block_rows, width), dtype=np.float32)
+        for c in range(channels):
+            for r0 in range(0, rows, block_rows):
+                r1 = min(rows, r0 + block_rows)
+                out = data[c, r0:r1]
+                np.multiply(xhat[c, r0:r1], gamma_data[c], out=out)
+                out += beta.data[c]
+                if keep is not None:
+                    drawn = draws[: r1 - r0]
+                    rng.random(dtype=np.float32, out=drawn)
+                    np.greater_equal(drawn, rate, out=keep[c, r0:r1])
+                    out *= drop_scale
+                    out *= keep[c, r0:r1]
     else:
         mean, var = moments
         inv = 1.0 / np.sqrt(var + BN_EPS)
@@ -514,6 +560,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None):
         data += (beta.data - mean * scale).reshape(shape)
 
     def _backward(grad):
+        if keep is not None:
+            # The node's own gradient buffer, read by nothing after this.
+            grad *= drop_scale
+            grad *= keep
         d_beta = grad.sum(axis=(1, 2))
         if nbeta is not None:
             _add_grad(nbeta, d_beta, fresh=True)

@@ -22,6 +22,9 @@ BN_MOMENTUM = 0.9  # decay of BatchNorm's running moments
 ADAM_BETA1 = 0.9  # decay of Adam's first moment
 ADAM_BETA2 = 0.999  # decay of Adam's second moment
 ADAM_EPS = 1e-8  # added to Adam's denominator
+# Elements per block of an Adam update: the block's parameter, gradient,
+# moments and two scratch buffers fit L2 (sweep in CHANGES.md).
+ADAM_BLOCK = 32 * 1024
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
@@ -87,11 +90,12 @@ class Conv2d(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-channel normalization of packed frames [C, N, F].
+    """Per-channel normalization of packed frames [C, N, F], then dropout.
 
     Train mode normalizes by the statistics of the batch's frames and
-    folds them into running moments with momentum BN_MOMENTUM; eval mode
-    uses the running moments, so inference is a pure function of the
+    folds them into running moments with momentum BN_MOMENTUM, then
+    drops entries at rate with rng; eval mode uses the running moments
+    and drops nothing, so inference is a pure function of the
     parameters. The whole layer is one autodiff.batch_norm node.
     """
 
@@ -101,9 +105,11 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
+    def __call__(self, x: Tensor, train: bool, rate: float = 0.0,
+                 rng: np.random.Generator | None = None) -> Tensor:
         moments = None if train else (self.running_mean, self.running_var)
-        out, (mu, var) = ad.batch_norm(x, self.gamma, self.beta, moments)
+        out, (mu, var) = ad.batch_norm(x, self.gamma, self.beta, moments,
+                                       rate, rng)
         if train:
             self.running_mean = (
                 BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mu
@@ -219,30 +225,40 @@ def adam_step(state: AdamState, data: np.ndarray, grad: np.ndarray, lr: float):
 
     Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g
     and data -= lr m_hat / (sqrt(v_hat) + eps), with beta1, beta2 and eps
-    the ADAM_ constants, using two scratch buffers in the order of the
-    plain expressions, so the result is bit-identical to them when data,
-    grad and the moments share a dtype.
+    the ADAM_ constants. It runs over blocks of ADAM_BLOCK elements, so
+    its two scratch buffers and each block's operands stay in cache, in
+    the order of the plain expressions, so the result is bit-identical
+    to them when data, grad and the moments share a dtype.
     """
     if grad.shape != data.shape:
         raise ShapeError(f"grad shape {grad.shape} != param shape {data.shape}")
     state.step += 1
-    m, v = state.m, state.v
-    step = np.empty_like(m)
-    root = np.empty_like(v)
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-    m *= ADAM_BETA1
-    m += step
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=root)
-    root *= grad
-    v *= ADAM_BETA2
-    v += root
-    np.divide(v, 1.0 - ADAM_BETA2**state.step, out=root)
-    np.sqrt(root, out=root)
-    root += ADAM_EPS
-    np.divide(m, 1.0 - ADAM_BETA1**state.step, out=step)
-    step *= lr
-    step /= root
-    data -= step
+    m_scale = 1.0 - ADAM_BETA1**state.step
+    v_scale = 1.0 - ADAM_BETA2**state.step
+    step_buf = np.empty(min(data.size, ADAM_BLOCK), dtype=state.m.dtype)
+    root_buf = np.empty(min(data.size, ADAM_BLOCK), dtype=state.v.dtype)
+    blocks = np.nditer(
+        [data, grad, state.m, state.v],
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
+        buffersize=ADAM_BLOCK)
+    with blocks:
+        for p, g, m, v in blocks:
+            step, root = step_buf[: len(p)], root_buf[: len(p)]
+            np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+            m *= ADAM_BETA1
+            m += step
+            np.multiply(g, 1.0 - ADAM_BETA2, out=root)
+            root *= g
+            v *= ADAM_BETA2
+            v += root
+            np.divide(v, v_scale, out=root)
+            np.sqrt(root, out=root)
+            root += ADAM_EPS
+            np.divide(m, m_scale, out=step)
+            step *= lr
+            step /= root
+            p -= step
 
 
 class Adam:

@@ -66,10 +66,10 @@ VAL_FRACTION = 0.1  # share of each class that train() holds out
 # conv_filters x feature_width, plus the recurrent stack's 4 x gru_hidden:
 # a gru_scan direction keeps z, r, c and its state) and per token
 # (char_embed_dim). With two copies of the parameters, the estimate is
-# 1.29-1.64 times the measured peak of mfcc, mel and sdc on 1 s clips at
-# batch 8 (1.14-1.76 over batches of 1-32, 1.23-1.25 for mfcc and mel at
-# 128); a test holds the step under it.
-STEP_PEAK_COPIES = 7
+# 1.55, 1.63 and 1.47 times the measured peak of mfcc, mel and sdc on
+# 1 s clips at batch 8, and 1.13 for mfcc at batch 64; a test holds the
+# step under it.
+STEP_PEAK_COPIES = 6
 # Rows of gru_a1's input eval projects per GEMM (a 1 s clip is 49): about
 # as fast as one batch-wide GEMM; one GEMM per clip repacks w, 2x slower.
 GRU_CHUNK_ROWS = 512
@@ -286,13 +286,14 @@ class KwsModel:
         """conv1 -> bn1 -> conv2 -> bn2, each with its dropout, on packed frames.
 
         h [1, N, D] holds lengths[i] frames of example i, back to back; the
-        result [conv_filters, M, D] holds their strided frames the same way.
+        result [conv_filters, M, D] holds their strided frames the same way
+        (frame-major in memory in train mode, see autodiff.batch_norm).
         """
         # Bound before the next layer runs, each output dies once consumed.
         for conv, norm in ((self.conv1, self.bn1), (self.conv2, self.bn2)):
             h = conv(h, lengths)
             lengths = strided_length(lengths, conv.stride_t)
-            h = self._dropout(norm(h, train), train, rng)
+            h = norm(h, train, self.cfg.dropout, rng)
         return h
 
     def audio_encode(self, features, lengths, train: bool = False, rng=None):
@@ -326,6 +327,7 @@ class KwsModel:
         if train or ad._grad_enabled:
             packed = x[np.arange(t_in) < lengths[:, None]][None]
             rows = self._conv_stack(Tensor(packed), lengths, train, rng)
+            # A view in train mode, where batch norm's output is frame-major.
             rows = rows.transpose(1, 0, 2)
             seq, _ = self.gru_a1(rows.reshape(rows.shape[0], -1), mask=frame_mask)
         else:
@@ -690,8 +692,8 @@ def step_peak_bytes(model: KwsModel, batch: int, frames: int,
 
     The batch is [batch, frames, D] features with [batch, tokens] token
     ids. The estimate is STEP_PEAK_COPIES copies of every per-example
-    activation and the parameters twice: their gradients and Adam's
-    scratch.
+    activation and the parameters twice: their gradients, and one more
+    copy as slack.
     """
     cfg = model.cfg
     t_out = strided_length(frames, cfg.stride_t)
@@ -763,7 +765,7 @@ def train(manifest, cfg: ModelConfig, epochs: int, log=None):
     optimizer = Adam(model.named_params().values(), lr=cfg.lr)
     history = []
     best_auc = -1.0
-    best = model.to_checkpoint()
+    best = None  # every epoch's AUC is >= -1, so epoch 0 sets it
     for epoch in range(epochs):
         dropout_rng = np.random.default_rng([cfg.seed, 7001, epoch])
         loss_sum = max_norm = 0.0
@@ -776,11 +778,13 @@ def train(manifest, cfg: ModelConfig, epochs: int, log=None):
             step_start = time.perf_counter()
             where = f"epoch {epoch} step {step}"
             _check_memory(model, batch, where)
+            # Dropped before the forward, the last step's gradients do not
+            # live through it.
+            optimizer.zero_grad()
             _, logits = model.forward(batch, train=True, rng=dropout_rng)
             loss = ad.sigmoid_bce(logits, batch.labels)
             if not np.isfinite(loss.item()):
                 raise NonFiniteValue(f"{where}: loss is {loss.item()}")
-            optimizer.zero_grad()
             loss.backward()
             norm_sq = 0.0
             for name, param in model.named_params().items():
@@ -816,6 +820,8 @@ def train(manifest, cfg: ModelConfig, epochs: int, log=None):
         if stats.val_auc >= best_auc:
             best_auc = stats.val_auc
             best = model.to_checkpoint()
+    if best is None:  # no epoch ran
+        best = model.to_checkpoint()
     model.load_state(best)
     return model, best, history
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sdckws.autodiff as ad
+from sdckws import layers
 from sdckws.autodiff import Tensor, no_grad
 from sdckws.errors import ShapeError
 from sdckws.layers import (
@@ -219,8 +220,9 @@ OP_CALLS = {
     "softmax": lambda make: ad.softmax(make((2, 3))),
     "conv2d": lambda make: ad.conv2d(make((1, 6, 3)), make((2, 1, 3, 3)),
                                      [4, 2]),
-    "batch_norm": lambda make: ad.batch_norm(make((2, 5, 2)), make((2,)),
-                                             make((2,)))[0],
+    "batch_norm": lambda make: ad.batch_norm(
+        make((2, 5, 2)), make((2,)), make((2,)), None, 0.5,
+        np.random.default_rng(0))[0],
     "gru_scan": lambda make: ad.gru_scan(
         make((2, 3, 12)), make((2, 2, 4)), make((2, 2, 2))),
     "dropout": lambda make: ad.dropout(make((2, 3)), 0.5, True,
@@ -323,12 +325,12 @@ class TestActivationLifetime:
         assert not [v for v in held if isinstance(v, Tensor)]
 
     def test_audio_block_frees_what_backward_does_not_read(self):
-        # conv -> batch norm -> dropout -> conv -> transpose -> reshape in
-        # train mode on two packed examples, keeping only the last output:
-        # backward reads the normalized input, the keep mask and conv2's
-        # input, which conv2 keeps as the dropout output's own array, never
-        # a padded copy, so every other watched array is freed before it
-        # runs.
+        # conv -> batch norm with its dropout -> conv -> transpose ->
+        # reshape in train mode on two packed examples, keeping only the
+        # last output: backward reads the normalized input, the keep mask
+        # and conv2's input, which conv2 keeps as the batch norm output's
+        # own array, never a padded copy, so every other watched array is
+        # freed before it runs.
         rng = np.random.default_rng(40)
         conv1 = Conv2d(1, 3, rng, stride_t=2)
         conv2 = Conv2d(3, 3, rng)
@@ -341,14 +343,13 @@ class TestActivationLifetime:
             return tensor
 
         h = watch("conv", conv1(x, [9, 5]))
-        h = watch("batch norm", norm(h, True))
-        h = watch("dropout", ad.dropout(h, 0.5, True, rng))
+        h = watch("batch norm", norm(h, True, 0.5, rng))
         h = watch("conv2", conv2(h, [5, 3]))
         h = watch("transpose", h.transpose(1, 0, 2))
         out = h.reshape(8, 15)
         del h
         kept = graph_arrays(out)
-        dropped = watched.pop("dropout")()
+        dropped = watched.pop("batch norm")()
         assert any(array is dropped for array in kept)
         # A padded conv input would be 5 + 2 frequency bins wide.
         assert [a.shape for a in kept if a.shape[-1:] == (7,)] == []
@@ -367,7 +368,15 @@ class TestGradBuffers:
         lambda a, b: ad.softmax(a) * ad.softmax(a, axis=0),  # one input, two ops
         lambda a, b: a + b,
         lambda a, b: a * b + b,
-    ], ids=["a+a", "a*a", "one-input-two-ops", "a+b", "a*b+b"])
+        # Shape moves hand their own gradient on as a view.
+        lambda a, b: a.reshape(4, 3).reshape(12).reshape(3, 4),
+        lambda a, b: a.reshape(12).reshape(3, 4) + a.reshape(3, 4),
+        lambda a, b: a.transpose(1, 0).transpose(1, 0) + b,
+        lambda a, b: (a.transpose(1, 0).reshape(3, 4) * b
+                      + b.reshape(2, 6).reshape(3, 4)),
+    ], ids=["a+a", "a*a", "one-input-two-ops", "a+b", "a*b+b",
+            "reshape-chain", "reshaped-twice", "transpose-chain",
+            "transpose-reshape"])
     def test_no_two_grads_share_memory(self, build):
         rng = np.random.default_rng(5)
         a, b = leaf(rng, (3, 4)), leaf(rng, (3, 4))
@@ -377,6 +386,46 @@ class TestGradBuffers:
         for i, first in enumerate(buffers):
             for second in buffers[i + 1:]:
                 assert not np.shares_memory(first, second)
+
+
+def input_freed_when_its_gradient_arrives(monkeypatch, op, x_shape):
+    """Whether op(x) frees x's array before backward hands x its gradient.
+
+    x is an op result that only op's node holds; _add_grad is watched
+    for the call that delivers x's gradient.
+    """
+    x = Tensor(np.ones(x_shape), requires_grad=True) * 1.0
+    x_node, x_data = x._node, weakref.ref(x.data)
+    out = op(x)
+    del x
+    seen = []
+    add_grad = ad._add_grad
+
+    def watch(node, grad, fresh=False):
+        if node is x_node:
+            seen.append(x_data() is None)
+        add_grad(node, grad, fresh)
+
+    monkeypatch.setattr(ad, "_add_grad", watch)
+    out.backward(np.ones(out.shape))
+    assert len(seen) == 1
+    return seen[0]
+
+
+class TestBackwardFreesInputs:
+    """A saved input backward no longer reads dies before its gradient."""
+
+    def test_matmul_frees_its_left_operand(self, monkeypatch):
+        w = Tensor(np.ones((6, 4)), requires_grad=True)
+        assert input_freed_when_its_gradient_arrives(
+            monkeypatch, lambda x: x @ w, (5, 6))
+        assert w.grad is not None
+
+    def test_conv2d_frees_its_input(self, monkeypatch):
+        k = Tensor(np.ones((2, 3, 3, 3)), requires_grad=True)
+        assert input_freed_when_its_gradient_arrives(
+            monkeypatch, lambda x: ad.conv2d(x, k, [4, 1, 2], 2), (3, 7, 5))
+        assert k.grad is not None
 
 
 class TestArithmeticGradients:
@@ -969,12 +1018,162 @@ class TestBatchNormOp:
         np.testing.assert_allclose(bn.running_var,
                                    0.9 + 0.1 * rows.var(axis=0), rtol=1e-12)
 
+    def test_train_gradients_with_dropout(self):
+        # A generator seeded alike per call keeps one mask for the
+        # central differences.
+        check_grads(lambda: ad.batch_norm(
+            self.x, self.gamma, self.beta, None, 0.3,
+            np.random.default_rng(43))[0],
+            [self.x, self.gamma, self.beta], 44)
+
     @pytest.mark.parametrize("moments", [None, (np.zeros(2), np.ones(2))],
                              ids=["train", "eval"])
     def test_rejects_a_batch_without_frames(self, moments):
         with pytest.raises(ShapeError, match="at least one frame"):
             ad.batch_norm(Tensor(np.ones((2, 0, 4))), self.gamma, self.beta,
                           moments)
+
+    def test_rejects_bad_rate_and_a_missing_generator(self):
+        with pytest.raises(ValueError, match="rate"):
+            ad.batch_norm(self.x, self.gamma, self.beta, None, 1.0,
+                          np.random.default_rng(0))
+        with pytest.raises(ValueError, match="generator"):
+            ad.batch_norm(self.x, self.gamma, self.beta, None, 0.2)
+
+    def test_eval_mode_drops_nothing(self):
+        moments = (np.array([0.3, -0.2]), np.array([1.7, 0.4]))
+        plain, _ = ad.batch_norm(self.x, self.gamma, self.beta, moments)
+        rated, _ = ad.batch_norm(self.x, self.gamma, self.beta, moments, 0.5,
+                                 np.random.default_rng(0))
+        assert plain.data.tobytes() == rated.data.tobytes()
+
+
+def bn_then_dropout(x, gamma, beta, rate, rng, grad):
+    """Batch norm, then dropout, as separate whole-array ops.
+
+    Returns the output, keep mask (None at rate 0), moments and the
+    gradients for the output gradient grad, by name: train-mode batch
+    norm's statistics and closed-form backward over x [C, N, F], and
+    dropout's float32 draws over the whole shape in one call, each step
+    its own numpy expression.
+    """
+    shape = (-1, 1, 1)
+    count = x.shape[1] * x.shape[2]
+    mean = x.sum(axis=(1, 2)) / count
+    xhat = x - mean.reshape(shape)
+    var = np.einsum("cnf,cnf->cn", xhat, xhat).sum(axis=1) / count
+    inv = 1.0 / np.sqrt(var + ad.BN_EPS)
+    xhat *= inv.reshape(shape)
+    out = xhat * gamma.reshape(shape)
+    out += beta.reshape(shape)
+    keep = None
+    g = grad.copy(order="K")  # backward's gradient keeps the seed's layout
+    if rate:
+        keep = rng.random(x.shape, dtype=np.float32) >= rate
+        out = out * (1.0 / (1.0 - rate))
+        out *= keep
+        g = grad * (1.0 / (1.0 - rate))
+        g *= keep
+    d_beta = g.sum(axis=(1, 2))
+    d_gamma = np.einsum("cnf,cnf->cn", g, xhat).sum(axis=1)
+    dx = xhat * (-d_gamma / count).reshape(shape)
+    dx += g
+    dx -= (d_beta / count).reshape(shape)
+    dx *= (gamma * inv).reshape(shape)
+    return {"out": out, "mask": keep, "mean": mean, "var": var, "dx": dx,
+            "d_gamma": d_gamma, "d_beta": d_beta}
+
+
+def frame_major(array):
+    """array [C, N, F] laid out [N, C, F] in memory, as gru_a1 reads it."""
+    return np.ascontiguousarray(array.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+class TestFusedDropout:
+    """Train-mode batch norm with its dropout, against the separate ops."""
+
+    @pytest.mark.parametrize("block", [None, 7, 64])
+    @pytest.mark.parametrize("layout", ["C", "frame-major"])
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_equals_batch_norm_then_dropout(self, rate, layout, block,
+                                            monkeypatch):
+        # conv2d's packed output on ragged lengths with 1-frame examples;
+        # a block of 7 elements is 1 row of 5 and splits draws oddly.
+        if block is not None:
+            monkeypatch.setattr(ad, "BN_BLOCK_ELEMS", block)
+        rng = np.random.default_rng(45)
+        lengths = [4, 1, 6, 1, 3]
+        conv_in = rng.normal(size=(1, sum(lengths), 5)).astype(np.float32)
+        kernel = rng.normal(size=(3, 1, 3, 3)).astype(np.float32)
+        x_data = ad.conv2d(Tensor(conv_in), Tensor(kernel), lengths).data
+        gamma = (1.0 + rng.normal(size=3)).astype(np.float32)
+        beta = rng.normal(size=3).astype(np.float32)
+        seed = rng.normal(size=x_data.shape).astype(np.float32)
+        if layout == "frame-major":
+            seed = frame_major(seed)
+        want = bn_then_dropout(x_data, gamma, beta, rate,
+                               np.random.default_rng(46), seed)
+        x = Tensor(x_data * 1.0, requires_grad=True)
+        g, b = parameter(gamma.copy()), parameter(beta.copy())
+        out, moments = ad.batch_norm(x, g, b, None, rate,
+                                     np.random.default_rng(46))
+        masks = [v for v in closure_values(out._backward_fn)
+                 if isinstance(v, np.ndarray) and v.dtype == bool]
+        out.backward(seed)
+        got = {"out": out.data, "mask": masks[0] if masks else None,
+               "mean": moments[0], "var": moments[1], "dx": x.grad,
+               "d_gamma": g.grad, "d_beta": b.grad}
+        for name, w in want.items():
+            a = got[name]
+            if w is None:
+                assert a is None, name
+                continue
+            assert (a.dtype, a.shape) == (w.dtype, w.shape), name
+            assert a.tobytes() == w.tobytes(), name
+
+    def test_block_draws_equal_one_draw(self, monkeypatch):
+        # Odd blocks split float32 draws between 64-bit outputs; the
+        # generator is left where one whole draw leaves it.
+        x = Tensor(np.zeros((3, 7, 5), np.float32))
+        gamma = Tensor(np.ones(3, np.float32))
+        beta = Tensor(np.zeros(3, np.float32))
+        want_rng = np.random.default_rng(47)
+        want = want_rng.random(x.shape, dtype=np.float32) >= 0.5
+        for block in (1, 7, 13, 10**6):
+            monkeypatch.setattr(ad, "BN_BLOCK_ELEMS", block)
+            rng = np.random.default_rng(47)
+            x.data[...] = np.random.default_rng(48).normal(size=x.shape)
+            out, _ = ad.batch_norm(x, gamma, beta, None, 0.5, rng)
+            np.testing.assert_array_equal(out.data != 0, want, err_msg=block)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_output_is_frame_major(self):
+        x = Tensor(np.random.default_rng(49).normal(size=(4, 9, 6)))
+        out, _ = ad.batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                               None, 0.2, np.random.default_rng(0))
+        rows = out.transpose(1, 0, 2).reshape(9, -1)
+        assert rows.data.base is not None
+        assert np.shares_memory(rows.data, out.data)
+        assert rows.data.flags.c_contiguous
+
+    def test_backward_masks_its_own_gradient_in_place(self):
+        # The output gradient the node owns becomes the masked one, so
+        # the step holds no second conv-width gradient.
+        x = Tensor(np.random.default_rng(50).normal(size=(2, 30, 8)),
+                   requires_grad=True)
+        out, _ = ad.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                               None, 0.5, np.random.default_rng(1))
+        seen = []
+        node = out._node
+        fn = node._backward_fn
+
+        def spy(grad):
+            seen.append(grad)
+            fn(grad)
+
+        node._backward_fn = spy
+        out.backward(np.ones(out.shape))
+        np.testing.assert_array_equal(seen[0] != 0, out.data != 0)
 
 
 def swapped(gru):
@@ -1404,6 +1603,14 @@ class TestAdam:
             return w.data.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_plain_expressions_bit_for_bit(self, dtype,
+                                                        monkeypatch):
+        # 42 elements in blocks of 16 cross two block boundaries and end
+        # on a partial block.
+        monkeypatch.setattr(layers, "ADAM_BLOCK", 16)
+        self.test_matches_plain_expressions_bit_for_bit(dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_plain_expressions_bit_for_bit(self, dtype):

@@ -33,7 +33,7 @@ from sdckws.errors import (
     ShapeError,
 )
 from sdckws.features import FeatureKind, FrontEndConfig, SdcConfig
-from sdckws.layers import Adam, BiGru, glorot_uniform
+from sdckws.layers import Adam, BatchNorm, BiGru, glorot_uniform
 from sdckws.model import (
     ARCH_KEYS,
     CONFIG_KEYS,
@@ -521,6 +521,32 @@ class TestSmallModel:
                                      train=True)
         for i, n in enumerate(frame_mask.sum(axis=1).astype(int)):
             assert np.array_equal(long.data[i, :n], short.data[i, :n]), i
+
+    def test_gru_a1_reads_bn2s_output_in_place(self, monkeypatch):
+        # Train-mode batch norm writes frame-major, so gru_a1's [M, C * F]
+        # input rows are a view of bn2's output, not a transposed copy.
+        model = KwsModel(small_cfg(dropout=0.2))
+        batch = random_batch(np.random.default_rng(7), 12, sizes=(9, 1, 14))
+        seen = {}
+        gru_call = BiGru.__call__
+
+        def gru(layer, x, *args, **kwargs):
+            seen.setdefault("gru_a1", x.data)
+            return gru_call(layer, x, *args, **kwargs)
+
+        norm_call = BatchNorm.__call__
+
+        def norm(layer, *args):
+            seen["bn2"] = norm_call(layer, *args)
+            return seen["bn2"]
+
+        monkeypatch.setattr(BiGru, "__call__", gru)
+        monkeypatch.setattr(BatchNorm, "__call__", norm)
+        model.audio_encode(batch.features, batch.feature_lengths, train=True,
+                           rng=np.random.default_rng(3))
+        rows, out = seen["gru_a1"], seen["bn2"].data
+        assert rows.shape == (out.shape[1], out.shape[0] * out.shape[2])
+        assert np.shares_memory(rows, out)
 
     def test_gradient_reaches_every_parameter(self):
         model = KwsModel(small_cfg())
@@ -1027,6 +1053,15 @@ class TestTrainingMemory:
         assert peak <= 20 * mib_per_example
         # Nor overcount so far on sdc that the guard refuses steps that fit.
         assert estimate <= 1.5 * peak
+
+    def test_backward_frees_gru_a1_input_before_its_gradient(self):
+        # The sdc step peaks as gru_a1.w's gradient is handed over. Its
+        # [N, C * F] input is freed before that input's gradient is made,
+        # and the gradient reaches bn2 as views, masked in place there,
+        # so past what the forward retained the peak holds that weight
+        # gradient and under 1 MiB more.
+        model, retained, peak = one_second_step(FeatureKind.SDC, 8)
+        assert peak <= retained + model.gru_a1.w.data.nbytes + 2**20
 
     def test_narrow_step_fits_its_estimate_at_a_large_batch(self):
         # On mfcc the recurrent stack holds more per frame than the convs,

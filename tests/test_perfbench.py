@@ -67,6 +67,12 @@ assert all(math.isfinite(ms) for ms in bwd_ms.values()), bwd_ms
 """
 
 
+# The same run with dropout on, so every replay of bn1 and bn2 runs the
+# fused batch norm + dropout on the generator the step used.
+DROPOUT_REPLAY_PROBE = REPLAY_PROBE.replace("dropout=0.0", "dropout=0.2")
+assert DROPOUT_REPLAY_PROBE != REPLAY_PROBE
+
+
 def run_probe(probe, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -83,6 +89,10 @@ def test_instrument_wraps_every_traced_function():
 
 def test_replay_times_every_layer_backward(tmp_path):
     run_probe(REPLAY_PROBE, tmp_path)
+
+
+def test_replay_with_dropout_times_every_layer_backward(tmp_path):
+    run_probe(DROPOUT_REPLAY_PROBE, tmp_path)
 
 
 def run_workload(workload, trace, workdir):
