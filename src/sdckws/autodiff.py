@@ -13,9 +13,10 @@ its gradient lands in its .grad. The op set is exactly what the
 matcher's training loss reaches, and a test walks that loss's graph to
 keep it so: broadcasting add and mul, matmul, the shape moves reshape,
 transpose and take, softmax, 2-D convolution and batch norm over the
-examples' packed valid frames (batch norm and the dropout after it are
-one node, with the closed-form backward), the masked bidirectional GRU
-recurrence (one node, with hand-written backpropagation through time),
+examples' packed valid frames (train-mode batch norm and the dropout
+after it are one node, with the closed-form backward; eval-mode batch
+norm is a fixed affine that is never a node), the masked bidirectional
+GRU recurrence (one node, with hand-written backpropagation through time),
 dropout, and the fused sigmoid + mean binary cross-entropy loss. A
 backward frees a saved input it no longer reads before it allocates
 that input's gradient (matmul, conv2d), and the shape moves hand their
@@ -35,8 +36,9 @@ BN_EPS = 1e-5  # added to batch norm's variance
 # Bytes of conv2d's column block: it holds as many output rows' windows
 # as fit, so the copy and the GEMM run from L2 (sweep in CHANGES.md).
 CONV_BLOCK_BYTES = 512 * 1024
-# Elements of one block of train-mode batch norm's output and dropout
-# draws: a channel's rows are written this many at a time, from cache.
+# Elements of train-mode batch norm's dropout draw buffer: the float32
+# uniforms are drawn this many at a time, so no float array of the
+# mask's shape is built.
 BN_BLOCK_ELEMS = 64 * 1024
 
 
@@ -491,15 +493,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None,
     statistics over the n = N * F positions, returned so the caller can
     fold them into running moments. Dropout at rate follows, fused as in
     Rota Bulo et al. (2018): it draws rng's float32 uniforms in C order
-    of [C, N, F], as dropout() would, but BN_BLOCK_ELEMS at a time, and
-    zeroes an entry whose draw is below rate, scaling the others by
-    1 / (1 - rate). The output is written per channel in blocks of rows
-    into a frame-major array, [N, C, F] in memory, so the [N, C * F]
-    rows gru_a1 reads are a view of it. The op keeps the normalized
-    input xhat, the per-channel 1 / sqrt(var + eps) and the boolean keep
-    mask, not x or the output, and its backward masks the output
-    gradient in place, then takes the closed form of Ioffe & Szegedy
-    (2015), with g the masked gradient: dx = gamma / sqrt(var + eps) *
+    of [C, N, F], as dropout() would, but BN_BLOCK_ELEMS at a time into
+    one small buffer that is compared into the boolean keep mask, then
+    zeroes an entry whose draw is below rate and scales the others by
+    1 / (1 - rate). The output is written in whole-array passes into a
+    frame-major array, [N, C, F] in memory, so the [N, C * F] rows
+    gru_a1 reads are a view of it. The op keeps the normalized input
+    xhat, the per-channel 1 / sqrt(var + eps) and the keep mask, not x
+    or the output, and its backward masks the output gradient in place,
+    then takes the closed form of Ioffe & Szegedy (2015), with g the
+    masked gradient: dx = gamma / sqrt(var + eps) *
     (g - sum(g) / n - xhat * sum(g xhat) / n). Each element goes through
     the arithmetic of batch norm then dropout() as separate ops, so the
     bits are theirs.
@@ -507,8 +510,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None,
     moments=(mean, var) is eval mode, where rate and rng are unused:
     they fold into one per-channel scale = gamma / sqrt(var + eps) and
     shift = beta - mean * scale that make the output in one pass, and
-    are returned as given; a tracked eval-mode node keeps x, which
-    gamma's gradient reads.
+    are returned as given. Nothing differentiates inference, so the
+    result is never a graph node.
     """
     if x.ndim != 3:
         raise ShapeError(
@@ -521,43 +524,38 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None,
     if moments is None and rate and rng is None:
         raise ValueError("train-mode dropout needs an explicit random generator")
     shape = (-1, 1, 1)
-    nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
     gamma_data = gamma.data
-    keep = None
 
-    if moments is None:
-        count = rows * width
-        mean = x.data.sum(axis=(1, 2)) / count
-        xhat = x.data - mean.reshape(shape)
-        var = _channel_dot(xhat, xhat) / count
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv.reshape(shape)
-        dtype = np.result_type(xhat, gamma_data)
-        data = np.empty((rows, channels, width), dtype).transpose(1, 0, 2)
-        block_rows = max(1, BN_BLOCK_ELEMS // width)
-        if rate:
-            drop_scale = 1.0 / (1.0 - rate)
-            keep = np.empty(xhat.shape, dtype=bool)
-            draws = np.empty((block_rows, width), dtype=np.float32)
-        for c in range(channels):
-            for r0 in range(0, rows, block_rows):
-                r1 = min(rows, r0 + block_rows)
-                out = data[c, r0:r1]
-                np.multiply(xhat[c, r0:r1], gamma_data[c], out=out)
-                out += beta.data[c]
-                if keep is not None:
-                    drawn = draws[: r1 - r0]
-                    rng.random(dtype=np.float32, out=drawn)
-                    np.greater_equal(drawn, rate, out=keep[c, r0:r1])
-                    out *= drop_scale
-                    out *= keep[c, r0:r1]
-    else:
+    if moments is not None:
         mean, var = moments
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        scale = gamma_data * inv
-        x_data = x.data
-        data = x_data * scale.reshape(shape)
+        scale = gamma_data * (1.0 / np.sqrt(var + BN_EPS))
+        data = x.data * scale.reshape(shape)
         data += (beta.data - mean * scale).reshape(shape)
+        return Tensor(data), moments
+
+    count = rows * width
+    mean = x.data.sum(axis=(1, 2)) / count
+    xhat = x.data - mean.reshape(shape)
+    var = _channel_dot(xhat, xhat) / count
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv.reshape(shape)
+    dtype = np.result_type(xhat, gamma_data)
+    data = np.empty((rows, channels, width), dtype).transpose(1, 0, 2)
+    np.multiply(xhat, gamma_data.reshape(shape), out=data)
+    data += beta.data.reshape(shape)
+    keep = None
+    if rate:
+        keep = np.empty(xhat.shape, dtype=bool)
+        flat = keep.reshape(-1)
+        draws = np.empty(min(flat.size, BN_BLOCK_ELEMS), np.float32)
+        for start in range(0, flat.size, BN_BLOCK_ELEMS):
+            drawn = draws[: flat.size - start]
+            rng.random(dtype=np.float32, out=drawn)
+            np.greater_equal(drawn, rate, out=flat[start : start + len(drawn)])
+        drop_scale = 1.0 / (1.0 - rate)
+        data *= drop_scale
+        data *= keep
+    nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
 
     def _backward(grad):
         if keep is not None:
@@ -567,24 +565,17 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, moments=None,
         d_beta = grad.sum(axis=(1, 2))
         if nbeta is not None:
             _add_grad(nbeta, d_beta, fresh=True)
-        if moments is None:
-            d_gamma = _channel_dot(grad, xhat)
-            if ngamma is not None:
-                _add_grad(ngamma, d_gamma, fresh=True)
-            if nx is not None:
-                # A backward runs once, so dx is built in xhat's buffer.
-                dx = xhat
-                dx *= (-d_gamma / count).reshape(shape)
-                dx += grad
-                dx -= (d_beta / count).reshape(shape)
-                dx *= (gamma_data * inv).reshape(shape)
-                _add_grad(nx, dx, fresh=True)
-        else:
-            if ngamma is not None:
-                d_scale = _channel_dot(grad, x_data)
-                _add_grad(ngamma, (d_scale - mean * d_beta) * inv, fresh=True)
-            if nx is not None:
-                _add_grad(nx, grad * scale.reshape(shape), fresh=True)
+        d_gamma = _channel_dot(grad, xhat)
+        if ngamma is not None:
+            _add_grad(ngamma, d_gamma, fresh=True)
+        if nx is not None:
+            # A backward runs once, so dx is built in xhat's buffer.
+            dx = xhat
+            dx *= (-d_gamma / count).reshape(shape)
+            dx += grad
+            dx -= (d_beta / count).reshape(shape)
+            dx *= (gamma_data * inv).reshape(shape)
+            _add_grad(nx, dx, fresh=True)
 
     return _from_op(data, (nx, ngamma, nbeta), _backward), (mean, var)
 
@@ -599,14 +590,15 @@ def _rowwise(h, u):
     return np.matmul(h[:, None, :], u)[:, 0]
 
 
-def gru_scan(pre: Tensor, u_zr: Tensor, u_h: Tensor, mask=None) -> Tensor:
+def gru_scan(pre: Tensor, u_zr: Tensor, u_h: Tensor, mask) -> Tensor:
     """Masked bidirectional GRU recurrence; returns the states [B, T, 2H].
 
     pre [B, T, 6H] holds the input pre-activations x_t W + b, forward
-    [z | r | h] gate blocks then backward; with a mask [B, T], it may be
-    just the rows [N, 6H] of the frames where the mask is nonzero, in
-    (example, frame) order. u_zr [2, H, 2H] = [Uz | Ur] and u_h [2, H, H]
-    = Uh, forward then backward. From a zero state each direction runs
+    [z | r | h] gate blocks then backward; it may be just the rows
+    [N, 6H] of the frames where the mask [B, T] is nonzero, in
+    (example, frame) order. u_zr [2, H, 2H] = [Uz | Ur] and u_h
+    [2, H, H] = Uh, forward then backward. From a zero state each
+    direction runs
     z_t = sigmoid(p_z + h_{t-1} Uz), r_t likewise with p_r and Ur,
     c_t = tanh(p_h + (r_t * h_{t-1}) Uh), h_t = z_t * h_{t-1} + (1 - z_t) c_t,
     forward from the first frame into out[..., :H], backward from the last
@@ -615,17 +607,17 @@ def gru_scan(pre: Tensor, u_zr: Tensor, u_h: Tensor, mask=None) -> Tensor:
     direction and step, and backward runs backpropagation through time
     into a gradient shaped like pre and per-step sums for u_zr and u_h.
     """
-    packed = pre.ndim == 2 and mask is not None
-    if pre.ndim != 3 and not packed:
-        raise ShapeError(f"gru expects [B, T, 6H] or masked rows, got {pre.data.shape}")
-    batch, steps = np.shape(mask) if packed else pre.data.shape[:2]
+    valid = np.asarray(mask) > 0
+    if pre.ndim not in (2, 3) or valid.ndim != 2:
+        raise ShapeError(f"gru expects [B, T, 6H] or masked rows and a mask"
+                         f" [B, T], got {pre.data.shape} and {valid.shape}")
+    packed = pre.ndim == 2
+    batch, steps = valid.shape
     if steps == 0:
         raise ShapeError("gru needs at least one frame")
-    if mask is not None:
-        valid = np.asarray(mask) > 0
-        if valid.shape != (batch, steps) or (packed and valid.sum() != len(pre.data)):
-            raise ShapeError(
-                f"gru mask {valid.shape} does not match input {pre.data.shape}")
+    if pre.data.shape[:-1] != ((valid.sum(),) if packed else valid.shape):
+        raise ShapeError(
+            f"gru mask {valid.shape} does not match input {pre.data.shape}")
     nodes = npre, nzr, nh = [_grad_node(t) for t in (pre, u_zr, u_h)]
     tracked = _tracked(nodes)
     dtype = np.result_type(pre.data, u_zr.data, u_h.data)
@@ -654,8 +646,7 @@ def gru_scan(pre: Tensor, u_zr: Tensor, u_h: Tensor, mask=None) -> Tensor:
             z, r, c = g[:, sz], g[:, sr], g[:, sc]
             np.add(p[:, t, sc], _rowwise(r * h, u_h[d]), out=c)
             np.tanh(c, out=c)
-            h_new = z * h + (1.0 - z) * c
-            h = h_new if mask is None else np.where(valid[:, t, None], h_new, h)
+            h = np.where(valid[:, t, None], z * h + (1.0 - z) * c, h)
             seq[:, t, d * hidden : (d + 1) * hidden] = h
 
     def _backward(grad):
@@ -672,11 +663,8 @@ def gru_scan(pre: Tensor, u_zr: Tensor, u_h: Tensor, mask=None) -> Tensor:
                 h_prev = states[:, order[i - 1]] if i else h0
                 z, r, c = gates[d, t, :, sz], gates[d, t, :, sr], gates[d, t, :, sc]
                 dh = dh + d_seq[:, t]
-                if mask is None:
-                    dh_new, dh = dh, 0.0
-                else:
-                    keep = valid[:, t, None]
-                    dh_new, dh = np.where(keep, dh, 0.0), np.where(keep, 0.0, dh)
+                keep = valid[:, t, None]
+                dh_new, dh = np.where(keep, dh, 0.0), np.where(keep, 0.0, dh)
                 dp = d_p[:, t]
                 np.multiply(dh_new * (1.0 - z), 1.0 - c * c, out=dp[:, sc])
                 d_rh = dp[:, sc] @ u_h[d].T

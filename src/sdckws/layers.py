@@ -3,9 +3,9 @@
 Each layer holds its tensors as attributes, and named_tensors names
 them for the checkpoint by attribute: a Tensor is a parameter, an
 ndarray a buffer, and a nested layer extends the prefix. Recurrent
-layers take an optional per-frame validity mask; masked steps hold the
-previous state, which makes padded frames invisible to both scan
-directions.
+layers and attention take a per-frame validity mask; masked steps hold
+the previous state, which makes padded frames invisible to both scan
+directions, and masked keys get no attention weight.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class BatchNorm(Layer):
     folds them into running moments with momentum BN_MOMENTUM, then
     drops entries at rate with rng; eval mode uses the running moments
     and drops nothing, so inference is a pure function of the
-    parameters. The whole layer is one autodiff.batch_norm node.
+    parameters. In train mode the whole layer is one autodiff.batch_norm
+    node; in eval mode it records none.
     """
 
     def __init__(self, channels: int, dtype=np.float32):
@@ -149,15 +150,14 @@ class BiGru(Layer):
                     block[...] = glorot_uniform(rng, block.shape,
                                                 block.shape[0], hidden, dtype)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 projected: bool = False):
+    def __call__(self, x: Tensor, mask: np.ndarray, projected: bool = False):
         """Returns (outputs [B, T, 2H], final states [B, 2H]).
 
-        x is the input [B, T, in], or with a mask [B, T] just the rows
-        [N, in] of the frames where it is nonzero, in (example, frame)
-        order; with projected=True it is x @ w + b already. The final
-        states are the forward states at the last frame and the backward
-        ones at the first.
+        x is the input [B, T, in], or just the rows [N, in] of the frames
+        where the mask [B, T] is nonzero, in (example, frame) order; with
+        projected=True it is x @ w + b already. The final states are the
+        forward states at the last frame and the backward ones at the
+        first.
         """
         if not projected:
             rows = x.reshape(-1, x.shape[-1]) @ self.w + self.b
@@ -190,7 +190,7 @@ class CrossAttention(Layer):
         self.out_proj = Dense(dim, dim, rng, dtype)
 
     def __call__(self, query: Tensor, memory: Tensor,
-                 key_mask: np.ndarray | None = None) -> Tensor:
+                 key_mask: np.ndarray) -> Tensor:
         if query.shape[-1] != self.dim or memory.shape[-1] != self.dim:
             raise ShapeError(
                 f"attention built for dim {self.dim}, got query {query.shape}"
@@ -199,10 +199,9 @@ class CrossAttention(Layer):
         q = self.q_proj(query)
         k = memory @ self.k_proj
         scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dim))
-        if key_mask is not None:
-            bias = np.where(np.asarray(key_mask) > 0, 0.0, self.MASK_BIAS)
-            # Broadcast over the query axis: [.., m] -> [.., 1, m].
-            scores = scores + Tensor(bias.astype(scores.dtype)[..., None, :])
+        bias = np.where(np.asarray(key_mask) > 0, 0.0, self.MASK_BIAS)
+        # Broadcast over the query axis: [.., m] -> [.., 1, m].
+        scores = scores + Tensor(bias.astype(scores.dtype)[..., None, :])
         weights = ad.softmax(scores, axis=-1)
         return self.out_proj(weights @ self.v_proj(memory))
 

@@ -15,6 +15,7 @@ here too.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -299,12 +300,12 @@ class KwsModel:
     def audio_encode(self, features, lengths, train: bool = False, rng=None):
         """Features [B, T, D] with B lengths in [1, T] to embeddings [B, m, embed_dim].
 
-        Returns (embeddings, frame mask [B, m]). A conv stack recorded for
-        backward (train mode, or grad enabled) runs on the examples' valid
-        frames, packed back to back, so padded frames never reach a
-        convolution or batch norm's statistics; its output, one row per
-        valid strided frame, is gru_a1's packed input. In eval under
-        no_grad, see _project_eval_rows.
+        Returns (embeddings, frame mask [B, m]). In train mode the conv
+        stack runs on the examples' valid frames, packed back to back, so
+        padded frames never reach a convolution or batch norm's
+        statistics; its output, one row per valid strided frame, is
+        gru_a1's packed input. Eval records no graph, whatever the grad
+        mode; its conv stack is _project_eval_rows'.
         """
         arr = np.asarray(features)
         if arr.ndim != 3 or arr.shape[1] == 0:
@@ -324,19 +325,20 @@ class KwsModel:
         t_out = strided_length(t_in, self.cfg.stride_t)
         frame_mask = (np.arange(t_out) < out_lengths[:, None]).astype(np.float32)
         x = arr.astype(np.float32, copy=False)
-        if train or ad._grad_enabled:
-            packed = x[np.arange(t_in) < lengths[:, None]][None]
-            rows = self._conv_stack(Tensor(packed), lengths, train, rng)
-            # A view in train mode, where batch norm's output is frame-major.
-            rows = rows.transpose(1, 0, 2)
-            seq, _ = self.gru_a1(rows.reshape(rows.shape[0], -1), mask=frame_mask)
-        else:
-            pre = self._project_eval_rows(x, lengths, frame_mask)
-            seq, _ = self.gru_a1(Tensor(pre), mask=frame_mask, projected=True)
-        seq = self._dropout(seq, train, rng)
-        seq, _ = self.gru_a2(seq, mask=frame_mask)
-        seq = self._dropout(seq, train, rng)
-        return self._dropout(self.dense_a(seq), train, rng), frame_mask
+        with contextlib.nullcontext() if train else no_grad():
+            if train:
+                packed = x[np.arange(t_in) < lengths[:, None]][None]
+                rows = self._conv_stack(Tensor(packed), lengths, train, rng)
+                # A view, as train-mode batch norm's output is frame-major.
+                rows = rows.transpose(1, 0, 2)
+                seq, _ = self.gru_a1(rows.reshape(rows.shape[0], -1), mask=frame_mask)
+            else:
+                pre = self._project_eval_rows(x, lengths, frame_mask)
+                seq, _ = self.gru_a1(Tensor(pre), mask=frame_mask, projected=True)
+            seq = self._dropout(seq, train, rng)
+            seq, _ = self.gru_a2(seq, mask=frame_mask)
+            seq = self._dropout(seq, train, rng)
+            return self._dropout(self.dense_a(seq), train, rng), frame_mask
 
     def _project_eval_rows(self, x, lengths, frame_mask):
         """gru_a1's pre-activations [B, m, 6H] in eval; 0 at padded frames.
@@ -392,12 +394,18 @@ class KwsModel:
         return Tensor(ad._expit()(logits.data)), logits
 
     def forward(self, batch: Batch, train: bool = False, rng=None):
-        """Score a padded batch; returns (probs, logits) tensors of shape [B]."""
-        e_a, audio_mask = self.audio_encode(
-            batch.features, batch.feature_lengths, train, rng)
-        token_mask = batch.token_mask()
-        e_t = self.text_encode(batch.tokens, token_mask, train, rng)
-        return self.match_score(e_a, e_t, audio_mask, token_mask)
+        """Score a padded batch; returns (probs, logits) tensors of shape [B].
+
+        Train mode records the graph backward needs; eval records none,
+        whatever the grad mode. text_encode and match_score, called
+        alone, follow the grad mode.
+        """
+        with contextlib.nullcontext() if train else no_grad():
+            e_a, audio_mask = self.audio_encode(
+                batch.features, batch.feature_lengths, train, rng)
+            token_mask = batch.token_mask()
+            e_t = self.text_encode(batch.tokens, token_mask, train, rng)
+            return self.match_score(e_a, e_t, audio_mask, token_mask)
 
     def score(self, features, text) -> float:
         """Eval-mode match probability for one pair: `forward` at B = 1."""
@@ -406,8 +414,7 @@ class KwsModel:
             raise ShapeError(f"features must be [T, D], got {data.shape}")
         if not np.isfinite(data).all():
             raise NonFiniteValue("features hold a non-finite value")
-        with no_grad():
-            probs, _ = self.forward(collate([data], [text], [0]))
+        probs, _ = self.forward(collate([data], [text], [0]))
         return float(probs.data[0])
 
     def _state(self) -> dict:
@@ -677,12 +684,11 @@ def evaluate(model: KwsModel, manifest, batch_size: int | None = None,
     size = batch_size or model.cfg.batch_size
     scores = []
     labels = []
-    with no_grad():
-        for batch in make_batches(manifest, front, size, seed=0, mode="eval",
-                                  feature_cache=feature_cache):
-            probs, _ = model.forward(batch, train=False)
-            scores.extend(float(p) for p in probs.data)
-            labels.extend(int(label) for label in batch.labels)
+    for batch in make_batches(manifest, front, size, seed=0, mode="eval",
+                              feature_cache=feature_cache):
+        probs, _ = model.forward(batch, train=False)
+        scores.extend(float(p) for p in probs.data)
+        labels.extend(int(label) for label in batch.labels)
     return metrics.ScoredSet(np.array(scores), np.array(labels))
 
 

@@ -224,7 +224,7 @@ OP_CALLS = {
         make((2, 5, 2)), make((2,)), make((2,)), None, 0.5,
         np.random.default_rng(0))[0],
     "gru_scan": lambda make: ad.gru_scan(
-        make((2, 3, 12)), make((2, 2, 4)), make((2, 2, 2))),
+        make((2, 3, 12)), make((2, 2, 4)), make((2, 2, 2)), np.ones((2, 3))),
     "dropout": lambda make: ad.dropout(make((2, 3)), 0.5, True,
                                        np.random.default_rng(0)),
     "sigmoid_bce": lambda make: ad.sigmoid_bce(make((4,)),
@@ -1003,11 +1003,14 @@ class TestBatchNormOp:
         check_grads(lambda: ad.batch_norm(self.x, self.gamma, self.beta)[0],
                     [self.x, self.gamma, self.beta], 41)
 
-    def test_eval_gradients(self):
+    def test_eval_mode_records_no_node(self):
+        # Inference is a fixed affine that nothing differentiates, so
+        # inputs that require grad give an untracked result.
         moments = (np.array([0.3, -0.2]), np.array([1.7, 0.4]))
-        check_grads(lambda: ad.batch_norm(
-            self.x, self.gamma, self.beta, moments)[0],
-            [self.x, self.gamma, self.beta], 42)
+        out, returned = ad.batch_norm(self.x, self.gamma, self.beta, moments)
+        assert not out.requires_grad
+        assert out._node is None
+        assert returned is moments
 
     def test_running_moments_equal_batch_statistics(self):
         bn = BatchNorm(2, dtype=np.float64)
@@ -1196,7 +1199,7 @@ class TestGru:
         for p in named_tensors(gru, "g", Tensor).values():
             p.data[:] = 0.0
         x = Tensor(np.random.default_rng(13).normal(size=(2, 6, 3)))
-        outputs, final = gru(x)
+        outputs, final = gru(x, np.ones((2, 6)))
         np.testing.assert_array_equal(outputs.data, 0.0)
         np.testing.assert_array_equal(final.data, 0.0)
 
@@ -1205,7 +1208,7 @@ class TestGru:
         gru = BiGru(3, 4, rng, dtype=np.float64)
         x = rng.normal(size=(2, 1, 3))
         gru.b.data[:] = rng.normal(size=24)  # so the bias blocks' order shows
-        outputs, final = gru(Tensor(x))
+        outputs, final = gru(Tensor(x), np.ones((2, 1)))
         w, b = gru.w.data, gru.b.data
         for d in (0, 1):
             # With h0 = 0: z = sig(xWz + bz), c = tanh(xWh + bh), h = (1 - z) c.
@@ -1220,8 +1223,8 @@ class TestGru:
         rng = np.random.default_rng(15)
         gru = BiGru(3, 4, rng, dtype=np.float64)
         x = Tensor(rng.normal(size=(2, 1, 3)))
-        fwd, _ = swapped(gru)(x)
-        bwd, _ = gru(x)
+        fwd, _ = swapped(gru)(x, np.ones((2, 1)))
+        bwd, _ = gru(x, np.ones((2, 1)))
         np.testing.assert_allclose(fwd.data[..., :4], bwd.data[..., 4:],
                                    atol=1e-12)
 
@@ -1229,8 +1232,8 @@ class TestGru:
         rng = np.random.default_rng(16)
         gru = BiGru(3, 4, rng, dtype=np.float64)
         x = rng.normal(size=(2, 5, 3))
-        rev, _ = gru(Tensor(x))
-        flipped, _ = swapped(gru)(Tensor(x[:, ::-1].copy()))
+        rev, _ = gru(Tensor(x), np.ones((2, 5)))
+        flipped, _ = swapped(gru)(Tensor(x[:, ::-1].copy()), np.ones((2, 5)))
         np.testing.assert_allclose(rev.data[..., 4:],
                                    flipped.data[:, ::-1, :4], atol=1e-12)
 
@@ -1267,7 +1270,7 @@ class TestGru:
         probe = 21
         leaves = [x] + [(p, 3) for p in
                         named_tensors(gru, "g", Tensor).values()]
-        check_grads(lambda: gru(x)[0], leaves, probe)
+        check_grads(lambda: gru(x, np.ones((2, 4)))[0], leaves, probe)
 
     @pytest.mark.parametrize("seed", [30, 31])
     def test_each_gate_block_is_its_own_glorot_draw(self, seed):
@@ -1292,7 +1295,7 @@ class TestGru:
     def test_rejects_2d_input(self):
         gru = BiGru(2, 3, np.random.default_rng(22))
         with pytest.raises(ShapeError):
-            gru(Tensor(np.ones((4, 2))))
+            gru(Tensor(np.ones((4, 2))), np.ones((4, 2)))
 
 
 def scan_inputs(rng, shape, hidden, pre_grad=True, param_grad=True):
@@ -1378,7 +1381,7 @@ class TestGruScan:
 
     def test_grads_share_no_memory(self):
         pre, *params = scan_inputs(np.random.default_rng(68), (2, 5), 4)
-        ad.gru_scan(pre, *params).backward(np.ones((2, 5, 8)))
+        ad.gru_scan(pre, *params, np.ones((2, 5))).backward(np.ones((2, 5, 8)))
         grads = [t.grad for t in (pre, *params)]
         for i, first in enumerate(grads):
             for second in grads[i + 1:]:
@@ -1397,7 +1400,7 @@ class TestBiGru:
         rng = np.random.default_rng(23)
         bigru = BiGru(3, 4, rng)
         x = Tensor(rng.normal(size=(2, 5, 3)).astype(np.float32))
-        outputs, final = bigru(x)
+        outputs, final = bigru(x, np.ones((2, 5)))
         assert outputs.shape == (2, 5, 8)
         assert final.shape == (2, 8)
 
@@ -1405,7 +1408,7 @@ class TestBiGru:
         rng = np.random.default_rng(24)
         bigru = BiGru(3, 4, rng, dtype=np.float64)
         x = Tensor(rng.normal(size=(2, 5, 3)))
-        outputs, final = bigru(x)
+        outputs, final = bigru(x, np.ones((2, 5)))
         np.testing.assert_allclose(final.data[:, :4], outputs.data[:, -1, :4],
                                    atol=1e-12)
         np.testing.assert_allclose(final.data[:, 4:], outputs.data[:, 0, 4:],
@@ -1423,7 +1426,7 @@ class TestBiGru:
         bigru.u_zr.data[1] = bigru.u_zr.data[0]
         bigru.u_h.data[1] = bigru.u_h.data[0]
         x = Tensor(rng.normal(size=(2, 1, 3)))
-        outputs, _ = bigru(x)
+        outputs, _ = bigru(x, np.ones((2, 1)))
         np.testing.assert_allclose(outputs.data[:, :, :4], outputs.data[:, :, 4:],
                                    atol=1e-12)
 
@@ -1434,7 +1437,7 @@ class TestBiGru:
         probe = 28
         leaves = [x] + [(p, 2) for p in
                         named_tensors(bigru, "b", Tensor).values()]
-        check_grads(lambda: bigru(x)[0], leaves, probe)
+        check_grads(lambda: bigru(x, np.ones((1, 3)))[0], leaves, probe)
 
     def test_valid_rows_are_all_it_projects(self):
         # Given the valid frames' rows [N, in], the layer gives what the
@@ -1461,7 +1464,7 @@ class TestBiGru:
         check_grads(lambda: bigru(rows, mask)[0], leaves, probe)
 
 
-def attention_weights(monkeypatch, att, query, memory, key_mask=None):
+def attention_weights(monkeypatch, att, query, memory, key_mask):
     """The softmax weights a call of att computes, caught at ad.softmax."""
     caught = []
     softmax = ad.softmax
@@ -1482,14 +1485,14 @@ class TestCrossAttention:
         att = CrossAttention(8, rng)
         q = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32))
         kv = Tensor(rng.normal(size=(2, 7, 8)).astype(np.float32))
-        assert att(q, kv).shape == (2, 5, 8)
+        assert att(q, kv, np.ones((2, 7))).shape == (2, 5, 8)
 
     def test_weights_row_stochastic(self, monkeypatch):
         rng = np.random.default_rng(30)
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(2, 5, 8)))
         kv = Tensor(rng.normal(size=(2, 7, 8)))
-        weights = attention_weights(monkeypatch, att, q, kv)
+        weights = attention_weights(monkeypatch, att, q, kv, np.ones((2, 7)))
         assert weights.shape == (2, 5, 7)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert (weights >= 0).all()
@@ -1499,7 +1502,7 @@ class TestCrossAttention:
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(1, 4, 8)))
         kv = Tensor(np.tile(rng.normal(size=(1, 1, 8)), (1, 6, 1)))
-        weights = attention_weights(monkeypatch, att, q, kv)
+        weights = attention_weights(monkeypatch, att, q, kv, np.ones((1, 6)))
         np.testing.assert_allclose(weights, 1.0 / 6.0, atol=1e-12)
 
     def test_single_key_passes_value_through_out_proj(self):
@@ -1507,7 +1510,7 @@ class TestCrossAttention:
         att = CrossAttention(8, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(1, 3, 8)))
         kv = Tensor(rng.normal(size=(1, 1, 8)))
-        out = att(q, kv)
+        out = att(q, kv, np.ones((1, 1)))
         expect = att.out_proj(att.v_proj(kv)).data
         np.testing.assert_allclose(out.data, np.tile(expect, (1, 3, 1)), atol=1e-10)
 
@@ -1541,14 +1544,14 @@ class TestCrossAttention:
         kv = leaf(np.random.default_rng(37), (1, 3, 4))
         probe = 38
         leaves = [q, kv] + list(named_tensors(att, "a", Tensor).values())
-        check_grads(lambda: att(q, kv), leaves, probe)
+        check_grads(lambda: att(q, kv, np.ones((1, 3))), leaves, probe)
 
     def test_rejects_wrong_dim(self):
         rng = np.random.default_rng(39)
         att = CrossAttention(8, rng)
         with pytest.raises(ShapeError):
             att(Tensor(np.ones((1, 2, 4), np.float32)),
-                Tensor(np.ones((1, 3, 8), np.float32)))
+                Tensor(np.ones((1, 3, 8), np.float32)), np.ones((1, 3)))
 
 
 class TestAdam:

@@ -204,9 +204,8 @@ def alone_audio(default_model):
     """40 one-second sdc clips and each one's eval audio embedding alone."""
     feats = np.random.default_rng(9).normal(
         size=(40, 98, 360)).astype(np.float32)
-    with ad.no_grad():
-        alone = [default_model.audio_encode(f[None], [98])[0].data[0]
-                 for f in feats]
+    alone = [default_model.audio_encode(f[None], [98])[0].data[0]
+             for f in feats]
     return feats, alone
 
 
@@ -215,7 +214,7 @@ def capture_projected(monkeypatch):
     captured = []
     call = BiGru.__call__
 
-    def capture(layer, x, mask=None, projected=False):
+    def capture(layer, x, mask, projected=False):
         if projected:
             captured.append(x.data.copy())
         return call(layer, x, mask, projected)
@@ -274,15 +273,14 @@ class TestFullSizeShapes:
         gc.collect()
         tracemalloc.start()
         try:
-            with ad.no_grad():
-                default_model.audio_encode(feats, [98] * 4)
+            default_model.audio_encode(feats, [98] * 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2 * activation + frame + 2 * 2**20
 
     def test_eval_conv_stack_runs_one_example_at_a_time(self, default_model):
-        # Under no_grad the conv stack runs per example, and its rows go
+        # In eval the conv stack runs per example, and its rows go
         # through gru_a1's projection in chunks, so the peak is one chunk
         # of gru_a1's input (all 392 rows here), the [8, 49, 6H]
         # pre-activations, two one-example activations and one padded
@@ -297,8 +295,7 @@ class TestFullSizeShapes:
         gc.collect()
         tracemalloc.start()
         try:
-            with ad.no_grad():
-                default_model.audio_encode(feats, [98] * 8)
+            default_model.audio_encode(feats, [98] * 8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -317,8 +314,7 @@ class TestFullSizeShapes:
         gc.collect()
         tracemalloc.start()
         try:
-            with ad.no_grad():
-                default_model.audio_encode(feats, [98] * 32)
+            default_model.audio_encode(feats, [98] * 32)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -335,10 +331,9 @@ class TestFullSizeShapes:
         feats = np.zeros((len(lengths), 98, 360), dtype=np.float32)
         for i, n in enumerate(lengths):
             feats[i, :n] = rng.normal(size=(n, 360))
-        with ad.no_grad():
-            default_model.audio_encode(feats, lengths)
-            for i, n in enumerate(lengths):
-                default_model.audio_encode(feats[i : i + 1, :n], [n])
+        default_model.audio_encode(feats, lengths)
+        for i, n in enumerate(lengths):
+            default_model.audio_encode(feats[i : i + 1, :n], [n])
         together, alone = captured[0], captured[1:]
         assert together.shape == (5, 49, 6 * 64)
         for i, n in enumerate(lengths):
@@ -358,10 +353,9 @@ class TestFullSizeShapes:
         feats = np.zeros((len(lengths), 98, 360), dtype=np.float32)
         for i, n in enumerate(lengths):
             feats[i, :n] = rng.normal(size=(n, 360))
-        with ad.no_grad():
-            default_model.audio_encode(feats, lengths)
-            monkeypatch.setattr(model_module, "GRU_CHUNK_ROWS", 10**6)
-            default_model.audio_encode(feats, lengths)
+        default_model.audio_encode(feats, lengths)
+        monkeypatch.setattr(model_module, "GRU_CHUNK_ROWS", 10**6)
+        default_model.audio_encode(feats, lengths)
         chunked, whole = captured
         assert np.array_equal(chunked, whole)
 
@@ -372,12 +366,11 @@ class TestFullSizeShapes:
         # rows, and inside examples, leave every audio embedding as it is
         # for the clip alone.
         feats, want = alone_audio
-        with ad.no_grad():
-            for start in range(0, len(feats), size):
-                part = feats[start : start + size]
-                embed, _ = default_model.audio_encode(part, [98] * len(part))
-                for i, row in enumerate(embed.data, start):
-                    assert np.array_equal(row, want[i]), (size, i)
+        for start in range(0, len(feats), size):
+            part = feats[start : start + size]
+            embed, _ = default_model.audio_encode(part, [98] * len(part))
+            for i, row in enumerate(embed.data, start):
+                assert np.array_equal(row, want[i]), (size, i)
 
     @pytest.mark.parametrize("lengths", [[25, 20], [20, 0], [20]])
     def test_bad_lengths_are_a_shape_error(self, default_model, lengths):
@@ -480,6 +473,18 @@ class TestSmallModel:
         assert logits.shape == (2,)
         assert np.all((probs.data > 0) & (probs.data < 1))
 
+    def test_eval_records_no_graph(self):
+        # With grad enabled, an eval-mode forward or audio_encode records
+        # no node: the program never differentiates inference.
+        model = KwsModel(small_cfg(dropout=0.2))
+        batch = random_batch(np.random.default_rng(12), 12, sizes=(7, 11))
+        probs, logits = model.forward(batch, train=False)
+        embed, _ = model.audio_encode(batch.features, batch.feature_lengths,
+                                      train=False)
+        for out in (probs, logits, embed):
+            assert not out.requires_grad
+            assert out._node is None
+
     def test_padding_invariance_is_exact(self):
         # Padded frames are masked after each conv and inside the GRUs,
         # so extra padding must not change an example's score at all.
@@ -551,7 +556,7 @@ class TestSmallModel:
     def test_gradient_reaches_every_parameter(self):
         model = KwsModel(small_cfg())
         batch = random_batch(np.random.default_rng(2), 12)
-        _, logits = model.forward(batch)
+        _, logits = model.forward(batch, train=True)
         loss = ad.sigmoid_bce(logits, batch.labels)
         loss.backward()
         params = model.named_params()
@@ -583,7 +588,7 @@ class TestSmallModel:
         optimizer = Adam(model.named_params().values(), lr=0.02)
         losses = []
         for _ in range(80):
-            _, logits = model.forward(batch)
+            _, logits = model.forward(batch, train=True)
             loss = ad.sigmoid_bce(logits, batch.labels)
             optimizer.zero_grad()
             loss.backward()
